@@ -17,8 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import corpus, equations, numbering, training
-from .corpus import Vocabulary
-from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .corpus import DatasetError, Vocabulary
+from .model import ConfigError, ModelConfig, load_checkpoint, save_checkpoint
 from .numbering import NumberMapping
 
 
@@ -77,6 +77,8 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     instances, unalignable = _load_instances(args.data)
     usable = [i for i in instances if i.alignable]
+    if not usable:
+        raise DatasetError(f"{args.data}: no alignable training instances")
     if unalignable:
         print(f"excluding {unalignable} unalignable instances from training")
     vocab = Vocabulary.build(usable)
@@ -124,11 +126,15 @@ def cmd_eval(args) -> int:
     instances, unalignable = _load_instances(args.data)
     report: dict = {"n": len(instances), "unalignable": unalignable, "folds": []}
     if args.folds >= 2:
+        # the folds partition the instances, so their reports sum to the overall one
+        overall = corpus.EvalReport(0, 0, 0, 0)
         for fold_idx, fold in enumerate(corpus.folds(len(instances), args.folds, args.seed)):
             split = [instances[i] for i in fold]
             r = corpus.evaluate(params, vocab, split, args.beam)
             report["folds"].append({"fold": fold_idx, **r.as_dict()})
-    overall = corpus.evaluate(params, vocab, instances, args.beam)
+            overall = overall + r
+    else:
+        overall = corpus.evaluate(params, vocab, instances, args.beam)
     report["overall"] = overall.as_dict()
     print(json.dumps(report, indent=2))
     return 0
@@ -209,8 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input or configuration is reported as one
+    line on stderr with exit code 2, like an argparse usage error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DatasetError, ConfigError) as e:
+        print(f"eqgen: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

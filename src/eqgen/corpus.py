@@ -405,6 +405,15 @@ class EvalReport:
     def accuracy_vote(self) -> float:
         return self.correct_vote / self.n if self.n else 0.0
 
+    def __add__(self, other: "EvalReport") -> "EvalReport":
+        """Report over the union of two disjoint instance sets."""
+        return EvalReport(
+            self.n + other.n,
+            self.correct_l2r + other.correct_l2r,
+            self.correct_r2l + other.correct_r2l,
+            self.correct_vote + other.correct_vote,
+        )
+
     def as_dict(self) -> dict:
         return {
             "n": self.n,

@@ -1,13 +1,22 @@
 """Beam search per decoder direction and the two-beam vote.
 
-Scores are raw sums of token log-probabilities (no length normalization by
-default; both directions score the same target length for the same final
-string, so the sums stay comparable). Each step expands every live
-hypothesis over the full vocabulary, keeps the top ``beam_size`` candidates
-by cumulative score, and retires the ones ending in the end sentinel into
-the result pool. Search stops once the pool holds ``beam_size`` finished
-hypotheses or ``max_len`` is reached; leftover live hypotheses are then
-returned force-finished with ``finished=False``.
+Scores are raw sums of token log-probabilities (no length normalization;
+both directions score the same target length for the same final string, so
+the sums stay comparable). Each step expands every live hypothesis over the
+full vocabulary, keeps the top ``beam_size`` candidates by cumulative score,
+and retires the ones ending in the end sentinel into the result pool. Search
+stops once the pool holds ``beam_size`` finished hypotheses or ``max_len`` is
+reached; leftover live hypotheses then join the pool force-finished with
+``finished=False``. The result is the pool in pure score order: a
+force-finished hypothesis can outrank a finished one.
+
+Decoding is incremental. The encoder runs once per instance, and each step
+feeds only the newest token of every live hypothesis to the decoder, which
+keeps the earlier positions in a ``DecoderCache``: every layer's
+self-attention keys/values for the prefix, plus its cross-attention
+keys/values projected once from the batch-1 encoder memory and shared by all
+beam rows. After the top-k selection the cache rows are reindexed by each
+surviving hypothesis's parent.
 """
 
 from __future__ import annotations
@@ -16,7 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BOS_ID, BOSR_ID, EOS_ID, L2R, PAD_ID, R2L, ModelParams, decoder_forward, encode
+from .model import (
+    BOS_ID,
+    BOSR_ID,
+    EOS_ID,
+    L2R,
+    PAD_ID,
+    R2L,
+    DecoderCache,
+    ModelParams,
+    decoder_forward,
+    encode,
+)
 from .numerics import Tensor, cross_entropy, neg, no_grad
 
 
@@ -48,10 +68,9 @@ def beam_search(
     max_len: int,
     memory: Tensor | None = None,
     src_pad: np.ndarray | None = None,
-    length_normalize: bool = False,
 ) -> list[Hypothesis]:
     """Decode one instance; returns up to beam_size hypotheses sorted by
-    score descending (finished ones first by construction of the pool)."""
+    score descending, finished and force-finished ones alike."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
@@ -65,23 +84,18 @@ def beam_search(
         if src_pad is None:
             src_pad = src == PAD_ID
 
-        bos = _begin_id(direction)
+        cache = DecoderCache()
+        dec_in = np.array([[_begin_id(direction)]], dtype=np.int64)
         live: list[tuple[int, ...]] = [()]
         live_scores = np.zeros(1)
         finished: list[Hypothesis] = []
-        for step in range(max_len):
-            n = len(live)
-            dec_in = np.empty((n, step + 1), dtype=np.int64)
-            dec_in[:, 0] = bos
-            for i, seq in enumerate(live):
-                dec_in[i, 1:] = seq
-            mem_n = Tensor(np.broadcast_to(memory.data, (n,) + memory.shape[1:]))
-            pad_n = np.broadcast_to(src_pad, (n,) + src_pad.shape[1:])
-            logits = decoder_forward(params, direction, dec_in, mem_n, pad_n)
+        for _ in range(max_len):
+            logits = decoder_forward(params, direction, dec_in, memory, src_pad, cache=cache)
             logp = _log_softmax(logits.data[:, -1, :])
             cand = (live_scores[:, None] + logp).reshape(-1)
             k = min(beam_size, cand.size)
             top = np.argsort(-cand, kind="stable")[:k]
+            parents: list[int] = []
             new_live: list[tuple[int, ...]] = []
             new_scores: list[float] = []
             vocab = logp.shape[-1]
@@ -92,22 +106,22 @@ def beam_search(
                 if tok == EOS_ID:
                     finished.append(Hypothesis(seq, score, direction, True))
                 else:
+                    parents.append(h)
                     new_live.append(seq)
                     new_scores.append(score)
             live = new_live
             live_scores = np.asarray(new_scores)
             if len(finished) >= beam_size or not live:
                 break
+            cache.reorder(parents)
+            dec_in = np.array([[seq[-1]] for seq in live], dtype=np.int64)
         else:
             finished.extend(
                 Hypothesis(seq, float(s), direction, False)
                 for seq, s in zip(live, live_scores)
             )
 
-    def sort_key(h: Hypothesis) -> float:
-        return h.score / max(1, len(h.tokens)) if length_normalize else h.score
-
-    finished.sort(key=sort_key, reverse=True)
+    finished.sort(key=lambda h: h.score, reverse=True)
     return finished[:beam_size]
 
 

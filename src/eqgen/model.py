@@ -20,10 +20,11 @@ pad=0, bos=1, bos_r=2, eos=3, unk=4.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ from .numerics import (
     embedding,
     layer_norm,
     matmul,
+    no_grad,
     relu,
     softmax,
 )
@@ -254,9 +256,14 @@ def _pe_table(n: int, dim: int, dtype: str) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=64)
-def _causal_mask(t: int) -> np.ndarray:
-    mask = np.triu(np.full((t, t), _MASK_VALUE), k=1)[None, None]
+@functools.lru_cache(maxsize=256)
+def _causal_mask(t: int, offset: int = 0) -> Optional[np.ndarray]:
+    """Mask for t new positions behind ``offset`` cached ones: new position i
+    sees keys 0 .. offset + i. None for a single new position, which sees
+    every key."""
+    if t == 1:
+        return None
+    mask = np.triu(np.full((t, offset + t), _MASK_VALUE), k=offset + 1)[None, None]
     mask.setflags(write=False)
     return mask
 
@@ -284,24 +291,44 @@ def _maybe_dropout(x: Tensor, config: ModelConfig, train: bool, rng) -> Tensor:
     return dropout(x, config.dropout, rng)
 
 
-def _attention(
+def _heads(x: Tensor, heads: int) -> Tensor:
+    """(B, t, d) -> (B, heads, t, d // heads)."""
+    bsz, t, d = x.shape
+    return x.reshape((bsz, t, heads, d // heads)).swapaxes(1, 2)
+
+
+def _project_kv(params: ModelParams, prefix: str, x_kv: Tensor) -> tuple[Tensor, Tensor]:
+    """Keys and values of ``x_kv`` for the attention at ``prefix``, each
+    split into heads as (B, heads, t_k, head_dim)."""
+    p = params.tensors
+    k = _linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+    v = _linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    return _heads(k, params.config.heads), _heads(v, params.config.heads)
+
+
+def _attend(
     params: ModelParams,
     prefix: str,
     x_q: Tensor,
-    x_kv: Tensor,
+    k: Tensor,
+    v: Tensor,
     mask: Optional[np.ndarray],
 ) -> Tensor:
+    """Scaled dot-product attention of ``x_q`` over projected keys/values.
+
+    Keys/values of batch 1 under a query batch of several rows are shared by
+    every row: the rows are folded into the query axis, so one
+    (1, heads, rows * t_q, head_dim) product serves them all and the keys are
+    never broadcast. ``mask`` must then have batch 1 as well.
+    """
     p = params.tensors
     heads = params.config.heads
     bsz, t_q, d = x_q.shape
-    t_k = x_kv.shape[1]
     hd = d // heads
     q = _linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-    k = _linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-    v = _linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-    q = q.reshape((bsz, t_q, heads, hd)).swapaxes(1, 2)
-    k = k.reshape((bsz, t_k, heads, hd)).swapaxes(1, 2)
-    v = v.reshape((bsz, t_k, heads, hd)).swapaxes(1, 2)
+    if k.shape[0] != bsz:
+        q = q.reshape((1, bsz * t_q, d))
+    q = _heads(q, heads)
     scores = matmul(q, k.swapaxes(2, 3)) * (1.0 / math.sqrt(hd))
     if mask is not None:
         scores = scores + Tensor(np.asarray(mask, dtype=scores.dtype))
@@ -345,7 +372,7 @@ def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tenso
     x = _maybe_dropout(x, cfg, train, rng)
     mask = _key_mask(src == PAD_ID)
     for i in range(cfg.layers):
-        attn = _attention(params, f"enc.{i}.attn", x, x, mask)
+        attn = _attend(params, f"enc.{i}.attn", x, *_project_kv(params, f"enc.{i}.attn", x), mask)
         x = _sublayer(params, f"enc.{i}.ln1", x, attn, train, rng)
         x = _sublayer(params, f"enc.{i}.ln2", x, _ffn(params, f"enc.{i}.ff", x), train, rng)
     return x
@@ -357,6 +384,37 @@ def _target_table(params: ModelParams, direction: str) -> Tensor:
     return params[f"tgt_embed_{direction}"]
 
 
+@dataclass
+class DecoderCache:
+    """Decode-only state of one incremental decoder pass.
+
+    Holds, per layer, the self-attention keys/values of the ``length``
+    positions fed so far (one row per live hypothesis) and the
+    cross-attention keys/values, projected once from the shared batch-1
+    encoder memory. ``reorder`` reindexes the rows after the beam's top-k
+    selection; the memory keys/values are shared and never reindexed.
+    """
+
+    length: int = 0
+    self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    memory_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
+
+    def reorder(self, rows) -> None:
+        """Row i becomes the former row ``rows[i]``."""
+        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+
+    def append(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append new positions' keys/values to ``layer``'s; returns all of them."""
+        if layer == len(self.self_kv):
+            self.self_kv.append((k.data, v.data))
+            return k, v
+        old_k, old_v = self.self_kv[layer]
+        k_all = np.concatenate((old_k, k.data), axis=2)
+        v_all = np.concatenate((old_v, v.data), axis=2)
+        self.self_kv[layer] = (k_all, v_all)
+        return Tensor(k_all), Tensor(v_all)
+
+
 def decoder_forward(
     params: ModelParams,
     direction: str,
@@ -365,37 +423,64 @@ def decoder_forward(
     src_pad: Optional[np.ndarray] = None,
     train: bool = False,
     rng=None,
+    cache: Optional[DecoderCache] = None,
 ) -> Tensor:
     """Causal decoder pass in the stack's own reading order.
 
     ``tgt_ids`` must already be in that reading order (the R2L caller passes
     the reversed target behind its own begin sentinel); output position t
     depends only on earlier prefix positions and on the encoder memory.
+
+    With a ``cache`` (decoding only), ``tgt_ids`` holds just the positions
+    after the ``cache.length`` already fed, one row per cached row; they
+    attend to the cached keys/values and are appended to them. A cached pass
+    records no autodiff graph, and its memory must have batch 1.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}")
     cfg = params.config
     tgt = _as_batch(tgt_ids)
     t = tgt.shape[1]
+    start = cache.length if cache is not None else 0
     if t == 0:
         raise ConfigError("target prefix must be non-empty")
-    if t > cfg.max_positions:
-        raise ConfigError(f"target length {t} exceeds max_positions {cfg.max_positions}")
+    if start + t > cfg.max_positions:
+        raise ConfigError(f"target length {start + t} exceeds max_positions {cfg.max_positions}")
     if memory.ndim != 3 or memory.shape[1] == 0:
         raise ConfigError("encoder memory must be (batch, len >= 1, model_dim)")
-    x = embedding(_target_table(params, direction), tgt) * math.sqrt(cfg.model_dim)
-    x = x + Tensor(_pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[:t])
-    x = _maybe_dropout(x, cfg, train, rng)
-    causal = _causal_mask(t)
-    mem_mask = _key_mask(src_pad) if src_pad is not None else None
-    stack = f"dec_{direction}"
-    for i in range(cfg.layers):
-        attn = _attention(params, f"{stack}.{i}.attn", x, x, causal)
-        x = _sublayer(params, f"{stack}.{i}.ln1", x, attn, train, rng)
-        cross = _attention(params, f"{stack}.{i}.xattn", x, memory, mem_mask)
-        x = _sublayer(params, f"{stack}.{i}.ln2", x, cross, train, rng)
-        x = _sublayer(params, f"{stack}.{i}.ln3", x, _ffn(params, f"{stack}.{i}.ff", x), train, rng)
-    return _linear(x, params[f"out_{direction}.w"], params[f"out_{direction}.b"])
+    if src_pad is not None and np.shape(src_pad) != memory.shape[:2]:
+        raise ConfigError(f"source padding {np.shape(src_pad)} does not match memory {memory.shape[:2]}")
+    if cache is not None:
+        if train:
+            raise ConfigError("the decoder cache is for decoding only, not training")
+        if memory.shape[0] != 1:
+            raise ConfigError("cached decoding attends to one shared memory of batch 1")
+    with no_grad() if cache is not None else contextlib.nullcontext():
+        x = embedding(_target_table(params, direction), tgt) * math.sqrt(cfg.model_dim)
+        x = x + Tensor(_pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[start : start + t])
+        x = _maybe_dropout(x, cfg, train, rng)
+        causal = _causal_mask(t, start)
+        mem_mask = _key_mask(src_pad) if src_pad is not None else None
+        stack = f"dec_{direction}"
+        for i in range(cfg.layers):
+            layer = f"{stack}.{i}"
+            k, v = _project_kv(params, f"{layer}.attn", x)
+            if cache is not None:
+                k, v = cache.append(i, k, v)
+            attn = _attend(params, f"{layer}.attn", x, k, v, causal)
+            x = _sublayer(params, f"{layer}.ln1", x, attn, train, rng)
+            if cache is None:
+                k, v = _project_kv(params, f"{layer}.xattn", memory)
+            else:
+                if i == len(cache.memory_kv):
+                    cache.memory_kv.append(_project_kv(params, f"{layer}.xattn", memory))
+                k, v = cache.memory_kv[i]
+            cross = _attend(params, f"{layer}.xattn", x, k, v, mem_mask)
+            x = _sublayer(params, f"{layer}.ln2", x, cross, train, rng)
+            x = _sublayer(params, f"{layer}.ln3", x, _ffn(params, f"{layer}.ff", x), train, rng)
+        if cache is not None:
+            cache.length += t
+        return _linear(x, params[f"out_{direction}.w"], params[f"out_{direction}.b"])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ propagate through training.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -373,12 +373,3 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = 0) -> Tensor:
         return ((g * p).reshape(shape),)
 
     return _result(data, (logits,), bw)
-
-
-def gradient_norm(tensors: Sequence[Tensor]) -> float:
-    """Global L2 norm over the .grad of the given tensors (None counts as 0)."""
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
-    return float(np.sqrt(total))

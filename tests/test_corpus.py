@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eqgen import corpus, equations
+from eqgen import corpus, equations, model, training
 from eqgen.cli import main as cli_main
 from eqgen.corpus import (
     DatasetError,
@@ -230,3 +230,70 @@ class TestCli:
 
     def test_solve_ill_formed_exit_code(self, capsys):
         assert cli_main(["solve", "--eq", "x+=3"]) == 1
+
+    def test_bad_input_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "three.jsonl"
+        save(data, synth_gen(3, 3))
+        insts, _ = prepare_all(load(data))
+        vocab = Vocabulary.build(insts)
+        cfg = ModelConfig(
+            vocab_src=vocab.src_size, vocab_tgt=vocab.tgt_size,
+            embed_dim=8, model_dim=16, layers=1, heads=2, ff_dim=16,
+            max_positions=64, dropout=0.0,
+        )
+        ckpt = tmp_path / "model.npz"
+        model.save_checkpoint(ckpt, init_params(cfg, 0), vocab.src_tokens, vocab.tgt_tokens)
+        capsys.readouterr()
+        code = cli_main(["eval", "--data", str(data), "--ckpt", str(ckpt), "--folds", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "eqgen: error: cannot split 3 items into 5 folds\n"
+
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code = cli_main(["train", "--data", str(empty), "--out", str(tmp_path / "m.npz")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("eqgen: error: ") and err.count("\n") == 1
+        assert "no alignable training instances" in err
+        assert not (tmp_path / "m.npz").exists()
+
+
+class TestCliEvalFolds:
+    def test_summed_folds_equal_full_decode(self, tmp_path, capsys):
+        # a model trained far enough that the directions and the vote differ
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(5, 8, ["linear"]))
+        insts, _ = prepare_all(load(data))
+        vocab = Vocabulary.build(insts)
+        cfg = ModelConfig(
+            vocab_src=vocab.src_size, vocab_tgt=vocab.tgt_size,
+            embed_dim=8, model_dim=16, layers=1, heads=2, ff_dim=16,
+            max_positions=64, dropout=0.0,
+        )
+        params = init_params(cfg, 0)
+        opt = training.Adam(params, 1e-2)
+        batch = model.make_batch(
+            [vocab.encode_source(i.source) for i in insts],
+            [vocab.encode_target(list(i.template.tokens)) for i in insts],
+        )
+        for _ in range(60):
+            training.mle_step(params, opt, batch)
+        ckpt = tmp_path / "model.npz"
+        model.save_checkpoint(ckpt, params, vocab.src_tokens, vocab.tgt_tokens)
+
+        def run_eval(folds):
+            capsys.readouterr()
+            argv = ["eval", "--data", str(data), "--ckpt", str(ckpt), "--beam", "3"]
+            assert cli_main(argv + ["--folds", str(folds), "--seed", "2"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        summed = run_eval(3)
+        full = run_eval(0)
+        assert len(summed["folds"]) == 3 and full["folds"] == []
+        assert summed["overall"] == full["overall"]
+        assert full["overall"] == corpus.evaluate(params, vocab, insts, 3).as_dict()
+        assert sum(f["n"] for f in summed["folds"]) == full["overall"]["n"] == 8
+        accs = full["overall"]
+        assert 0 < accs["answer_accuracy_vote"]
+        assert len({accs["answer_accuracy_l2r"], accs["answer_accuracy_r2l"]}) == 2

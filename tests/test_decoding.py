@@ -25,11 +25,11 @@ from eqgen.model import (
     encode,
     init_params,
 )
-from eqgen.numerics import no_grad
+from eqgen.numerics import Tensor, no_grad
 
 
-def tiny_params(seed, vocab_tgt=10, vocab_src=9):
-    cfg = ModelConfig(
+def tiny_params(seed, vocab_tgt=10, vocab_src=9, **overrides):
+    fields = dict(
         vocab_src=vocab_src,
         vocab_tgt=vocab_tgt,
         embed_dim=4,
@@ -40,7 +40,54 @@ def tiny_params(seed, vocab_tgt=10, vocab_src=9):
         max_positions=12,
         dropout=0.0,
     )
-    return init_params(cfg, seed)
+    fields.update(overrides)
+    return init_params(ModelConfig(**fields), seed)
+
+
+def reference_beam_search(params, direction, src, beam_size, max_len):
+    """Oracle: the full-prefix beam loop. Every step re-runs the decoder on
+    each live hypothesis's whole prefix against a per-row copy of the
+    memory and reads the last position's logits."""
+    with no_grad():
+        memory = encode(params, src)
+        src_pad = src == PAD_ID
+        bos = BOS_ID if direction == L2R else BOSR_ID
+        live = [()]
+        live_scores = np.zeros(1)
+        finished = []
+        for step in range(max_len):
+            n = len(live)
+            dec_in = np.empty((n, step + 1), dtype=np.int64)
+            dec_in[:, 0] = bos
+            for i, seq in enumerate(live):
+                dec_in[i, 1:] = seq
+            mem_n = Tensor(np.broadcast_to(memory.data, (n,) + memory.shape[1:]))
+            pad_n = np.broadcast_to(src_pad, (n,) + src_pad.shape[1:])
+            logits = decoder_forward(params, direction, dec_in, mem_n, pad_n)
+            logp = logits.data[:, -1, :] - logits.data[:, -1, :].max(-1, keepdims=True)
+            logp = logp - np.log(np.exp(logp).sum(-1, keepdims=True))
+            cand = (live_scores[:, None] + logp).reshape(-1)
+            top = np.argsort(-cand, kind="stable")[: min(beam_size, cand.size)]
+            new_live, new_scores = [], []
+            vocab = logp.shape[-1]
+            for flat in top:
+                h, tok = divmod(int(flat), vocab)
+                seq = live[h] + (tok,)
+                if tok == EOS_ID:
+                    finished.append(Hypothesis(seq, float(cand[flat]), direction, True))
+                else:
+                    new_live.append(seq)
+                    new_scores.append(float(cand[flat]))
+            live = new_live
+            live_scores = np.asarray(new_scores)
+            if len(finished) >= beam_size or not live:
+                break
+        else:
+            finished.extend(
+                Hypothesis(seq, float(s), direction, False) for seq, s in zip(live, live_scores)
+            )
+    finished.sort(key=lambda h: h.score, reverse=True)
+    return finished[:beam_size]
 
 
 def exhaustive_pool(params, direction, src, max_len):
@@ -144,12 +191,61 @@ class TestBeamBasics:
         for h in hyps:
             assert h.finished == (h.tokens[-1] == EOS_ID)
 
+    def test_force_finished_may_outrank_finished(self):
+        # pure score order: here a force-finished hypothesis (max_len reached)
+        # scores above a finished one and is returned ahead of it
+        params = tiny_params(4, vocab_tgt=20, vocab_src=20, embed_dim=8, ff_dim=16)
+        hyps = beam_search(params, L2R, np.array([[5, 6, 7]]), beam_size=4, max_len=3)
+        flags = [h.finished for h in hyps]
+        assert False in flags and flags.index(False) < max(i for i, f in enumerate(flags) if f)
+        scores = [h.score for h in hyps]
+        assert scores == sorted(scores, reverse=True)
+        for h in hyps:
+            assert h.finished == (h.tokens[-1] == EOS_ID)
+
     def test_bad_arguments(self):
         params = tiny_params(4)
         with pytest.raises(ValueError):
             beam_search(params, L2R, np.array([[5]]), beam_size=0, max_len=4)
         with pytest.raises(ValueError):
             beam_search(params, L2R, np.array([[5]]), beam_size=2, max_len=0)
+
+
+class TestIncrementalMatchesFullPrefix:
+    """The cached, one-token-per-step beam search against the full-prefix
+    oracle: same tokens and flags, scores to 1e-9."""
+
+    def check(self, params, src, beams=(1, 4, 10), max_len=8):
+        for direction in (L2R, R2L):
+            for beam in beams:
+                got = beam_search(params, direction, src, beam_size=beam, max_len=max_len)
+                want = reference_beam_search(params, direction, src, beam, max_len)
+                assert [(h.tokens, h.finished) for h in got] == [
+                    (h.tokens, h.finished) for h in want
+                ]
+                for g, w in zip(got, want):
+                    assert abs(g.score - w.score) < 1e-9
+
+    def test_one_layer_seeds(self):
+        for seed in range(6):
+            self.check(tiny_params(seed + 40), np.array([[5, 6, 7]]))
+
+    def test_two_layers_unshared_embeddings_padded_source(self):
+        for seed in range(3):
+            params = tiny_params(
+                seed + 50, layers=2, model_dim=16, heads=4, ff_dim=16,
+                share_target_embedding=False,
+            )
+            assert "tgt_embed" not in params.tensors
+            self.check(params, np.array([[5, 6, 7, 8, PAD_ID, PAD_ID]]))
+
+    def test_decode_both_matches_per_direction(self):
+        params = tiny_params(60, layers=2)
+        src = np.array([[5, 8, 6]])
+        for got, direction in zip(decode_both(params, src, beam_size=4, max_len=8), (L2R, R2L)):
+            want = reference_beam_search(params, direction, src, 4, 8)
+            assert [h.tokens for h in got] == [h.tokens for h in want]
+            assert max(abs(g.score - w.score) for g, w in zip(got, want)) < 1e-9
 
 
 class TestVote:

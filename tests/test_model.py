@@ -11,6 +11,7 @@ from eqgen.model import (
     PAD_ID,
     Batch,
     ConfigError,
+    DecoderCache,
     L2R,
     ModelConfig,
     R2L,
@@ -175,6 +176,83 @@ class TestDecoderForward:
         memory = encode(params, np.array([[5]]))
         with pytest.raises(ConfigError):
             decoder_forward(params, "up", np.array([[BOS_ID]]), memory, None)
+
+
+class TestDecoderCache:
+    """A cached pass fed positions a few at a time gives the logits of one
+    uncached pass over the whole prefix."""
+
+    def setup(self, **kw):
+        params = init_params(tiny_config(layers=2, **kw), 7)
+        src = np.array([[5, 6, 7, PAD_ID]])
+        memory = encode(params, src)
+        return params, memory, src == PAD_ID
+
+    def test_chunked_feeding_matches_one_pass(self):
+        params, memory, pad = self.setup()
+        rng = np.random.default_rng(0)
+        for direction in (L2R, R2L):
+            seq = np.concatenate([[[BOS_ID if direction == L2R else BOSR_ID]],
+                                  rng.integers(5, 11, size=(1, 7))], axis=1)
+            full = decoder_forward(params, direction, seq, memory, pad).data
+            # a prefill of k tokens then single steps, and uneven chunks
+            for chunks in ((1,) * 8, (3,) + (1,) * 5, (2, 3, 1, 2)):
+                cache = DecoderCache()
+                parts, start = [], 0
+                for n in chunks:
+                    chunk = seq[:, start : start + n]
+                    parts.append(decoder_forward(params, direction, chunk, memory, pad, cache=cache).data)
+                    start += n
+                assert cache.length == seq.shape[1]
+                assert np.max(np.abs(np.concatenate(parts, axis=1) - full)) < 1e-12
+
+    def test_reorder_follows_parent_rows(self):
+        params, memory, pad = self.setup()
+        prefixes = np.array([[BOS_ID, 5, 6], [BOS_ID, 7, 8], [BOS_ID, 9, 10]])
+        cache = DecoderCache()  # all rows attend to the one batch-1 memory
+        decoder_forward(params, L2R, prefixes, memory, pad, cache=cache)
+        parents = [2, 0, 2, 1]
+        cache.reorder(parents)
+        step = np.array([[5], [6], [7], [8]])
+        got = decoder_forward(params, L2R, step, memory, pad, cache=cache).data[:, -1]
+        full_in = np.concatenate([prefixes[parents], step], axis=1)
+        mem4 = Tensor(np.broadcast_to(memory.data, (4,) + memory.shape[1:]))
+        want = decoder_forward(params, L2R, full_in, mem4, np.broadcast_to(pad, (4, 4))).data[:, -1]
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_float32_within_1e5(self):
+        params, memory, pad = self.setup(dtype="float32", share_target_embedding=False)
+        assert memory.dtype == np.float32
+        seq = np.array([[BOS_ID, 5, 9, 6, 10, 7]])
+        full = decoder_forward(params, R2L, seq, memory, pad).data
+        cache = DecoderCache()
+        parts = [decoder_forward(params, R2L, seq[:, :2], memory, pad, cache=cache).data]
+        for t in range(2, seq.shape[1]):
+            parts.append(decoder_forward(params, R2L, seq[:, t : t + 1], memory, pad, cache=cache).data)
+        cached = np.concatenate(parts, axis=1)
+        assert cached.dtype == np.float32 and full.dtype == np.float32
+        assert np.max(np.abs(cached - full)) < 1e-5
+
+    def test_cache_records_no_graph(self):
+        params, memory, pad = self.setup()
+        out = decoder_forward(params, L2R, np.array([[BOS_ID]]), memory, pad, cache=DecoderCache())
+        assert not out.requires_grad
+
+    def test_contract_violations(self):
+        params, memory, pad = self.setup()
+        with pytest.raises(ConfigError):
+            decoder_forward(params, L2R, np.array([[BOS_ID]]), memory, pad, train=True,
+                            rng=np.random.default_rng(0), cache=DecoderCache())
+        two = Tensor(np.concatenate([memory.data, memory.data]))
+        with pytest.raises(ConfigError):
+            decoder_forward(params, L2R, np.array([[BOS_ID], [BOS_ID]]), two,
+                            np.concatenate([pad, pad]), cache=DecoderCache())
+        with pytest.raises(ConfigError):  # padding of another batch than the memory
+            decoder_forward(params, L2R, np.array([[BOS_ID]]), memory, np.concatenate([pad, pad]))
+        with pytest.raises(ConfigError):  # cached length counts toward max_positions
+            cache = DecoderCache()
+            decoder_forward(params, L2R, np.full((1, 16), 5), memory, pad, cache=cache)
+            decoder_forward(params, L2R, np.array([[5]]), memory, pad, cache=cache)
 
 
 class TestJointLoss:
