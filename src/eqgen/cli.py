@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -23,22 +24,18 @@ from .numbering import NumberMapping
 
 
 def _desk_config(vocab: Vocabulary, overrides: dict | None = None) -> ModelConfig:
-    fields = dict(
-        vocab_src=vocab.src_size,
-        vocab_tgt=vocab.tgt_size,
-        embed_dim=32,
-        model_dim=64,
-        layers=2,
-        heads=4,
-        ff_dim=128,
-        max_positions=128,
-        dropout=0.1,
-    )
-    if overrides:
-        fields.update(overrides)
-        fields["vocab_src"] = vocab.src_size
-        fields["vocab_tgt"] = vocab.tgt_size
-    return ModelConfig(**fields)
+    """``ModelConfig``'s defaults with the ``--config`` overrides; the
+    vocabulary sizes always come from the data."""
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(ModelConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    return ModelConfig(**{**overrides, "vocab_src": vocab.src_size, "vocab_tgt": vocab.tgt_size})
+
+
+def _error(message: str) -> int:
+    print(f"eqgen: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _load_instances(path):
@@ -77,8 +74,6 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     instances, unalignable = _load_instances(args.data)
     usable = [i for i in instances if i.alignable]
-    if not usable:
-        raise DatasetError(f"{args.data}: no alignable training instances")
     if unalignable:
         print(f"excluding {unalignable} unalignable instances from training")
     vocab = Vocabulary.build(usable)
@@ -143,8 +138,13 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     text = args.eq
     if args.nums:
-        values = [Fraction(v.strip()) for v in args.nums.split(",")]
-        fake_text = " ".join(numbering.format_value(v).strip("()") for v in values)
+        values = []
+        for v in args.nums.split(","):
+            try:
+                values.append(Fraction(v.strip()))
+            except (ValueError, ZeroDivisionError):
+                return _error(f"--nums: {v.strip()!r} is not a number")
+        fake_text = " ".join(equations.format_value(v).strip("()") for v in values)
         numbers = numbering.extract_numbers(fake_text)
         mapping = NumberMapping(numbers)
         tokens = [t.text for t in equations.tokenize(text)]
@@ -215,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad input or configuration is reported as one
-    line on stderr with exit code 2, like an argparse usage error."""
+    """Run one subcommand; bad input or configuration and unreadable or
+    unwritable files are reported as one line on stderr with exit code 2,
+    like an argparse usage error."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ConfigError) as e:
-        print(f"eqgen: error: {e}", file=sys.stderr)
-        return 2
+    except (DatasetError, ConfigError, OSError) as e:
+        return _error(str(e))
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .model import (
     R2L,
     DecoderCache,
     ModelParams,
+    as_batch,
     decoder_forward,
     encode,
 )
@@ -67,23 +68,20 @@ def beam_search(
     beam_size: int,
     max_len: int,
     memory: Tensor | None = None,
-    src_pad: np.ndarray | None = None,
 ) -> list[Hypothesis]:
     """Decode one instance; returns up to beam_size hypotheses sorted by
-    score descending, finished and force-finished ones alike."""
+    score descending, finished and force-finished ones alike. Pass the
+    instance's encoder ``memory`` to share one encoder pass between both
+    directions; source padding is read off ``src_ids``."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    src = np.asarray(src_ids, dtype=np.int64)
-    if src.ndim == 1:
-        src = src[None, :]
+    src = as_batch(src_ids)
+    src_pad = src == PAD_ID
     with no_grad():
         if memory is None:
             memory = encode(params, src)
-        if src_pad is None:
-            src_pad = src == PAD_ID
-
         cache = DecoderCache()
         dec_in = np.array([[_begin_id(direction)]], dtype=np.int64)
         live: list[tuple[int, ...]] = [()]
@@ -146,14 +144,11 @@ def decode_both(
     params: ModelParams, src_ids, beam_size: int, max_len: int
 ) -> tuple[list[Hypothesis], list[Hypothesis]]:
     """Run beam search in both directions over one shared encoder pass."""
-    src = np.asarray(src_ids, dtype=np.int64)
-    if src.ndim == 1:
-        src = src[None, :]
+    src = as_batch(src_ids)
     with no_grad():
         memory = encode(params, src)
-    pad = src == PAD_ID
-    l2r = beam_search(params, L2R, src, beam_size, max_len, memory=memory, src_pad=pad)
-    r2l = beam_search(params, R2L, src, beam_size, max_len, memory=memory, src_pad=pad)
+    l2r = beam_search(params, L2R, src, beam_size, max_len, memory=memory)
+    r2l = beam_search(params, R2L, src, beam_size, max_len, memory=memory)
     return l2r, r2l
 
 
@@ -162,23 +157,19 @@ def hypothesis_log_prob(
     src_ids,
     hyp: Hypothesis,
     memory: Tensor | None = None,
-    src_pad: np.ndarray | None = None,
 ) -> Tensor:
     """Teacher-forced log-probability of a hypothesis under its own
     direction's factorization; differentiable, used for policy gradients.
-    Pass a precomputed ``memory`` to share one encoder pass (and its
-    gradient subgraph) across several hypotheses."""
-    src = np.asarray(src_ids, dtype=np.int64)
-    if src.ndim == 1:
-        src = src[None, :]
+    Pass a precomputed ``memory`` of ``src_ids`` to share one encoder pass
+    (and its gradient subgraph) across several hypotheses; source padding
+    is read off ``src_ids``."""
+    src = as_batch(src_ids)
     if memory is None:
         memory = encode(params, src)
-    if src_pad is None:
-        src_pad = src == PAD_ID
     emitted = list(hyp.tokens)
     dec_in = np.array([[_begin_id(hyp.direction)] + emitted[:-1]], dtype=np.int64)
     targets = np.array([emitted], dtype=np.int64)
-    logits = decoder_forward(params, hyp.direction, dec_in, memory, src_pad)
+    logits = decoder_forward(params, hyp.direction, dec_in, memory, src == PAD_ID)
     return neg(cross_entropy(logits, targets, ignore_index=-1))
 
 

@@ -37,6 +37,19 @@ _SYMBOL_RE = re.compile(r"^[NMF]_\d+$")
 ANSWER_REL_TOL = 1e-4
 
 
+def is_symbol(token: str) -> bool:
+    """True for a number-token placeholder such as N_1, M_2 or F_3."""
+    return _SYMBOL_RE.match(token) is not None
+
+
+def format_value(value: Fraction) -> str:
+    """Literal form that parses back to the exact value; negative and
+    non-integer values are parenthesized so they survive any context."""
+    if value >= 0 and value.denominator == 1:
+        return str(value)
+    return f"({value})"
+
+
 class ParseError(ValueError):
     """The input is not a well-formed equation list."""
 
@@ -194,7 +207,7 @@ class _Parser:
         if tok.kind == "IDENT":
             if tok.text in VARIABLES:
                 return Var(tok.text)
-            if _SYMBOL_RE.match(tok.text):
+            if is_symbol(tok.text):
                 return Sym(tok.text)
             raise ParseError(f"unknown identifier {tok.text!r}")
         if tok.kind == "LPAREN":
@@ -262,8 +275,7 @@ def to_string(ast: EquationList | Expr) -> str:
     if isinstance(ast, EquationList):
         return ";".join(f"{to_string(eq.lhs)}={to_string(eq.rhs)}" for eq in ast.equations)
     if isinstance(ast, Lit):
-        v = ast.value
-        return str(v) if v.denominator == 1 and v >= 0 else f"({v})"
+        return format_value(ast.value)
     if isinstance(ast, (Var, Sym)):
         return ast.name
     if isinstance(ast, Neg):

@@ -86,21 +86,6 @@ class ModelConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
-def paper_scale_config(vocab_src: int, vocab_tgt: int) -> ModelConfig:
-    """Full-scale configuration: 3 layers, 512 model width, 300-dim source
-    embeddings behind a projection, 8 heads."""
-    return ModelConfig(
-        vocab_src=vocab_src,
-        vocab_tgt=vocab_tgt,
-        embed_dim=300,
-        model_dim=512,
-        layers=3,
-        heads=8,
-        ff_dim=2048,
-        max_positions=512,
-    )
-
-
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
@@ -208,19 +193,6 @@ def init_params(config: ModelConfig, seed_or_rng=0) -> ModelParams:
             data = rng.uniform(-limit, limit, size=shape).astype(dt)
         tensors[name] = Tensor(data, requires_grad=True)
     return ModelParams(config, tensors)
-
-
-def load_pretrained_embeddings(params: ModelParams, vectors: np.ndarray) -> None:
-    """Optional hook: overwrite the source embedding table with external
-    vectors (rows beyond the table are ignored, missing rows keep their
-    random init)."""
-    table = params["src_embed"].data
-    n = min(table.shape[0], vectors.shape[0])
-    if vectors.shape[1] != table.shape[1]:
-        raise ConfigError(
-            f"pretrained vectors have width {vectors.shape[1]}, expected {table.shape[1]}"
-        )
-    table[:n] = vectors[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +320,9 @@ def _ffn(params, prefix: str, x: Tensor) -> Tensor:
     return _linear(relu(_linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])), p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
-def _as_batch(ids) -> np.ndarray:
+def as_batch(ids) -> np.ndarray:
+    """Token ids as a (batch, length) int64 array; a 1-d sequence becomes
+    a batch of one."""
     arr = np.asarray(ids, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -360,7 +334,7 @@ def _as_batch(ids) -> np.ndarray:
 def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tensor:
     """Run the shared encoder; padded positions are masked out of attention."""
     cfg = params.config
-    src = _as_batch(src_ids)
+    src = as_batch(src_ids)
     if src.shape[1] == 0:
         raise ConfigError("source sequence must be non-empty")
     if src.shape[1] > cfg.max_positions:
@@ -439,7 +413,7 @@ def decoder_forward(
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}")
     cfg = params.config
-    tgt = _as_batch(tgt_ids)
+    tgt = as_batch(tgt_ids)
     t = tgt.shape[1]
     start = cache.length if cache is not None else 0
     if t == 0:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import equations
-from .equations import ParseError, Token
+from .equations import ParseError, Token, format_value, is_symbol
 
 WHITELIST = frozenset(Fraction(c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100))
 WHITELIST_TOKENS = tuple(str(c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100))
@@ -47,12 +47,6 @@ class Kind(enum.Enum):
 
 
 _KIND_PREFIX = {Kind.NEGATIVE: "M", Kind.UNIT_FRACTION: "F", Kind.OTHER: "N"}
-
-_SYMBOL_RE = re.compile(r"^([NMF])_(\d+)$")
-
-
-def is_symbol(token: str) -> bool:
-    return _SYMBOL_RE.match(token) is not None
 
 
 @dataclass(frozen=True)
@@ -344,14 +338,6 @@ def align(numbers: list[ExtractedNumber], gold_equations: str) -> EquationTempla
             out.append(tokens[i].text)
             i += 1
     return EquationTemplate(tuple(out))
-
-
-def format_value(value: Fraction) -> str:
-    """Literal form that parses back to the exact value; negative and
-    non-integer values are parenthesized so they survive any context."""
-    if value >= 0 and value.denominator == 1:
-        return str(value)
-    return f"({value})"
 
 
 def substitute(template_tokens: Sequence[str] | EquationTemplate, mapping: NumberMapping) -> str:

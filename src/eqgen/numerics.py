@@ -47,7 +47,7 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.kind in "iub":
             arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor initialized with non-finite values")
         self.data = arr
         self.grad: Optional[np.ndarray] = None
@@ -116,7 +116,7 @@ def _wrap(x, like: Tensor) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple, backward: Optional[Callable]) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError("op produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data

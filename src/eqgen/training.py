@@ -18,19 +18,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import corpus, decoding, equations
-from .corpus import PreparedInstance, Vocabulary
+from .corpus import DatasetError, PreparedInstance, Vocabulary
 from .model import (
     Batch,
     LossParts,
     ModelConfig,
     ModelParams,
-    PAD_ID,
     encode,
     init_params,
     joint_loss,
@@ -191,13 +190,11 @@ def reinforce_step(
     r_b = baseline(rewards)
     n = len(pool)
     params.zero_grad()
-    src_2d = src[None, :] if src.ndim == 1 else src
-    memory = encode(params, src_2d)  # one encoder pass shared by all samples
-    src_pad = src_2d == PAD_ID
+    memory = encode(params, src)  # one encoder pass shared by all samples
     loss = None
     for sample in pool:
         coeff = (sample.reward - r_b) / n
-        lp = decoding.hypothesis_log_prob(params, src_2d, sample.hypothesis, memory, src_pad)
+        lp = decoding.hypothesis_log_prob(params, src, sample.hypothesis, memory)
         term = lp * (-coeff)
         loss = term if loss is None else loss + term
     backward(loss)
@@ -220,7 +217,6 @@ class TrainSettings:
     lr: float = 1e-3
     batch_size: int = 16
     seed: int = 0
-    eval_every: int = 0  # 0 = decode metrics only after the final epoch
     eval_beam: int = 10
     max_len: int = 64
     rl_epochs: int = 0
@@ -228,7 +224,6 @@ class TrainSettings:
     rl_beam: int = 6
     grad_clip: float = 1.0
     log_path: Optional[str] = None
-    stop_accuracy: Optional[float] = None  # early-stop once periodic vote accuracy reaches this
 
 
 def _log(settings: TrainSettings, metrics: list[dict], record: dict) -> None:
@@ -251,14 +246,6 @@ def _metric_record(epoch: int, split: str) -> dict:
     }
 
 
-def _decode_metrics(record, params, vocab, insts, settings):
-    report = corpus.evaluate(params, vocab, insts, settings.eval_beam, settings.max_len)
-    record["answer_accuracy_l2r"] = report.accuracy_l2r
-    record["answer_accuracy_r2l"] = report.accuracy_r2l
-    record["answer_accuracy_vote"] = report.accuracy_vote
-    return report
-
-
 def _batches(instances, vocab, order, batch_size):
     for start in range(0, len(order), batch_size):
         chunk = [instances[i] for i in order[start : start + batch_size]]
@@ -272,13 +259,17 @@ def run_mle(
     vocab: Vocabulary,
     train_insts: Sequence[PreparedInstance],
     settings: TrainSettings,
-    dev_insts: Optional[Sequence[PreparedInstance]] = None,
     metrics: Optional[list[dict]] = None,
 ) -> list[dict]:
-    """Cross-entropy phase over the alignable training instances."""
+    """Cross-entropy phase over the alignable training instances.
+
+    Logs one ``"train"`` record per epoch; the last epoch's record also
+    carries the answer accuracies of beam-decoding every one of
+    ``train_insts``. Raises ``DatasetError`` when no instance is alignable.
+    """
     usable = [i for i in train_insts if corpus.encodable(vocab, i)]
     if not usable:
-        raise ValueError("no alignable training instances")
+        raise DatasetError("no alignable training instances")
     metrics = metrics if metrics is not None else []
     opt = Adam(params, settings.lr)
     rng = np.random.default_rng(settings.seed)
@@ -296,27 +287,12 @@ def run_mle(
         record = _metric_record(epoch, "train")
         record["loss_l2r"] = tot_l / max(n_l, 1)
         record["loss_r2l"] = tot_r / max(n_r, 1)
-        last = epoch == settings.epochs - 1
-        reached = None
-        if last or (settings.eval_every and (epoch + 1) % settings.eval_every == 0):
-            target = dev_insts if dev_insts is not None else train_insts
-            split = "dev" if dev_insts is not None else "train"
-            dev_record = record if split == "train" else _metric_record(epoch, split)
-            report = _decode_metrics(dev_record, params, vocab, target, settings)
-            reached = report.accuracy_vote
-            if dev_record is not record:
-                _log(settings, metrics, record)
-                _log(settings, metrics, dev_record)
-                if settings.stop_accuracy is not None and reached >= settings.stop_accuracy:
-                    break
-                continue
+        if epoch == settings.epochs - 1:
+            report = corpus.evaluate(params, vocab, train_insts, settings.eval_beam, settings.max_len)
+            record["answer_accuracy_l2r"] = report.accuracy_l2r
+            record["answer_accuracy_r2l"] = report.accuracy_r2l
+            record["answer_accuracy_vote"] = report.accuracy_vote
         _log(settings, metrics, record)
-        if (
-            settings.stop_accuracy is not None
-            and reached is not None
-            and reached >= settings.stop_accuracy
-        ):
-            break
     return metrics
 
 
@@ -325,7 +301,6 @@ def run_rl(
     vocab: Vocabulary,
     train_insts: Sequence[PreparedInstance],
     settings: TrainSettings,
-    dev_insts: Optional[Sequence[PreparedInstance]] = None,
     metrics: Optional[list[dict]] = None,
 ) -> list[dict]:
     """REINFORCE phase; instances with no answers are skipped and counted."""
@@ -354,15 +329,6 @@ def run_rl(
         record = _metric_record(epoch, "rl-train")
         record["mean_reward"] = sum(rewards) / len(rewards) if rewards else 0.0
         record["skipped"] = skipped
-        last = epoch == settings.rl_epochs - 1
-        if dev_insts is not None and (
-            last or (settings.eval_every and (epoch + 1) % settings.eval_every == 0)
-        ):
-            dev_record = _metric_record(epoch, "rl-dev")
-            _decode_metrics(dev_record, params, vocab, dev_insts, settings)
-            _log(settings, metrics, record)
-            _log(settings, metrics, dev_record)
-            continue
         _log(settings, metrics, record)
     return metrics
 
@@ -372,12 +338,11 @@ def train(
     train_insts: Sequence[PreparedInstance],
     vocab: Vocabulary,
     settings: TrainSettings,
-    dev_insts: Optional[Sequence[PreparedInstance]] = None,
 ) -> tuple[ModelParams, list[dict]]:
     """Full pipeline: seeded init, MLE phase, optional REINFORCE phase."""
     params = init_params(config, np.random.default_rng(settings.seed))
     metrics: list[dict] = []
-    run_mle(params, vocab, train_insts, settings, dev_insts, metrics)
+    run_mle(params, vocab, train_insts, settings, metrics)
     if settings.rl_epochs > 0:
-        run_rl(params, vocab, train_insts, settings, dev_insts, metrics)
+        run_rl(params, vocab, train_insts, settings, metrics)
     return params, metrics

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eqgen import corpus, equations, model, training
+from eqgen import cli, corpus, equations, model, training
 from eqgen.cli import main as cli_main
 from eqgen.corpus import (
     DatasetError,
@@ -257,6 +257,56 @@ class TestCli:
         assert err.startswith("eqgen: error: ") and err.count("\n") == 1
         assert "no alignable training instances" in err
         assert not (tmp_path / "m.npz").exists()
+
+    def test_missing_or_unwritable_file_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 3))
+        missing = str(tmp_path / "missing")
+        no_dir = str(tmp_path / "no-such-dir" / "out.jsonl")
+        for argv in (
+            ["train", "--data", missing, "--out", str(tmp_path / "m.npz")],
+            ["eval", "--data", str(data), "--ckpt", missing],
+            ["rl", "--data", str(data), "--ckpt", missing, "--out", str(tmp_path / "r.npz")],
+            ["gen", "--n", "2", "--out", no_dir],
+            ["preprocess", "--in", str(data), "--out", no_dir],
+        ):
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("eqgen: error: ") and err.count("\n") == 1, argv
+            assert "No such file or directory" in err, argv
+
+    def test_solve_bad_number_is_one_line_error(self, capsys):
+        for nums in ("1/0", "abc", "2,,3"):
+            capsys.readouterr()
+            assert cli_main(["solve", "--eq", "N_1*x=N_2", "--nums", nums]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("eqgen: error: --nums: ") and err.count("\n") == 1
+            assert "is not a number" in err
+
+    def test_unknown_config_key_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 3))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"layerz": 3}))
+        capsys.readouterr()
+        code = cli_main(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "m.npz")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "eqgen: error: unknown config key(s): layerz\n"
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_default_model_is_model_config_defaults(self):
+        insts, _ = prepare_all(synth_gen(2, 5))
+        vocab = Vocabulary.build(insts)
+        cfg = cli._desk_config(vocab)
+        assert (cfg.vocab_src, cfg.vocab_tgt) == (vocab.src_size, vocab.tgt_size)
+        sizes = (cfg.embed_dim, cfg.model_dim, cfg.layers, cfg.heads, cfg.ff_dim, cfg.max_positions)
+        assert sizes == (32, 64, 2, 4, 128, 128)
+        assert cfg.dropout == 0.1
+        # overrides apply, but the vocabulary sizes always come from the data
+        small = cli._desk_config(vocab, {"layers": 1, "vocab_src": 7})
+        assert small.layers == 1 and small.vocab_src == vocab.src_size
 
 
 class TestCliEvalFolds:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqgen.equations import (
     BinOp,
@@ -122,7 +124,39 @@ def random_expr(rng, depth=0):
     return BinOp(op, random_expr(rng, depth + 1), random_expr(rng, depth + 1))
 
 
+def _folds(op, left, right):
+    """The parser folds a literal divided by a non-zero literal into one literal."""
+    return op == "/" and isinstance(left, Lit) and isinstance(right, Lit) and right.value != 0
+
+
+def _compound(children):
+    # only trees the parser can return: no negated literal (it parses as a
+    # negative literal), no foldable literal division, integer exponents |e| <= 3
+    neg = children.filter(lambda e: not isinstance(e, Lit)).map(Neg)
+    binop = st.builds(BinOp, st.sampled_from("+-*/"), children, children).filter(
+        lambda b: not _folds(b.op, b.left, b.right)
+    )
+    power = st.builds(BinOp, st.just("^"), children, st.integers(-3, 3).map(lambda e: Lit(F(e))))
+    return st.one_of(neg, binop, power)
+
+
+_leaves = st.one_of(
+    st.fractions(max_denominator=12).map(Lit),
+    st.sampled_from("xyz").map(Var),
+    st.builds(lambda kind, i: Sym(f"{kind}_{i}"), st.sampled_from("NMF"), st.integers(1, 20)),
+)
+_exprs = st.recursive(_leaves, _compound, max_leaves=12)
+_programs = st.lists(st.builds(Equation, _exprs, _exprs), min_size=1, max_size=3).map(
+    lambda eqs: EquationList(tuple(eqs))
+)
+
+
 class TestPrintParseRoundTrip:
+    @settings(deadline=None, max_examples=200)
+    @given(_programs)
+    def test_parse_inverts_to_string(self, ast):
+        assert parse(to_string(ast)) == ast
+
     def test_random_asts(self):
         # identity on the parser's image: one print/parse round canonicalizes
         # (literal negation and literal fractions fold), after which

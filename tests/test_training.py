@@ -17,7 +17,6 @@ from eqgen.training import (
     grad_norm,
     mle_step,
     reinforce_step,
-    run_mle,
     train,
 )
 
