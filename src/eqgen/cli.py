@@ -12,9 +12,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+import typing
 from fractions import Fraction
 
 from . import corpus, equations, numbering, training
@@ -27,9 +27,15 @@ def _desk_config(vocab: Vocabulary, overrides: dict | None = None) -> ModelConfi
     """``ModelConfig``'s defaults with the ``--config`` overrides; the
     vocabulary sizes always come from the data."""
     overrides = overrides or {}
-    unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(ModelConfig)})
+    kinds = typing.get_type_hints(ModelConfig)
+    unknown = sorted(set(overrides) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    for key, value in overrides.items():
+        kind = kinds[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {json.dumps(value)}")
     return ModelConfig(**{**overrides, "vocab_src": vocab.src_size, "vocab_tgt": vocab.tgt_size})
 
 
@@ -72,6 +78,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 1:
+        return _error(f"--epochs must be at least 1, got {args.epochs}")
     instances, unalignable = _load_instances(args.data)
     usable = [i for i in instances if i.alignable]
     if unalignable:
@@ -80,7 +88,12 @@ def cmd_train(args) -> int:
     overrides = None
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+            try:
+                overrides = json.load(fh)
+            except ValueError as e:
+                raise ConfigError(f"{args.config}: not valid JSON: {e}") from None
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{args.config}: the top level must be a JSON object")
     config = _desk_config(vocab, overrides)
     settings = training.TrainSettings(
         epochs=args.epochs,
@@ -148,7 +161,10 @@ def cmd_solve(args) -> int:
         numbers = numbering.extract_numbers(fake_text)
         mapping = NumberMapping(numbers)
         tokens = [t.text for t in equations.tokenize(text)]
-        text = numbering.substitute(tokens, mapping)
+        try:
+            text = numbering.substitute(tokens, mapping)
+        except numbering.UnknownSymbolError as e:
+            return _error(f"--eq: symbol {e.args[0]} is not defined by --nums")
         print(f"substituted: {text}")
     try:
         ast = equations.parse(text)

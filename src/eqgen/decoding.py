@@ -22,6 +22,7 @@ surviving hypothesis's parent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -155,22 +156,38 @@ def decode_both(
 def hypothesis_log_prob(
     params: ModelParams,
     src_ids,
-    hyp: Hypothesis,
+    hyps: Hypothesis | Sequence[Hypothesis],
     memory: Tensor | None = None,
+    weights: Sequence[float] | None = None,
 ) -> Tensor:
-    """Teacher-forced log-probability of a hypothesis under its own
+    """Teacher-forced log-probability of hypotheses under their own
     direction's factorization; differentiable, used for policy gradients.
-    Pass a precomputed ``memory`` of ``src_ids`` to share one encoder pass
-    (and its gradient subgraph) across several hypotheses; source padding
-    is read off ``src_ids``."""
+
+    ``hyps`` is one hypothesis or several of one direction, scored in one
+    decoder pass over a right-padded batch sharing the batch-1 encoder
+    memory. Padded targets are -1, not ``PAD_ID``, which a hypothesis may
+    contain. The result is the sum of the log-probabilities, each scaled by
+    its entry in ``weights`` when given. Pass a precomputed ``memory`` of
+    ``src_ids`` to share one encoder pass (and its gradient subgraph) with
+    other calls; source padding is read off ``src_ids``."""
+    if isinstance(hyps, Hypothesis):
+        hyps = [hyps]
+    direction = hyps[0].direction
+    if any(h.direction != direction for h in hyps):
+        raise ValueError("hypotheses of one call must share a direction")
     src = as_batch(src_ids)
     if memory is None:
         memory = encode(params, src)
-    emitted = list(hyp.tokens)
-    dec_in = np.array([[_begin_id(hyp.direction)] + emitted[:-1]], dtype=np.int64)
-    targets = np.array([emitted], dtype=np.int64)
-    logits = decoder_forward(params, hyp.direction, dec_in, memory, src == PAD_ID)
-    return neg(cross_entropy(logits, targets, ignore_index=-1))
+    width = max(len(h.tokens) for h in hyps)
+    dec_in = np.full((len(hyps), width), PAD_ID, dtype=np.int64)
+    targets = np.full((len(hyps), width), -1, dtype=np.int64)
+    dec_in[:, 0] = _begin_id(direction)
+    for row, h in enumerate(hyps):
+        dec_in[row, 1 : len(h.tokens)] = h.tokens[:-1]
+        targets[row, : len(h.tokens)] = h.tokens
+    logits = decoder_forward(params, direction, dec_in, memory, src == PAD_ID)
+    w = None if weights is None else np.asarray(weights)[:, None]
+    return neg(cross_entropy(logits, targets, ignore_index=-1, weights=w))
 
 
 def score_sequence(

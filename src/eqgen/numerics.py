@@ -340,12 +340,14 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _result(x.data * mask, (x,), lambda g: (g * mask,))
 
 
-def cross_entropy(logits: Tensor, targets, ignore_index: int = 0) -> Tensor:
+def cross_entropy(logits: Tensor, targets, ignore_index: int = 0, weights=None) -> Tensor:
     """Sum of per-token negative log-likelihoods over non-ignored positions.
 
     ``logits`` is (..., V); ``targets`` holds integer ids with the same
     leading shape. Positions equal to ``ignore_index`` contribute nothing.
-    No mean is taken: the result is the plain sum.
+    No mean is taken: the result is the plain sum. ``weights``, broadcast to
+    the targets' shape, scales each position's term in the sum and in the
+    gradient; without it every term counts once.
     """
     ld = logits.data
     if ld.ndim < 2:
@@ -362,14 +364,17 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = 0) -> Tensor:
     lse = m[:, 0] + np.log(np.exp(flat - m).sum(axis=-1))
     rows = np.arange(flat.shape[0])
     idx = np.where(keep, tgt, 0)
-    nll = (lse - flat[rows, idx]) * keep
+    scale = keep
+    if weights is not None:
+        scale = keep * np.broadcast_to(np.asarray(weights, dtype=ld.dtype), ld.shape[:-1]).reshape(-1)
+    nll = (lse - flat[rows, idx]) * scale
     data = np.asarray(nll.sum(), dtype=ld.dtype)
     shape = ld.shape
 
     def bw(g):
         p = np.exp(flat - lse[:, None])
         p[rows, idx] -= 1.0
-        p *= keep[:, None]
+        p *= scale[:, None]
         return ((g * p).reshape(shape),)
 
     return _result(data, (logits,), bw)

@@ -9,9 +9,12 @@ mean reward over the pool is the baseline. The policy-gradient loss is
     (1/N) * sum_n (r_n - r_b) * CE(sample_n)
 
 where CE is the teacher-forced negative log-likelihood of the sample under
-its own direction's factorization. Rewards never enter the differentiation
-graph; they only weight it. When all N rewards agree the advantage is
-identically zero and so is the gradient.
+its own direction's factorization. One encoder pass and one padded decoder
+pass per direction score the whole pool; each sample's advantage weights
+its target positions in the cross entropy. Rewards never enter the
+differentiation graph; they only weight it. When all N rewards agree the
+advantage is identically zero and so is the gradient, so such a step
+returns before the teacher-forced pass.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from . import corpus, decoding, equations
 from .corpus import DatasetError, PreparedInstance, Vocabulary
 from .model import (
+    DIRECTIONS,
     Batch,
     LossParts,
     ModelConfig,
@@ -36,7 +40,7 @@ from .model import (
     make_batch,
 )
 from .numbering import NumberMapping
-from .numerics import NonFiniteError, backward
+from .numerics import NonFiniteError, Tensor, backward, neg
 
 
 class TrainingDiverged(RuntimeError):
@@ -167,6 +171,22 @@ def sample_pool(
     return pool
 
 
+def policy_loss(params: ModelParams, src: np.ndarray, pool: Sequence[RewardSample]) -> Tensor:
+    """``(1/N) * sum_n (r_n - r_b) * CE(sample_n)`` over the pool, from one
+    encoder pass and one teacher-forced decoder pass per direction."""
+    r_b = baseline([s.reward for s in pool])
+    memory = encode(params, src)
+    loss = None
+    for direction in DIRECTIONS:
+        picked = [s for s in pool if s.hypothesis.direction == direction]
+        if not picked:
+            continue
+        coeffs = [(s.reward - r_b) / len(pool) for s in picked]
+        lp = decoding.hypothesis_log_prob(params, src, [s.hypothesis for s in picked], memory, coeffs)
+        loss = neg(lp) if loss is None else loss - lp
+    return loss
+
+
 def reinforce_step(
     params: ModelParams,
     opt: Adam,
@@ -178,32 +198,24 @@ def reinforce_step(
 ) -> RlStepResult:
     """One policy-gradient update on one instance.
 
-    The advantage multiplies the teacher-forced loss of each sample, so
+    The advantage weights the teacher-forced loss of each sample, so
     gradients flow through log-probabilities only, never through rewards.
+    A pool whose rewards all equal the baseline has zero gradient: it is
+    neither scored nor back-propagated, and the parameters stay as they are.
     """
     gold = inst.problem.answers
     src = np.asarray(vocab.encode_source(inst.source), dtype=np.int64)
     pool = sample_pool(params, vocab, src, inst.mapping, gold, beam_size, max_len)
     if not pool:
         return RlStepResult(0.0, 0, 0.0, updated=False, skipped=True)
-    rewards = [s.reward for s in pool]
-    r_b = baseline(rewards)
-    n = len(pool)
+    r_b = baseline([s.reward for s in pool])
+    if all(s.reward == r_b for s in pool):
+        return RlStepResult(r_b, len(pool), 0.0, updated=False)
     params.zero_grad()
-    memory = encode(params, src)  # one encoder pass shared by all samples
-    loss = None
-    for sample in pool:
-        coeff = (sample.reward - r_b) / n
-        lp = decoding.hypothesis_log_prob(params, src, sample.hypothesis, memory)
-        term = lp * (-coeff)
-        loss = term if loss is None else loss + term
-    backward(loss)
-    norm = grad_norm(params)
-    updated = any(r != r_b for r in rewards)
-    if updated:
-        clip_grads(params, max_grad_norm)
-        opt.step()
-    return RlStepResult(r_b, n, norm, updated=updated)
+    backward(policy_loss(params, src, pool))
+    norm = clip_grads(params, max_grad_norm)
+    opt.step()
+    return RlStepResult(r_b, len(pool), norm, updated=True)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,39 @@ class TestCli:
         assert err == "eqgen: error: unknown config key(s): layerz\n"
         assert not (tmp_path / "m.npz").exists()
 
+    def test_bad_config_file_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 3))
+        cfg = tmp_path / "config.json"
+        for text, message in (
+            ("not json", f"{cfg}: not valid JSON: "),
+            ("[1]", f"{cfg}: the top level must be a JSON object"),
+            ('{"model_dim": "64"}', "config key 'model_dim' must be int, got \"64\""),
+            ('{"layers": true}', "config key 'layers' must be int, got true"),
+            ('{"dropout": "0.1"}', "config key 'dropout' must be float, got \"0.1\""),
+        ):
+            cfg.write_text(text)
+            capsys.readouterr()
+            code = cli_main(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "m.npz")])
+            err = capsys.readouterr().err
+            assert code == 2, text
+            assert err.startswith("eqgen: error: " + message) and err.count("\n") == 1, text
+            assert not (tmp_path / "m.npz").exists(), text
+
+    def test_epochs_below_one_is_one_line_error(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 3))
+        capsys.readouterr()
+        code = cli_main(["train", "--data", str(data), "--epochs", "0", "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert capsys.readouterr().err == "eqgen: error: --epochs must be at least 1, got 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    def test_solve_undefined_symbol_is_one_line_error(self, capsys):
+        capsys.readouterr()
+        assert cli_main(["solve", "--eq", "N_5=x", "--nums", "1"]) == 2
+        assert capsys.readouterr().err == "eqgen: error: --eq: symbol N_5 is not defined by --nums\n"
+
     def test_default_model_is_model_config_defaults(self):
         insts, _ = prepare_all(synth_gen(2, 5))
         vocab = Vocabulary.build(insts)

@@ -144,6 +144,35 @@ class TestCrossEntropy:
         assert np.max(np.abs(logits.grad - (p - onehot))) < 1e-12
 
 
+    def test_no_weights_is_unchanged(self):
+        # the unweighted sum and gradient as written before weights existed
+        rng = np.random.default_rng(5)
+        ld = rng.normal(size=(2, 4, 6))
+        targets = np.array([[1, 5, 0, 2], [0, 0, 3, 4]])
+        logits = Tensor(ld, requires_grad=True)
+        out = cross_entropy(logits, targets, ignore_index=0, weights=None)
+        backward(out)
+        flat, tgt = ld.reshape(-1, 6), targets.reshape(-1)
+        keep = tgt != 0
+        m = flat.max(axis=-1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(flat - m).sum(axis=-1))
+        rows, idx = np.arange(8), np.where(keep, tgt, 0)
+        assert out.item() == ((lse - flat[rows, idx]) * keep).sum()
+        p = np.exp(flat - lse[:, None])
+        p[rows, idx] -= 1.0
+        p *= keep[:, None]
+        assert np.array_equal(logits.grad, p.reshape(ld.shape))
+
+    def test_weights_scale_each_row(self):
+        rng = np.random.default_rng(6)
+        ld = rng.normal(size=(3, 4, 5))
+        targets = np.array([[1, 2, 3, -1], [4, 0, -1, -1], [2, 2, 2, 2]])
+        w = np.array([[0.5], [-2.0], [0.0]])
+        out = cross_entropy(T(ld), targets, ignore_index=-1, weights=w)
+        per_row = [cross_entropy(T(ld[i]), targets[i], ignore_index=-1).item() for i in range(3)]
+        assert out.item() == pytest.approx(0.5 * per_row[0] - 2.0 * per_row[1], rel=1e-12)
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -262,6 +291,16 @@ class TestFiniteDifferences:
         err = check_op_grad(
             lambda x: cross_entropy(x, targets, ignore_index=0),
             rng.normal(size=(4, 5)),
+        )
+        assert err < 1e-4
+
+    def test_weighted_cross_entropy(self):
+        rng = np.random.default_rng(22)
+        targets = np.array([[1, 3, -1], [0, 2, 4]])
+        weights = rng.normal(size=(2, 3))
+        err = check_op_grad(
+            lambda x: cross_entropy(x, targets, ignore_index=-1, weights=weights),
+            rng.normal(size=(2, 3, 5)),
         )
         assert err < 1e-4
 

@@ -5,10 +5,25 @@ import pytest
 
 from eqgen import corpus, decoding, training
 from eqgen.corpus import Vocabulary, prepare_all, synth_gen
-from eqgen.model import ModelConfig, init_params, joint_loss, make_batch
-from eqgen.numerics import Tensor, backward
+from eqgen.model import (
+    BOS_ID,
+    BOSR_ID,
+    EOS_ID,
+    L2R,
+    PAD_ID,
+    R2L,
+    ModelConfig,
+    as_batch,
+    decoder_forward,
+    encode,
+    init_params,
+    joint_loss,
+    make_batch,
+)
+from eqgen.numerics import Tensor, backward, cross_entropy, neg
 from eqgen.training import (
     Adam,
+    RewardSample,
     RlStepResult,
     TrainSettings,
     TrainingDiverged,
@@ -16,9 +31,11 @@ from eqgen.training import (
     clip_grads,
     grad_norm,
     mle_step,
+    policy_loss,
     reinforce_step,
     train,
 )
+from fdcheck import rel_err
 
 
 def small_setup(n=12, seed=5, **cfg_kw):
@@ -193,6 +210,165 @@ class TestReinforceStep:
         res = reinforce_step(params, opt, vocab, inst, beam_size=2, max_len=8)
         assert isinstance(res, RlStepResult)
         assert res.grad_norm <= 1e-12 or res.updated
+
+
+def reference_policy_loss(params, src, pool):
+    """The per-sample loop the batched policy loss replaced: one batch-1
+    teacher-forced decoder pass per pool hypothesis, summed term by term."""
+    r_b = baseline([s.reward for s in pool])
+    memory = encode(params, src)
+    src_pad = as_batch(src) == PAD_ID
+    loss = None
+    for sample in pool:
+        hyp = sample.hypothesis
+        emitted = list(hyp.tokens)
+        begin = BOS_ID if hyp.direction == L2R else BOSR_ID
+        logits = decoder_forward(params, hyp.direction, np.array([[begin] + emitted[:-1]]), memory, src_pad)
+        lp = neg(cross_entropy(logits, np.array([emitted]), ignore_index=-1))
+        term = lp * (-(sample.reward - r_b) / len(pool))
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def loss_and_grads(loss_fn, params, src, pool):
+    params.zero_grad()
+    loss = loss_fn(params, src, pool)
+    backward(loss)
+    return loss.item(), {name: t.grad for name, t in params.named()}
+
+
+def assert_matches_reference(params, src, pool):
+    got_loss, got = loss_and_grads(policy_loss, params, src, pool)
+    want_loss, want = loss_and_grads(reference_policy_loss, params, src, pool)
+    assert rel_err(got_loss, want_loss) < 1e-12
+    for name, g in want.items():
+        if g is None:
+            assert got[name] is None, name
+        else:
+            assert rel_err(got[name], g) < 1e-12, name
+    return got
+
+
+def rewarded(hyps, rewards):
+    return [RewardSample(h, [], r) for h, r in zip(hyps, rewards)]
+
+
+class TestBatchedPolicyLoss:
+    """The padded one-pass-per-direction policy loss against the per-sample
+    loop: same loss and same gradient on every parameter, to 1e-12."""
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_beam_pools_both_directions(self, seed):
+        # after 20 MLE steps, beam 4 at max_len 8 returns finished and
+        # force-finished hypotheses of unequal lengths
+        config, insts, vocab = small_setup(n=6)
+        params = init_params(config, seed)
+        opt = Adam(params, lr=1e-2)
+        for _ in range(20):
+            mle_step(params, opt, batch_of(vocab, insts))
+        src = np.asarray(vocab.encode_source(insts[seed % 6].source))
+        hyps_l, hyps_r = decoding.decode_both(params, src, 4, 8)
+        hyps = hyps_l + hyps_r
+        assert {h.finished for h in hyps} == {True, False}
+        assert len({len(h.tokens) for h in hyps}) > 1
+        pool = rewarded(hyps, [(seed + i) % 3 == 0 for i in range(len(hyps))])
+        assert_matches_reference(params, src, pool)
+
+    def test_two_layers_unshared_embeddings_padded_source(self):
+        config, insts, vocab = small_setup(n=6, layers=2, share_target_embedding=False)
+        params = init_params(config, 24)
+        src = np.array(vocab.encode_source(insts[1].source) + [PAD_ID, PAD_ID])
+        hyps_l, hyps_r = decoding.decode_both(params, src, 3, 6)
+        pool = rewarded(hyps_l + hyps_r, [1, 0, 0, 1, 1, 0])
+        assert_matches_reference(params, src, pool)
+
+    def test_hand_built_pool_with_pad_id_tokens(self):
+        # beam search may emit id 0; it must be scored, not read as padding
+        config, insts, vocab = small_setup(n=6)
+        params = init_params(config, 25)
+        src = np.asarray(vocab.encode_source(insts[2].source))
+        hyps = [
+            decoding.Hypothesis((7, PAD_ID, 8, EOS_ID), 0.0, L2R, True),
+            decoding.Hypothesis((PAD_ID,), 0.0, L2R, False),
+            decoding.Hypothesis((9, 9, 9, 9, 9, 9, 9), 0.0, L2R, False),
+            decoding.Hypothesis((PAD_ID, PAD_ID, EOS_ID), 0.0, R2L, True),
+            decoding.Hypothesis((10, 11), 0.0, R2L, False),
+        ]
+        assert_matches_reference(params, src, rewarded(hyps, [1, 0, 1, 0, 0]))
+
+    @pytest.mark.parametrize("direction", [L2R, R2L])
+    def test_one_direction_pool(self, direction):
+        config, insts, vocab = small_setup(n=6)
+        params = init_params(config, 26)
+        src = np.asarray(vocab.encode_source(insts[3].source))
+        hyps = decoding.beam_search(params, direction, src, 4, 6)
+        grads = assert_matches_reference(params, src, rewarded(hyps, [0, 1, 0, 0]))
+        other = R2L if direction == L2R else L2R
+        assert grads[f"out_{other}.w"] is None
+
+    def test_mixed_directions_rejected(self):
+        config, insts, vocab = small_setup(n=6)
+        params = init_params(config, 27)
+        hyps = [
+            decoding.Hypothesis((7, EOS_ID), 0.0, L2R, True),
+            decoding.Hypothesis((7, EOS_ID), 0.0, R2L, True),
+        ]
+        with pytest.raises(ValueError):
+            decoding.hypothesis_log_prob(params, [5, 6], hyps)
+
+
+class TestReinforceStepPasses:
+    def test_one_scoring_pass_per_direction(self, monkeypatch):
+        config, insts, vocab = small_setup(n=6)
+        params = init_params(config, 28)
+        calls = []
+        pools = []
+        real_score = decoding.hypothesis_log_prob
+        real_pool = training.sample_pool
+
+        def spy_score(params, src, hyps, memory=None, weights=None):
+            calls.append(len(hyps))
+            return real_score(params, src, hyps, memory, weights)
+
+        def spy_pool(*args):
+            pool = real_pool(*args)
+            for i, s in enumerate(pool):
+                s.reward = i % 2  # mixed rewards, whatever the solver says
+            pools.append(pool)
+            return pool
+
+        monkeypatch.setattr(decoding, "hypothesis_log_prob", spy_score)
+        monkeypatch.setattr(training, "sample_pool", spy_pool)
+        src = np.asarray(vocab.encode_source(insts[0].source))
+        # lr 0 and no clipping leave the step's raw gradient on the parameters
+        res = reinforce_step(params, Adam(params, lr=0.0), vocab, insts[0], beam_size=3, max_len=8, max_grad_norm=0.0)
+        assert res.updated and res.n_samples == 6
+        assert calls == [3, 3]
+        got = {name: t.grad for name, t in params.named()}
+        _, want = loss_and_grads(reference_policy_loss, params, src, pools[0])
+        want_norm = math.sqrt(sum(float((g * g).sum()) for g in want.values() if g is not None))
+        assert res.grad_norm == pytest.approx(want_norm, rel=1e-12)
+        for name, g in want.items():
+            assert (got[name] is None) == (g is None), name
+            if g is not None:
+                assert rel_err(got[name], g) < 1e-12, name
+
+    def test_zero_advantage_skips_scoring_and_backward(self, monkeypatch):
+        config, insts, vocab = small_setup(n=6)
+        params = init_params(config, 29)  # untrained: every sample gets reward 0
+        snapshot = {k: t.data.copy() for k, t in params.named()}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a zero-advantage step must not score or back-propagate")
+
+        monkeypatch.setattr(decoding, "hypothesis_log_prob", forbidden)
+        monkeypatch.setattr(training, "backward", forbidden)
+        opt = Adam(params, lr=1e-2)
+        res = reinforce_step(params, opt, vocab, insts[0], beam_size=3, max_len=8)
+        assert res == RlStepResult(0.0, 6, 0.0, updated=False)
+        assert opt.steps == 0
+        for k, t in params.named():
+            assert np.array_equal(t.data, snapshot[k]), k
 
 
 class TestTrainDriver:
