@@ -18,7 +18,7 @@ import typing
 from fractions import Fraction
 
 from . import corpus, equations, numbering, training
-from .corpus import DatasetError, Vocabulary
+from .corpus import DatasetError, TemplateError, Vocabulary
 from .model import ConfigError, ModelConfig, load_checkpoint, save_checkpoint
 from .numbering import NumberMapping
 
@@ -42,12 +42,6 @@ def _desk_config(vocab: Vocabulary, overrides: dict | None = None) -> ModelConfi
 def _error(message: str) -> int:
     print(f"eqgen: error: {message}", file=sys.stderr)
     return 2
-
-
-def _load_instances(path):
-    problems = corpus.load(path)
-    instances, unalignable = corpus.prepare_all(problems)
-    return instances, unalignable
 
 
 def cmd_gen(args) -> int:
@@ -80,7 +74,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     if args.epochs < 1:
         return _error(f"--epochs must be at least 1, got {args.epochs}")
-    instances, unalignable = _load_instances(args.data)
+    instances, unalignable = corpus.prepare_all(corpus.load(args.data))
     usable = [i for i in instances if i.alignable]
     if unalignable:
         print(f"excluding {unalignable} unalignable instances from training")
@@ -110,9 +104,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_rl(args) -> int:
+    if args.epochs < 1:
+        return _error(f"--epochs must be at least 1, got {args.epochs}")
+    if args.beam < 1:
+        return _error(f"--beam must be at least 1, got {args.beam}")
     params, src_tokens, tgt_tokens = load_checkpoint(args.ckpt)
     vocab = Vocabulary(src_tokens, tgt_tokens)
-    instances, _ = _load_instances(args.data)
+    instances, _ = corpus.prepare_all(corpus.load(args.data))
     settings = training.TrainSettings(
         seed=args.seed,
         rl_epochs=args.epochs,
@@ -123,15 +121,16 @@ def cmd_rl(args) -> int:
     metrics = training.run_rl(params, vocab, instances, settings)
     save_checkpoint(args.out, params, vocab.src_tokens, vocab.tgt_tokens)
     print(f"saved checkpoint to {args.out}")
-    if metrics:
-        print(json.dumps(metrics[-1]))
+    print(json.dumps(metrics[-1]))
     return 0
 
 
 def cmd_eval(args) -> int:
+    if args.beam < 1:
+        return _error(f"--beam must be at least 1, got {args.beam}")
     params, src_tokens, tgt_tokens = load_checkpoint(args.ckpt)
     vocab = Vocabulary(src_tokens, tgt_tokens)
-    instances, unalignable = _load_instances(args.data)
+    instances, unalignable = corpus.prepare_all(corpus.load(args.data))
     report: dict = {"n": len(instances), "unalignable": unalignable, "folds": []}
     if args.folds >= 2:
         # the folds partition the instances, so their reports sum to the overall one
@@ -237,7 +236,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ConfigError, OSError) as e:
+    except (DatasetError, ConfigError, TemplateError, OSError) as e:
         return _error(str(e))
 
 

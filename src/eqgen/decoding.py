@@ -156,22 +156,19 @@ def decode_both(
 def hypothesis_log_prob(
     params: ModelParams,
     src_ids,
-    hyps: Hypothesis | Sequence[Hypothesis],
+    hyps: Sequence[Hypothesis],
     memory: Tensor | None = None,
     weights: Sequence[float] | None = None,
 ) -> Tensor:
     """Teacher-forced log-probability of hypotheses under their own
     direction's factorization; differentiable, used for policy gradients.
 
-    ``hyps`` is one hypothesis or several of one direction, scored in one
-    decoder pass over a right-padded batch sharing the batch-1 encoder
-    memory. Padded targets are -1, not ``PAD_ID``, which a hypothesis may
-    contain. The result is the sum of the log-probabilities, each scaled by
+    ``hyps`` share one direction and are scored in one decoder pass over a
+    right-padded batch sharing the batch-1 encoder memory. Padded targets
+    are -1, not ``PAD_ID``, which a hypothesis may contain. The result is the sum of the log-probabilities, each scaled by
     its entry in ``weights`` when given. Pass a precomputed ``memory`` of
     ``src_ids`` to share one encoder pass (and its gradient subgraph) with
     other calls; source padding is read off ``src_ids``."""
-    if isinstance(hyps, Hypothesis):
-        hyps = [hyps]
     direction = hyps[0].direction
     if any(h.direction != direction for h in hyps):
         raise ValueError("hypotheses of one call must share a direction")
@@ -189,16 +186,3 @@ def hypothesis_log_prob(
     w = None if weights is None else np.asarray(weights)[:, None]
     return neg(cross_entropy(logits, targets, ignore_index=-1, weights=w))
 
-
-def score_sequence(
-    params: ModelParams, direction: str, src_ids, canonical: list[int], finished: bool = True
-) -> float:
-    """Re-score a canonical-order sequence under the given direction."""
-    toks = list(canonical)
-    if direction == R2L:
-        toks.reverse()
-    if finished:
-        toks.append(EOS_ID)
-    hyp = Hypothesis(tuple(toks), 0.0, direction, finished)
-    with no_grad():
-        return hypothesis_log_prob(params, src_ids, hyp).item()

@@ -70,12 +70,15 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        for name in ("embed_dim", "model_dim", "layers", "heads", "ff_dim", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.model_dim % self.heads != 0:
             raise ConfigError("model_dim must be divisible by heads")
         if self.model_dim % 2 != 0:
             raise ConfigError("model_dim must be even for sinusoidal positions")
-        if self.layers < 1:
-            raise ConfigError("need at least one layer")
         if self.vocab_src < NUM_RESERVED or self.vocab_tgt < NUM_RESERVED:
             raise ConfigError("vocabularies must cover the reserved ids")
         if self.dtype not in ("float32", "float64"):
@@ -166,10 +169,6 @@ class ModelParams:
             {k: Tensor(t.data.copy(), requires_grad=True) for k, t in self.tensors.items()},
         )
 
-    @property
-    def num_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
 
 def init_params(config: ModelConfig, seed_or_rng=0) -> ModelParams:
     """Xavier-uniform matrices, zero biases, unit layer-norm gains and
@@ -198,21 +197,6 @@ def init_params(config: ModelConfig, seed_or_rng=0) -> ModelParams:
 # ---------------------------------------------------------------------------
 # positions
 # ---------------------------------------------------------------------------
-
-
-def sinusoidal_pe(position: int, dim: int) -> np.ndarray:
-    """Single position vector: entry 2i = sin(pos / 10000^(2i/dim)),
-    entry 2i+1 = cos of the same angle."""
-    if dim % 2 != 0:
-        raise ConfigError("position encoding dimension must be even")
-    if position < 0:
-        raise ConfigError("position must be non-negative")
-    i = np.arange(dim // 2, dtype=np.float64)
-    angles = position / np.power(10000.0, 2.0 * i / dim)
-    out = np.empty(dim, dtype=np.float64)
-    out[0::2] = np.sin(angles)
-    out[1::2] = np.cos(angles)
-    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -470,10 +454,6 @@ class Batch:
     src: np.ndarray  # (B, S)
     tgt_l2r: np.ndarray  # (B, T) <bos>   y ... <eos> <pad>*
     tgt_r2l: np.ndarray  # (B, T) <bos_r> reversed(y) ... <eos> <pad>*
-
-    @property
-    def size(self) -> int:
-        return self.src.shape[0]
 
 
 def make_batch(src_seqs: list[list[int]], tgt_seqs: list[list[int]]) -> Batch:

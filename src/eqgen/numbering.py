@@ -197,9 +197,6 @@ class NumberMapping:
         except KeyError:
             raise UnknownSymbolError(symbol) from None
 
-    def __len__(self) -> int:
-        return len(self.numbers)
-
 
 @dataclass(frozen=True)
 class EquationTemplate:

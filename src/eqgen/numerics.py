@@ -70,9 +70,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -90,14 +87,8 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _wrap(other, self))
 
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)

@@ -1,10 +1,13 @@
 """Maximum-likelihood training and REINFORCE fine-tuning.
 
-Phase one minimizes the summed cross entropy of both decoders with Adam.
-Phase two continues from the trained policy: candidate sequences come from
-beam search in both directions (beam 6 by default), the pooled finished
-hypotheses are the N samples, each gets a 0/1 answer reward, and the
-mean reward over the pool is the baseline. The policy-gradient loss is
+Phase one minimizes the summed cross entropy of both decoders with Adam
+over shuffled batches of ``MLE_BATCH_SIZE`` instances; after the last
+epoch it scores the training set at ``corpus.evaluate``'s default beam and
+length. Phase two continues from the trained policy on the instances that
+have answers: candidate sequences come from beam search in both directions
+(beam 6 by default), every returned hypothesis is one of the N samples,
+each gets a 0/1 answer reward, and the mean reward over the pool is the
+baseline. The policy-gradient loss is
 
     (1/N) * sum_n (r_n - r_b) * CE(sample_n)
 
@@ -14,7 +17,8 @@ pass per direction score the whole pool; each sample's advantage weights
 its target positions in the cross entropy. Rewards never enter the
 differentiation graph; they only weight it. When all N rewards agree the
 advantage is identically zero and so is the gradient, so such a step
-returns before the teacher-forced pass.
+returns before the teacher-forced pass. The pre-update gradient is clipped
+to a global norm of 1.
 """
 
 from __future__ import annotations
@@ -112,6 +116,8 @@ def clip_grads(params: ModelParams, max_norm: float) -> float:
 # mle
 # ---------------------------------------------------------------------------
 
+MLE_BATCH_SIZE = 16
+
 
 def mle_step(params: ModelParams, opt: Adam, batch: Batch, rng=None) -> LossParts:
     """One optimizer update on the joint loss; returns the pre-update loss."""
@@ -140,7 +146,6 @@ def baseline(rewards: Sequence[float]) -> float:
 @dataclass
 class RewardSample:
     hypothesis: decoding.Hypothesis
-    tokens: list[str]  # canonical order, vocabulary strings
     reward: int
 
 
@@ -150,7 +155,6 @@ class RlStepResult:
     n_samples: int
     grad_norm: float
     updated: bool
-    skipped: bool = False
 
 
 def sample_pool(
@@ -167,7 +171,7 @@ def sample_pool(
     pool = []
     for hyp in hyps_l + hyps_r:
         tokens = vocab.decode_target(decoding.canonical_tokens(hyp))
-        pool.append(RewardSample(hyp, tokens, equations.reward(tokens, mapping, gold)))
+        pool.append(RewardSample(hyp, equations.reward(tokens, mapping, gold)))
     return pool
 
 
@@ -206,8 +210,6 @@ def reinforce_step(
     gold = inst.problem.answers
     src = np.asarray(vocab.encode_source(inst.source), dtype=np.int64)
     pool = sample_pool(params, vocab, src, inst.mapping, gold, beam_size, max_len)
-    if not pool:
-        return RlStepResult(0.0, 0, 0.0, updated=False, skipped=True)
     r_b = baseline([s.reward for s in pool])
     if all(s.reward == r_b for s in pool):
         return RlStepResult(r_b, len(pool), 0.0, updated=False)
@@ -227,14 +229,10 @@ def reinforce_step(
 class TrainSettings:
     epochs: int = 300
     lr: float = 1e-3
-    batch_size: int = 16
     seed: int = 0
-    eval_beam: int = 10
-    max_len: int = 64
     rl_epochs: int = 0
     rl_lr: float = 1e-5
     rl_beam: int = 6
-    grad_clip: float = 1.0
     log_path: Optional[str] = None
 
 
@@ -258,9 +256,9 @@ def _metric_record(epoch: int, split: str) -> dict:
     }
 
 
-def _batches(instances, vocab, order, batch_size):
-    for start in range(0, len(order), batch_size):
-        chunk = [instances[i] for i in order[start : start + batch_size]]
+def _batches(instances, vocab, order):
+    for start in range(0, len(order), MLE_BATCH_SIZE):
+        chunk = [instances[i] for i in order[start : start + MLE_BATCH_SIZE]]
         src = [vocab.encode_source(inst.source) for inst in chunk]
         tgt = [vocab.encode_target(list(inst.template.tokens)) for inst in chunk]
         yield make_batch(src, tgt)
@@ -290,7 +288,7 @@ def run_mle(
         order = order_rng.permutation(len(usable))
         tot_l = tot_r = 0.0
         n_l = n_r = 0
-        for batch in _batches(usable, vocab, order, settings.batch_size):
+        for batch in _batches(usable, vocab, order):
             parts = mle_step(params, opt, batch, rng=rng)
             tot_l += parts.l2r.item()
             tot_r += parts.r2l.item()
@@ -300,7 +298,7 @@ def run_mle(
         record["loss_l2r"] = tot_l / max(n_l, 1)
         record["loss_r2l"] = tot_r / max(n_r, 1)
         if epoch == settings.epochs - 1:
-            report = corpus.evaluate(params, vocab, train_insts, settings.eval_beam, settings.max_len)
+            report = corpus.evaluate(params, vocab, train_insts)
             record["answer_accuracy_l2r"] = report.accuracy_l2r
             record["answer_accuracy_r2l"] = report.accuracy_r2l
             record["answer_accuracy_vote"] = report.accuracy_vote
@@ -315,29 +313,18 @@ def run_rl(
     settings: TrainSettings,
     metrics: Optional[list[dict]] = None,
 ) -> list[dict]:
-    """REINFORCE phase; instances with no answers are skipped and counted."""
+    """REINFORCE phase: one ``reinforce_step`` per usable instance and
+    epoch, logging one ``"rl-train"`` record per epoch. Instances with no
+    answers or an empty source cannot be rewarded or encoded; they are left
+    out, and each record's ``"skipped"`` counts them."""
     metrics = metrics if metrics is not None else []
     usable = [i for i in train_insts if i.problem.answers and i.source]
+    skipped = len(train_insts) - len(usable)
     opt = Adam(params, settings.rl_lr)
     order_rng = np.random.default_rng(settings.seed + 2)
     for epoch in range(settings.rl_epochs):
         order = order_rng.permutation(len(usable))
-        rewards = []
-        skipped = 0
-        for i in order:
-            result = reinforce_step(
-                params,
-                opt,
-                vocab,
-                usable[i],
-                beam_size=settings.rl_beam,
-                max_len=settings.max_len,
-                max_grad_norm=settings.grad_clip,
-            )
-            if result.skipped:
-                skipped += 1
-            else:
-                rewards.append(result.mean_reward)
+        rewards = [reinforce_step(params, opt, vocab, usable[i], settings.rl_beam).mean_reward for i in order]
         record = _metric_record(epoch, "rl-train")
         record["mean_reward"] = sum(rewards) / len(rewards) if rewards else 0.0
         record["skipped"] = skipped

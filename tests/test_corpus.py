@@ -306,6 +306,10 @@ class TestCli:
             ('{"model_dim": "64"}', "config key 'model_dim' must be int, got \"64\""),
             ('{"layers": true}', "config key 'layers' must be int, got true"),
             ('{"dropout": "0.1"}', "config key 'dropout' must be float, got \"0.1\""),
+            ('{"heads": 0}', "heads must be at least 1, got 0"),
+            ('{"model_dim": -4, "heads": 2}', "model_dim must be at least 1, got -4"),
+            ('{"embed_dim": 0}', "embed_dim must be at least 1, got 0"),
+            ('{"dropout": 1}', "dropout must be in [0, 1), got 1"),
         ):
             cfg.write_text(text)
             capsys.readouterr()
@@ -323,6 +327,30 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == "eqgen: error: --epochs must be at least 1, got 0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    def test_beam_and_rl_epochs_below_one_are_one_line_errors(self, tmp_path, capsys):
+        # the checkpoint does not exist: the flags are checked before it is read
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 3))
+        ckpt = str(tmp_path / "missing.npz")
+        rl = ["rl", "--data", str(data), "--ckpt", ckpt, "--out", str(tmp_path / "r.npz")]
+        for argv, message in (
+            (["eval", "--data", str(data), "--ckpt", ckpt, "--beam", "0"], "--beam must be at least 1, got 0"),
+            (rl + ["--beam", "0"], "--beam must be at least 1, got 0"),
+            (rl + ["--epochs", "0"], "--epochs must be at least 1, got 0"),
+        ):
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv
+            assert capsys.readouterr().err == f"eqgen: error: {message}\n", argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    def test_unknown_template_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "gen.jsonl"
+        capsys.readouterr()
+        assert cli_main(["gen", "--n", "2", "--templates", "bogus", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("eqgen: error: unknown template 'bogus'") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_solve_undefined_symbol_is_one_line_error(self, capsys):
         capsys.readouterr()

@@ -10,7 +10,6 @@ from eqgen.decoding import (
     canonical_tokens,
     decode_both,
     hypothesis_log_prob,
-    score_sequence,
     vote,
 )
 from eqgen.model import (
@@ -269,6 +268,18 @@ class TestVote:
         assert out == canonical_tokens(winner)
 
 
+def score_sequence(params, direction, src_ids, canonical, finished=True):
+    """Re-score a canonical-order sequence under the given direction."""
+    toks = list(canonical)
+    if direction == R2L:
+        toks.reverse()
+    if finished:
+        toks.append(EOS_ID)
+    hyp = Hypothesis(tuple(toks), 0.0, direction, finished)
+    with no_grad():
+        return hypothesis_log_prob(params, src_ids, [hyp]).item()
+
+
 class TestReversalRoundTrip:
     def test_r2l_winner_rescored_identically(self):
         for seed in range(4):
@@ -294,7 +305,7 @@ class TestReversalRoundTrip:
         params = tiny_params(31)
         src = np.array([[5, 6]])
         hyp = Hypothesis((7, 8, EOS_ID), 0.0, L2R, True)
-        lp = hypothesis_log_prob(params, src, hyp)
+        lp = hypothesis_log_prob(params, src, [hyp])
         from eqgen.numerics import backward
 
         backward(lp)

@@ -23,7 +23,6 @@ from eqgen.model import (
     make_batch,
     param_specs,
     save_checkpoint,
-    sinusoidal_pe,
 )
 from eqgen.numerics import Tensor, backward
 from fdcheck import fd_grad, rel_err
@@ -45,6 +44,16 @@ def tiny_config(**kw):
     return ModelConfig(**base)
 
 
+def sinusoidal_pe(position: int, dim: int) -> np.ndarray:
+    """Oracle for one row of the position table: entry 2i is
+    sin(pos / 10000^(2i/dim)), entry 2i+1 the cos of the same angle."""
+    out = np.empty(dim)
+    for i in range(dim // 2):
+        angle = position / 10000.0 ** (2 * i / dim)
+        out[2 * i], out[2 * i + 1] = math.sin(angle), math.cos(angle)
+    return out
+
+
 class TestSinusoidalPe:
     def test_position_zero(self):
         assert np.allclose(sinusoidal_pe(0, 4), [0.0, 1.0, 0.0, 1.0])
@@ -56,10 +65,6 @@ class TestSinusoidalPe:
     def test_range(self):
         for pos in (0, 1, 17, 999):
             assert np.max(np.abs(sinusoidal_pe(pos, 32))) <= 1.0
-
-    def test_odd_dim_rejected(self):
-        with pytest.raises(ConfigError):
-            sinusoidal_pe(0, 5)
 
     def test_matches_table(self):
         table = M._pe_table(8, 10, "float64")
@@ -75,6 +80,24 @@ class TestConfig:
     def test_layers_positive(self):
         with pytest.raises(ConfigError):
             tiny_config(layers=0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"heads": 0}, "heads must be at least 1, got 0"),
+            ({"model_dim": -4, "heads": 2}, "model_dim must be at least 1, got -4"),
+            ({"ff_dim": -1}, "ff_dim must be at least 1, got -1"),
+            ({"embed_dim": 0}, "embed_dim must be at least 1, got 0"),
+            ({"max_positions": 0}, "max_positions must be at least 1, got 0"),
+            ({"dropout": 1.0}, "dropout must be in [0, 1), got 1.0"),
+            ({"dropout": -0.5}, "dropout must be in [0, 1), got -0.5"),
+            ({"model_dim": 9, "heads": 3}, "model_dim must be even for sinusoidal positions"),
+        ],
+    )
+    def test_out_of_range_rejected(self, bad, message):
+        with pytest.raises(ConfigError) as e:
+            tiny_config(**bad)
+        assert str(e.value) == message
 
 
 class TestEncode:
@@ -370,4 +393,4 @@ class TestCheckpoint:
         specs = param_specs(cfg)
         params = init_params(cfg, 0)
         assert set(specs) == {name for name, _ in params.named()}
-        assert params.num_parameters > 0
+        assert sum(t.data.size for _, t in params.named()) > 0

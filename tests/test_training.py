@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -185,17 +186,17 @@ class TestReinforceStep:
         r_b = baseline(rewards)
         loss = None
         for hyp, r in ((hyp_good, rewards[0]), (hyp_bad, rewards[1])):
-            term = decoding.hypothesis_log_prob(params, src, hyp) * (-(r - r_b) / 2)
+            term = decoding.hypothesis_log_prob(params, src, [hyp]) * (-(r - r_b) / 2)
             loss = term if loss is None else loss + term
         backward(loss)
-        lp_good_0 = decoding.hypothesis_log_prob(params, src, hyp_good).item()
-        lp_bad_0 = decoding.hypothesis_log_prob(params, src, hyp_bad).item()
+        lp_good_0 = decoding.hypothesis_log_prob(params, src, [hyp_good]).item()
+        lp_bad_0 = decoding.hypothesis_log_prob(params, src, [hyp_bad]).item()
         alpha = 1e-3
         for _, t in params.named():
             if t.grad is not None:
                 t.data -= alpha * t.grad
-        lp_good_1 = decoding.hypothesis_log_prob(params, src, hyp_good).item()
-        lp_bad_1 = decoding.hypothesis_log_prob(params, src, hyp_bad).item()
+        lp_good_1 = decoding.hypothesis_log_prob(params, src, [hyp_good]).item()
+        lp_bad_1 = decoding.hypothesis_log_prob(params, src, [hyp_bad]).item()
         assert lp_good_1 > lp_good_0
         assert lp_bad_1 < lp_bad_0
 
@@ -250,7 +251,7 @@ def assert_matches_reference(params, src, pool):
 
 
 def rewarded(hyps, rewards):
-    return [RewardSample(h, [], r) for h, r in zip(hyps, rewards)]
+    return [RewardSample(h, r) for h, r in zip(hyps, rewards)]
 
 
 class TestBatchedPolicyLoss:
@@ -373,8 +374,10 @@ class TestReinforceStepPasses:
 
 class TestTrainDriver:
     def test_seed_determinism_epoch0(self):
-        config, insts, vocab = small_setup(n=8)
-        s = TrainSettings(epochs=1, lr=1e-3, batch_size=4, seed=11)
+        # more instances than one MLE batch holds, so the shuffle splits them
+        config, insts, vocab = small_setup(n=20)
+        assert len(insts) > training.MLE_BATCH_SIZE
+        s = TrainSettings(epochs=1, lr=1e-3, seed=11)
         _, m1 = train(config, insts, vocab, s)
         _, m2 = train(config, insts, vocab, s)
         assert m1[0]["loss_l2r"] == m2[0]["loss_l2r"]
@@ -382,7 +385,7 @@ class TestTrainDriver:
 
     def test_metrics_schema(self):
         config, insts, vocab = small_setup(n=8)
-        s = TrainSettings(epochs=2, lr=1e-3, batch_size=4, seed=12, eval_beam=2, max_len=24)
+        s = TrainSettings(epochs=2, lr=1e-3, seed=12)
         _, metrics = train(config, insts, vocab, s)
         keys = {
             "epoch",
@@ -403,7 +406,7 @@ class TestTrainDriver:
 
         config, insts, vocab = small_setup(n=6)
         log = tmp_path / "metrics.jsonl"
-        s = TrainSettings(epochs=2, lr=1e-3, batch_size=3, seed=13, log_path=str(log), eval_beam=2, max_len=24)
+        s = TrainSettings(epochs=2, lr=1e-3, seed=13, log_path=str(log))
         train(config, insts, vocab, s)
         lines = log.read_text().strip().splitlines()
         assert len(lines) == 2
@@ -412,12 +415,18 @@ class TestTrainDriver:
 
     def test_rl_phase_runs(self):
         config, insts, vocab = small_setup(n=6)
-        s = TrainSettings(
-            epochs=2, lr=1e-3, batch_size=3, seed=14,
-            rl_epochs=1, rl_lr=1e-5, rl_beam=2, max_len=24, eval_beam=2,
-        )
+        s = TrainSettings(epochs=2, lr=1e-3, seed=14, rl_epochs=1, rl_lr=1e-5, rl_beam=2)
         params, metrics = train(config, insts, vocab, s)
         assert any(rec["split"] == "rl-train" for rec in metrics)
+
+    def test_rl_counts_instances_without_answers(self):
+        config, insts, vocab = small_setup(n=3)
+        params = init_params(config, 16)
+        first = insts[0]
+        unanswered = dataclasses.replace(first, problem=dataclasses.replace(first.problem, answers=[]))
+        s = TrainSettings(seed=16, rl_epochs=2, rl_beam=2)
+        metrics = training.run_rl(params, vocab, [unanswered, *insts[1:]], s)
+        assert [(rec["split"], rec["skipped"]) for rec in metrics] == [("rl-train", 1)] * 2
 
 
 class TestGradClip:
