@@ -45,6 +45,8 @@ def _error(message: str) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 0:
+        return _error(f"--n must be at least 0, got {args.n}")
     templates = None
     if args.templates and args.templates != "all":
         templates = [t.strip() for t in args.templates.split(",") if t.strip()]

@@ -31,14 +31,14 @@ import numpy as np
 
 from .numerics import (
     Tensor,
+    attention,
     cross_entropy,
     dropout,
     embedding,
     layer_norm,
-    matmul,
+    linear,
     no_grad,
     relu,
-    softmax,
 )
 
 PAD_ID, BOS_ID, BOSR_ID, EOS_ID, UNK_ID = 0, 1, 2, 3, 4
@@ -235,10 +235,6 @@ def _key_mask(pad: np.ndarray) -> Optional[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return matmul(x, w) + b
-
-
 def _maybe_dropout(x: Tensor, config: ModelConfig, train: bool, rng) -> Tensor:
     if not train or config.dropout <= 0.0:
         return x
@@ -247,19 +243,11 @@ def _maybe_dropout(x: Tensor, config: ModelConfig, train: bool, rng) -> Tensor:
     return dropout(x, config.dropout, rng)
 
 
-def _heads(x: Tensor, heads: int) -> Tensor:
-    """(B, t, d) -> (B, heads, t, d // heads)."""
-    bsz, t, d = x.shape
-    return x.reshape((bsz, t, heads, d // heads)).swapaxes(1, 2)
-
-
 def _project_kv(params: ModelParams, prefix: str, x_kv: Tensor) -> tuple[Tensor, Tensor]:
     """Keys and values of ``x_kv`` for the attention at ``prefix``, each
-    split into heads as (B, heads, t_k, head_dim)."""
+    (B, t_k, model_dim) like ``x_kv``."""
     p = params.tensors
-    k = _linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-    v = _linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-    return _heads(k, params.config.heads), _heads(v, params.config.heads)
+    return linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
 
 
 def _attend(
@@ -270,27 +258,16 @@ def _attend(
     v: Tensor,
     mask: Optional[np.ndarray],
 ) -> Tensor:
-    """Scaled dot-product attention of ``x_q`` over projected keys/values.
+    """Multi-head attention of ``x_q`` (B, t_q, d) over projected keys and
+    values (B, t_k, d), followed by the output projection.
 
-    Keys/values of batch 1 under a query batch of several rows are shared by
-    every row: the rows are folded into the query axis, so one
-    (1, heads, rows * t_q, head_dim) product serves them all and the keys are
-    never broadcast. ``mask`` must then have batch 1 as well.
+    Keys/values of batch 1 are shared by every query row (see
+    ``numerics.attention``); ``mask`` must then have batch 1 as well.
     """
     p = params.tensors
-    heads = params.config.heads
-    bsz, t_q, d = x_q.shape
-    hd = d // heads
-    q = _linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-    if k.shape[0] != bsz:
-        q = q.reshape((1, bsz * t_q, d))
-    q = _heads(q, heads)
-    scores = matmul(q, k.swapaxes(2, 3)) * (1.0 / math.sqrt(hd))
-    if mask is not None:
-        scores = scores + Tensor(np.asarray(mask, dtype=scores.dtype))
-    ctx = matmul(softmax(scores, axis=-1), v)
-    ctx = ctx.swapaxes(1, 2).reshape((bsz, t_q, d))
-    return _linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    q = linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    ctx = attention(q, k, v, params.config.heads, mask)
+    return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def _sublayer(params, prefix_ln: str, x: Tensor, out: Tensor, train: bool, rng) -> Tensor:
@@ -301,7 +278,7 @@ def _sublayer(params, prefix_ln: str, x: Tensor, out: Tensor, train: bool, rng) 
 
 def _ffn(params, prefix: str, x: Tensor) -> Tensor:
     p = params.tensors
-    return _linear(relu(_linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])), p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+    return linear(relu(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])), p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def as_batch(ids) -> np.ndarray:
@@ -325,7 +302,7 @@ def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tenso
         raise ConfigError(f"source length {src.shape[1]} exceeds max_positions {cfg.max_positions}")
     s = src.shape[1]
     x = embedding(params["src_embed"], src)
-    x = _linear(x, params["src_proj.w"], params["src_proj.b"]) * math.sqrt(cfg.model_dim)
+    x = linear(x, params["src_proj.w"], params["src_proj.b"]) * math.sqrt(cfg.model_dim)
     x = x + Tensor(_pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[:s])
     x = _maybe_dropout(x, cfg, train, rng)
     mask = _key_mask(src == PAD_ID)
@@ -347,9 +324,11 @@ class DecoderCache:
     """Decode-only state of one incremental decoder pass.
 
     Holds, per layer, the self-attention keys/values of the ``length``
-    positions fed so far (one row per live hypothesis) and the
-    cross-attention keys/values, projected once from the shared batch-1
-    encoder memory. ``reorder`` reindexes the rows after the beam's top-k
+    positions fed so far, each a (rows, length, model_dim) array with one
+    row per live hypothesis, and the cross-attention keys/values, each a
+    (1, source length, model_dim) tensor projected once from the shared
+    batch-1 encoder memory. Heads are split inside ``numerics.attention``,
+    not in the cache. ``reorder`` reindexes the rows after the beam's top-k
     selection; the memory keys/values are shared and never reindexed.
     """
 
@@ -367,8 +346,8 @@ class DecoderCache:
             self.self_kv.append((k.data, v.data))
             return k, v
         old_k, old_v = self.self_kv[layer]
-        k_all = np.concatenate((old_k, k.data), axis=2)
-        v_all = np.concatenate((old_v, v.data), axis=2)
+        k_all = np.concatenate((old_k, k.data), axis=1)
+        v_all = np.concatenate((old_v, v.data), axis=1)
         self.self_kv[layer] = (k_all, v_all)
         return Tensor(k_all), Tensor(v_all)
 
@@ -438,7 +417,7 @@ def decoder_forward(
             x = _sublayer(params, f"{layer}.ln3", x, _ffn(params, f"{layer}.ff", x), train, rng)
         if cache is not None:
             cache.length += t
-        return _linear(x, params[f"out_{direction}.w"], params[f"out_{direction}.b"])
+        return linear(x, params[f"out_{direction}.w"], params[f"out_{direction}.b"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,18 @@ on its output, ``backward()`` replays the closures in reverse topological
 order and accumulates gradients. Storage is row-major, float32 or float64.
 Any op that produces NaN/Inf raises immediately rather than letting it
 propagate through training.
+
+Each op costs a fixed Python overhead, so the Transformer's two hot
+patterns are single fused ops with hand-written backward passes:
+``linear`` is ``x @ w + b`` and ``attention`` is the whole multi-head core
+(head split, scaled scores, additive mask, softmax, context product and
+head merge) on ``(B, t, d)`` operands.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,12 +96,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        return swapaxes(self, a, b)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -213,38 +214,65 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Supports (..., m, k) @ (k, n) and batched operands
-    with identical leading dimensions."""
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} @ {bd.shape}")
-    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul batch dimensions differ: {ad.shape} @ {bd.shape}")
-    data = ad @ bd
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for (..., k) inputs, a (k, n) weight and an (n,) bias."""
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1] or b.shape != wd.shape[1:]:
+        raise ShapeError(f"linear needs (..., k) @ (k, n) + (n,), got {xd.shape} @ {wd.shape} + {b.shape}")
+    data = xd @ wd
+    data += b.data
 
     def bw(g):
-        ga = g @ np.swapaxes(bd, -1, -2)
-        if bd.ndim == 2 and ad.ndim > 2:
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = np.swapaxes(ad, -1, -2) @ g
-        return ga, gb
+        g2 = g.reshape(-1, g.shape[-1])
+        return g @ wd.T, xd.reshape(-1, xd.shape[-1]).T @ g2, g2.sum(axis=0)
 
-    return _result(data, (a, b), bw)
+    return _result(data, (x, w, b), bw)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.shape
-    data = a.data.reshape(shape)
-    return _result(data, (a,), lambda g: (g.reshape(old),))
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Multi-head scaled dot-product attention, softmax(q kᵀ / √hd + mask) v.
 
+    ``q`` is (B, t_q, d) and ``k``/``v`` are (B, t_k, d) or, shared by every
+    query row, (1, t_k, d): the rows are then folded into the query axis, so
+    one (1, heads, B * t_q, hd) product serves them all and the keys are
+    never broadcast. ``mask`` is added to the (B, heads, t_q, t_k) scores, or
+    to the folded scores, and must broadcast to them.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or kd.shape[2] != qd.shape[2]
+            or kd.shape[0] not in (1, qd.shape[0]) or qd.shape[2] % heads):
+        raise ShapeError(f"attention needs q (B, t, d), k = v (B or 1, t, d) and heads dividing d; "
+                         f"got {qd.shape}, {kd.shape}, {vd.shape}, {heads} heads")
+    bsz, t_q, d = qd.shape
+    kb, t_k = kd.shape[:2]
+    hd = d // heads
+    rows, t = (1, bsz * t_q) if kb != bsz else (bsz, t_q)
 
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    data = np.swapaxes(a.data, ax1, ax2)
-    return _result(data, (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
+    def split(x, n, m):
+        return x.reshape(n, m, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x, n):
+        return x.transpose(0, 2, 1, 3).reshape(n, -1, d)
+
+    qh, kh, vh = split(qd, rows, t), split(kd, kb, t_k), split(vd, kb, t_k)
+    scale = 1.0 / math.sqrt(hd)  # a Python float keeps float32 scores float32
+    s = qh @ kh.swapaxes(-1, -2)
+    s *= scale
+    if mask is not None:
+        s += mask
+    s -= s.max(axis=-1, keepdims=True)
+    p = np.exp(s)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = merge(p @ vh, bsz)
+
+    def bw(g):
+        gc = split(g, rows, t)
+        gp = gc @ vh.swapaxes(-1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= scale
+        return merge(gs @ kh, bsz), merge(gs.swapaxes(-1, -2) @ qh, kb), merge(p.swapaxes(-1, -2) @ gc, kb)
+
+    return _result(data, (q, k, v), bw)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -263,18 +291,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return _result(a.data * mask, (a,), lambda g: (g * mask,))
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max is subtracted first)."""
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
-
-    return _result(p, (a,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

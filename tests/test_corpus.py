@@ -352,6 +352,14 @@ class TestCli:
         assert err.startswith("eqgen: error: unknown template 'bogus'") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_negative_gen_count_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "gen.jsonl"
+        capsys.readouterr()
+        assert cli_main(["gen", "--n", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "eqgen: error: --n must be at least 0, got -1\n"
+        assert captured.out == "" and not out.exists()
+
     def test_solve_undefined_symbol_is_one_line_error(self, capsys):
         capsys.readouterr()
         assert cli_main(["solve", "--eq", "N_5=x", "--nums", "1"]) == 2

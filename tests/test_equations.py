@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqgen.equations import (
+    ANSWER_REL_TOL,
     BinOp,
     Equation,
     EquationList,
@@ -242,6 +243,49 @@ class TestSolve:
     def test_quadratic_shape_hidden_in_products(self):
         sol = solve(parse("(x-1)*(x-3)=0"))
         assert sol.values() == [F(1), F(3)]
+
+
+_solvable_leaves = st.one_of(
+    st.integers(-9, 9).map(lambda n: Lit(F(n))),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6).map(Lit),
+    st.sampled_from("xyz").map(Var),
+)
+_solvable_exprs = st.recursive(_solvable_leaves, _compound, max_leaves=8)
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def _quadratic(a, b, c, rhs):
+    """a*x^2 + b*x + c = rhs, mostly with irrational roots."""
+    square = BinOp("*", Lit(a), BinOp("^", Var("x"), Lit(F(2))))
+    return EquationList((Equation(BinOp("+", BinOp("+", square, BinOp("*", Lit(b), Var("x"))), Lit(c)), rhs),))
+
+
+_solvable_programs = st.one_of(
+    st.lists(st.builds(Equation, _solvable_exprs, _solvable_exprs), min_size=1, max_size=3).map(
+        lambda eqs: EquationList(tuple(eqs))
+    ),
+    st.builds(_quadratic, _coeffs.filter(bool), _coeffs, _coeffs, _solvable_leaves),
+)
+
+
+class TestSolveProperty:
+    @settings(deadline=None, max_examples=300)
+    @given(_solvable_programs)
+    def test_every_solution_satisfies_every_equation(self, ast):
+        # rational solutions exactly; irrational quadratic roots (floats)
+        # within the answer tolerance, as check_answer compares them. A
+        # variable that cancels out (x = x) is free, so any value will do.
+        sol = solve(ast)
+        if sol.status != "solved":
+            return
+        for assignment in sol.solutions:
+            env = {"x": F(3), "y": F(3), "z": F(3), **assignment}
+            for eq in ast.equations:
+                lhs, rhs = eval_expr(eq.lhs, env), eval_expr(eq.rhs, env)
+                if all(isinstance(v, Fraction) for v in assignment.values()):
+                    assert lhs == rhs, (to_string(ast), assignment)
+                else:
+                    assert abs(lhs - rhs) <= ANSWER_REL_TOL * max(1.0, abs(rhs)), (to_string(ast), assignment)
 
 
 class TestCheckAnswer:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import unfused
+from eqgen import decoding
 from eqgen import model as M
+from eqgen import numerics as nm
 from eqgen.model import (
     BOS_ID,
     BOSR_ID,
@@ -357,6 +360,95 @@ class TestComposedGradients:
                 fd = (up - dn) / 2e-5
                 worst = max(worst, abs(gflat[idx] - fd) / max(1.0, abs(fd)))
         assert worst < 1e-4
+
+
+def _loss_logits_grads(params, build):
+    """The loss ``build`` returns with the logits it recorded, and a copy of
+    every parameter gradient after one backward pass."""
+    params.zero_grad()
+    loss, logits = build()
+    backward(loss)
+    return loss.item(), logits, {name: t.grad.copy() for name, t in params.named() if t.grad is not None}
+
+
+class TestFusedOpsMatchUnfusedGraph:
+    """Whole passes through ``numerics.linear`` / ``numerics.attention``
+    against the same passes with both ops rebuilt from small ops."""
+
+    def compare(self, monkeypatch, params, build):
+        fused = _loss_logits_grads(params, build)
+        with monkeypatch.context() as m:
+            m.setattr(M, "linear", unfused.linear)
+            m.setattr(M, "attention", unfused.attention)
+            ref = _loss_logits_grads(params, build)
+        assert abs(fused[0] - ref[0]) < 1e-12
+        assert len(fused[1]) == len(ref[1]) > 0
+        for a, b in zip(fused[1], ref[1]):
+            assert np.max(np.abs(a - b)) < 1e-12
+        assert fused[2].keys() == ref[2].keys()
+        for name, g in fused[2].items():
+            assert np.max(np.abs(g - ref[2][name])) < 1e-12, name
+
+    def recording(self, monkeypatch):
+        """Patch decoder_forward to keep every logits array it returns."""
+        logits, real = [], M.decoder_forward
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            logits.append(out.data)
+            return out
+
+        monkeypatch.setattr(M, "decoder_forward", spy)
+        monkeypatch.setattr(decoding, "decoder_forward", spy)
+        return logits
+
+    def test_joint_loss_in_training_mode(self, monkeypatch):
+        params = init_params(tiny_config(layers=2, dropout=0.1), 14)
+        batch = make_batch([[5, 6, 7, 8], [9, 10], [11, 5, 6]], [[6, 7, 5], [8], [9, 10, 6, 7]])
+        logits = self.recording(monkeypatch)
+
+        def build():
+            logits.clear()
+            parts = joint_loss(params, batch, train=True, rng=np.random.default_rng(3))
+            return parts.total, list(logits)
+
+        self.compare(monkeypatch, params, build)
+
+    def test_batched_hypothesis_log_prob(self, monkeypatch):
+        # three rows over one batch-1 memory: the folded attention path
+        params = init_params(tiny_config(layers=2), 15)
+        src = np.array([5, 6, 7, PAD_ID])
+        hyps = [decoding.Hypothesis((6, 7, EOS_ID), -1.0, R2L, True),
+                decoding.Hypothesis((8, 9, 10, 6, EOS_ID), -2.0, R2L, True),
+                decoding.Hypothesis((PAD_ID, 7), -3.0, R2L, False)]
+        logits = self.recording(monkeypatch)
+
+        def build():
+            logits.clear()
+            lp = decoding.hypothesis_log_prob(params, src, hyps, weights=[0.5, -1.0, 2.0])
+            return lp, list(logits)
+
+        self.compare(monkeypatch, params, build)
+
+
+class TestOpCount:
+    @pytest.mark.parametrize("rows", [1, 10])
+    def test_cached_decoder_call_makes_at_most_45_ops(self, monkeypatch, rows):
+        # the default config: 2 layers, width 64, 4 heads
+        params = init_params(ModelConfig(vocab_src=13, vocab_tgt=11), 16)
+        src = np.array([[5, 6, 7, 8]])
+        memory = encode(params, src)
+        cache = DecoderCache()
+        decoder_forward(params, L2R, np.full((rows, 3), 5), memory, src == PAD_ID, cache=cache)
+        calls, real = [], nm._result
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(nm, "_result", counting)
+        decoder_forward(params, L2R, np.full((rows, 1), 6), memory, src == PAD_ID, cache=cache)
+        assert 0 < len(calls) <= 45
 
 
 class TestCheckpoint:

@@ -12,12 +12,14 @@ from eqgen.numerics import (
     cross_entropy,
     dropout,
     embedding,
+    attention,
     layer_norm,
-    matmul,
+    linear,
     relu,
-    softmax,
 )
 from fdcheck import check_op_grad, fd_grad, rel_err
+import unfused
+from unfused import matmul, reshape, softmax, swapaxes
 
 
 def T(data, grad=False):
@@ -82,6 +84,104 @@ class TestSoftmax:
         p1 = softmax(T(x), axis=-1).data
         p2 = softmax(T(x + 123.456), axis=-1).data
         assert np.max(np.abs(p1 - p2)) < 1e-9
+
+
+def _attention_case(rng, q_rows=2, kv_rows=2, t_q=3, t_k=4, d=6):
+    return (rng.normal(size=(q_rows, t_q, d)), rng.normal(size=(kv_rows, t_k, d)),
+            rng.normal(size=(kv_rows, t_k, d)))
+
+
+def _fused_vs_unfused(fused, ref, arrays, w):
+    """Outputs and input gradients of ``(op(*inputs) * w).sum()`` through the
+    fused op and through the unfused reference graph."""
+    out = []
+    for op in (fused, ref):
+        leaves = [T(a, grad=True) for a in arrays]
+        y = op(*leaves)
+        backward((y * Tensor(w)).sum())
+        out.append((y.data, [leaf.grad for leaf in leaves]))
+    return out
+
+
+class TestLinear:
+    def test_matches_unfused_graph(self):
+        rng = np.random.default_rng(30)
+        arrays = (rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,)))
+        (y, gs), (y_ref, gs_ref) = _fused_vs_unfused(linear, unfused.linear, arrays, rng.normal(size=(2, 3, 5)))
+        assert np.max(np.abs(y - y_ref)) < 1e-12
+        for g, g_ref in zip(gs, gs_ref):
+            assert g.shape == g_ref.shape and np.max(np.abs(g - g_ref)) < 1e-12
+
+    @pytest.mark.parametrize("x, w, b", [
+        ((2, 3), (4, 5), (5,)),  # inner dimensions differ
+        ((2, 4), (4, 5), (4,)),  # bias does not match the output width
+        ((2, 4), (4, 5), (1, 5)),  # bias is not 1-d
+        ((2, 4), (2, 4, 5), (5,)),  # weight is not 2-d
+    ])
+    def test_shape_mismatch(self, x, w, b):
+        with pytest.raises(ShapeError):
+            linear(T(np.zeros(x)), T(np.zeros(w)), T(np.zeros(b)))
+
+    def test_nan_raises(self):
+        # inf + (-inf) in one output entry
+        x = T([[1e308, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            linear(x, T([[10.0], [-10.0]]), T([0.0]))
+
+
+class TestAttention:
+    def test_zero_queries_average_the_values(self):
+        rng = np.random.default_rng(31)
+        _, k, v = _attention_case(rng)
+        out = attention(T(np.zeros((2, 3, 6))), T(k), T(v), 2).data
+        assert np.max(np.abs(out - v.mean(axis=1, keepdims=True))) < 1e-12
+
+    def test_masked_keys_get_no_weight(self):
+        rng = np.random.default_rng(32)
+        q, k, v = _attention_case(rng)
+        mask = np.zeros((2, 1, 1, 4))
+        mask[:, :, :, 2:] = -1e9
+        out = attention(T(q), T(k), T(v), 3, mask).data
+        assert np.max(np.abs(out - attention(T(q), T(k[:, :2]), T(v[:, :2]), 3).data)) < 1e-12
+
+    @pytest.mark.parametrize("q_rows, kv_rows, mask_shape", [
+        (2, 2, None),
+        (2, 2, (2, 1, 1, 4)),  # key padding
+        (2, 2, (1, 1, 3, 4)),  # causal-style, shared by every row
+        (3, 1, None),  # folded: one set of keys/values under three query rows
+        (3, 1, (1, 1, 1, 4)),  # folded and masked
+    ])
+    def test_matches_unfused_graph(self, q_rows, kv_rows, mask_shape):
+        rng = np.random.default_rng(33)
+        arrays = _attention_case(rng, q_rows, kv_rows)
+        mask = None
+        if mask_shape is not None:
+            mask = np.where(rng.random(mask_shape) < 0.3, -1e9, 0.0)
+            mask[..., 0] = 0.0  # every query keeps one key
+        w = rng.normal(size=(q_rows, 3, 6))
+        (y, gs), (y_ref, gs_ref) = _fused_vs_unfused(
+            lambda q, k, v: attention(q, k, v, 2, mask),
+            lambda q, k, v: unfused.attention(q, k, v, 2, mask), arrays, w)
+        assert np.max(np.abs(y - y_ref)) < 1e-12
+        for g, g_ref in zip(gs, gs_ref):
+            assert g.shape == g_ref.shape and np.max(np.abs(g - g_ref)) < 1e-12
+
+    @pytest.mark.parametrize("q, k, v, heads", [
+        ((2, 3, 6), (2, 4, 6), (2, 4, 6), 4),  # heads do not divide d
+        ((2, 3, 6), (2, 4, 6), (2, 5, 6), 2),  # keys and values differ
+        ((2, 3, 6), (2, 4, 8), (2, 4, 8), 2),  # key width is not d
+        ((3, 3, 6), (2, 4, 6), (2, 4, 6), 2),  # key batch neither 1 nor B
+        ((3, 6), (4, 6), (4, 6), 2),  # no batch axis
+    ])
+    def test_shape_mismatch(self, q, k, v, heads):
+        with pytest.raises(ShapeError):
+            attention(T(np.zeros(q)), T(np.zeros(k)), T(np.zeros(v)), heads)
+
+    def test_nan_raises(self):
+        # scores of +inf: softmax subtracts inf from inf
+        big = np.full((1, 2, 2), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            attention(T(big), T(big), T(np.ones((1, 2, 2))), 1)
 
 
 class TestLayerNorm:
@@ -237,6 +337,30 @@ class TestFiniteDifferences:
         err = check_op_grad(lambda w: matmul(Tensor(a0), w).sum(), w0)
         assert err < 1e-4
 
+    def test_linear_all_inputs(self):
+        rng = np.random.default_rng(23)
+        x0, w0, b0 = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))
+        c = Tensor(rng.normal(size=(2, 3, 5)))
+        err_x = check_op_grad(lambda x: (linear(x, Tensor(w0), Tensor(b0)) * c).sum(), x0)
+        err_w = check_op_grad(lambda w: (linear(Tensor(x0), w, Tensor(b0)) * c).sum(), w0)
+        err_b = check_op_grad(lambda b: (linear(Tensor(x0), Tensor(w0), b) * c).sum(), b0)
+        assert max(err_x, err_w, err_b) < 1e-4
+
+    @pytest.mark.parametrize("q_rows, kv_rows", [(2, 2), (3, 1)])
+    def test_attention_all_inputs_masked(self, q_rows, kv_rows):
+        # (2, 2): a padded key per row; (3, 1): folded rows under one key set
+        rng = np.random.default_rng(24)
+        q0, k0, v0 = _attention_case(rng, q_rows, kv_rows)
+        mask = np.zeros((kv_rows, 1, 1, 4))
+        mask[-1, :, :, -1] = -1e9
+        c = Tensor(rng.normal(size=(q_rows, 3, 6)))
+        errs = [
+            check_op_grad(lambda q: (attention(q, Tensor(k0), Tensor(v0), 2, mask) * c).sum(), q0),
+            check_op_grad(lambda k: (attention(Tensor(q0), k, Tensor(v0), 2, mask) * c).sum(), k0),
+            check_op_grad(lambda v: (attention(Tensor(q0), Tensor(k0), v, 2, mask) * c).sum(), v0),
+        ]
+        assert max(errs) < 1e-4
+
     def test_softmax(self):
         rng = np.random.default_rng(15)
         w = Tensor(rng.normal(size=(7,)))
@@ -280,7 +404,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(19)
         w = Tensor(rng.normal(size=(4, 3, 2)))
         err = check_op_grad(
-            lambda x: (x.reshape((2, 3, 4)).swapaxes(0, 2) * w).sum(),
+            lambda x: (swapaxes(reshape(x, (2, 3, 4)), 0, 2) * w).sum(),
             rng.normal(size=(6, 4)),
         )
         assert err < 1e-4

@@ -14,6 +14,7 @@ from eqgen.model import (
     PAD_ID,
     R2L,
     ModelConfig,
+    ModelParams,
     as_batch,
     decoder_forward,
     encode,
@@ -126,6 +127,24 @@ class TestMleStep:
         for _ in range(199):
             last = mle_step(params, opt, batch, rng=rng).total.item()
         assert last < 0.01 * first
+
+    def test_float32_step_stays_float32_and_matches_float64(self):
+        # float32 keeps ~7 significant digits; the gradients sum a few hundred
+        # terms, so 1e-5 of each tensor's largest gradient (about 80 float32
+        # epsilons) is the tolerance. Dropout is on, with the same mask seed.
+        config, insts, vocab = small_setup(layers=2, dropout=0.1, dtype="float32")
+        p32 = init_params(config, 6)
+        p64 = ModelParams(dataclasses.replace(config, dtype="float64"),
+                          {name: Tensor(t.data.astype(np.float64), requires_grad=True) for name, t in p32.named()})
+        batch = batch_of(vocab, insts)
+        loss32 = mle_step(p32, Adam(p32, lr=1e-3), batch, rng=np.random.default_rng(1))
+        loss64 = mle_step(p64, Adam(p64, lr=1e-3), batch, rng=np.random.default_rng(1))
+        assert loss32.total.dtype == np.float32 and loss64.total.dtype == np.float64
+        assert loss32.total.item() == pytest.approx(loss64.total.item(), rel=1e-5)
+        for name, t in p32.named():
+            want = p64[name].grad
+            assert t.grad.dtype == np.float32 and t.data.dtype == np.float32, name
+            assert np.max(np.abs(t.grad - want)) <= 1e-5 * max(1.0, np.max(np.abs(want))), name
 
     def test_divergence_aborts_with_diagnostic(self):
         config, insts, vocab = small_setup()
