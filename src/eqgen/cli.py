@@ -7,15 +7,25 @@ Subcommands:
     rl          REINFORCE fine-tuning from a checkpoint
     eval        fold-wise answer accuracy of a checkpoint
     solve       parse/substitute/solve one equation list (debugging)
+
+BLAS runs one thread unless the environment says otherwise: importing this
+module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
+where they are unset, before numpy is loaded. The model's products are
+small, and extra BLAS threads cost more CPU time than they save wall time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import typing
 from fractions import Fraction
+
+# before the imports below load numpy, which reads these once
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from . import corpus, equations, numbering, training
 from .corpus import DatasetError, TemplateError, Vocabulary
@@ -134,17 +144,13 @@ def cmd_eval(args) -> int:
     vocab = Vocabulary(src_tokens, tgt_tokens)
     instances, unalignable = corpus.prepare_all(corpus.load(args.data))
     report: dict = {"n": len(instances), "unalignable": unalignable, "folds": []}
+    # every instance is decoded once; each fold sums the reports of its instances
+    each = corpus.evaluate_each(params, vocab, instances, args.beam)
     if args.folds >= 2:
-        # the folds partition the instances, so their reports sum to the overall one
-        overall = corpus.EvalReport(0, 0, 0, 0)
         for fold_idx, fold in enumerate(corpus.folds(len(instances), args.folds, args.seed)):
-            split = [instances[i] for i in fold]
-            r = corpus.evaluate(params, vocab, split, args.beam)
+            r = sum((each[i] for i in fold), corpus.EvalReport(0, 0, 0, 0))
             report["folds"].append({"fold": fold_idx, **r.as_dict()})
-            overall = overall + r
-    else:
-        overall = corpus.evaluate(params, vocab, instances, args.beam)
-    report["overall"] = overall.as_dict()
+    report["overall"] = sum(each, corpus.EvalReport(0, 0, 0, 0)).as_dict()
     print(json.dumps(report, indent=2))
     return 0
 

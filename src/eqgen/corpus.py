@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import decoding, equations, numbering
-from .model import ModelParams, NUM_RESERVED, PAD_ID, UNK_ID
+from .model import ModelParams, NUM_RESERVED, UNK_ID
 from .numbering import (
     EquationTemplate,
     NumberMapping,
@@ -423,6 +421,38 @@ class EvalReport:
         }
 
 
+DECODE_CHUNK_SIZE = 16  # problems per batched beam search in evaluation
+
+
+def evaluate_each(
+    params: ModelParams,
+    vocab: Vocabulary,
+    instances: Sequence[PreparedInstance],
+    beam_size: int = 10,
+    max_len: int = 64,
+) -> list[EvalReport]:
+    """One report over a single instance per instance, in order: decode
+    both directions, vote, substitute, solve, compare. Instances are decoded
+    ``DECODE_CHUNK_SIZE`` at a time. Instances that cannot be interpreted at
+    any step count as wrong; the reports are a pure function of (params,
+    instances, flags)."""
+    reports = [EvalReport(1, 0, 0, 0)] * len(instances)
+    todo = [i for i, inst in enumerate(instances) if inst.problem.answers and inst.source]
+    for start in range(0, len(todo), DECODE_CHUNK_SIZE):
+        chunk = todo[start : start + DECODE_CHUNK_SIZE]
+        srcs = [vocab.encode_source(instances[i].source) for i in chunk]
+        for i, (hyps_l, hyps_r) in zip(chunk, decoding.decode_batch(params, srcs, beam_size, max_len)):
+            inst = instances[i]
+            top_l, top_r = hyps_l[0], hyps_r[0]
+            correct = [
+                equations.reward(vocab.decode_target(toks), inst.mapping, inst.problem.answers)
+                for toks in (decoding.canonical_tokens(top_l), decoding.canonical_tokens(top_r),
+                             decoding.vote(top_l, top_r))
+            ]
+            reports[i] = EvalReport(1, *correct)
+    return reports
+
+
 def evaluate(
     params: ModelParams,
     vocab: Vocabulary,
@@ -430,21 +460,5 @@ def evaluate(
     beam_size: int = 10,
     max_len: int = 64,
 ) -> EvalReport:
-    """Decode both directions, vote, substitute, solve, compare. Instances
-    that cannot be interpreted at any step count as wrong; the report is a
-    pure function of (params, instances, flags)."""
-    c_l2r = c_r2l = c_vote = 0
-    for inst in instances:
-        gold = inst.problem.answers
-        if not gold or not inst.source:
-            continue
-        src = np.asarray(vocab.encode_source(inst.source), dtype=np.int64)
-        hyps_l, hyps_r = decoding.decode_both(params, src, beam_size, max_len)
-        top_l, top_r = hyps_l[0], hyps_r[0]
-        toks_l = vocab.decode_target(decoding.canonical_tokens(top_l))
-        toks_r = vocab.decode_target(decoding.canonical_tokens(top_r))
-        toks_v = vocab.decode_target(decoding.vote(top_l, top_r))
-        c_l2r += equations.reward(toks_l, inst.mapping, gold)
-        c_r2l += equations.reward(toks_r, inst.mapping, gold)
-        c_vote += equations.reward(toks_v, inst.mapping, gold)
-    return EvalReport(len(instances), c_l2r, c_r2l, c_vote)
+    """The sum of ``evaluate_each``'s reports: counts over all instances."""
+    return sum(evaluate_each(params, vocab, instances, beam_size, max_len), EvalReport(0, 0, 0, 0))

@@ -1,4 +1,5 @@
-"""Beam search per decoder direction and the two-beam vote.
+"""Beam search per decoder direction, over a batch of problems, and the
+two-beam vote.
 
 Scores are raw sums of token log-probabilities (no length normalization;
 both directions score the same target length for the same final string, so
@@ -10,13 +11,19 @@ reached; leftover live hypotheses then join the pool force-finished with
 ``finished=False``. The result is the pool in pure score order: a
 force-finished hypothesis can outrank a finished one.
 
-Decoding is incremental. The encoder runs once per instance, and each step
-feeds only the newest token of every live hypothesis to the decoder, which
-keeps the earlier positions in a ``DecoderCache``: every layer's
-self-attention keys/values for the prefix, plus its cross-attention
-keys/values projected once from the batch-1 encoder memory and shared by all
-beam rows. After the top-k selection the cache rows are reindexed by each
-surviving hypothesis's parent.
+Decoding is incremental and batched across problems. The encoder runs once
+over the right-padded sources, and each step feeds only the newest token of
+every live hypothesis to the decoder, which keeps the earlier positions in a
+``DecoderCache``: every layer's self-attention keys/values for the prefix,
+plus its cross-attention keys/values projected once from the encoder
+memories. The rows of one problem's beam sit next to each other and every
+problem has the same number of rows; a problem with fewer live hypotheses
+is padded with copies of one of them that score -inf, so no candidate of
+theirs is ever selected. Each problem keeps its own pool and stop rule, and
+a problem that stops leaves the batch with its cache rows and memory. After
+the top-k selection the cache rows are reindexed by each surviving
+hypothesis's parent. ``beam_search`` and ``decode_both`` decode one problem,
+as a batch of one.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .model import (
     as_batch,
     decoder_forward,
     encode,
+    pad_right,
 )
 from .numerics import Tensor, cross_entropy, neg, no_grad
 
@@ -62,66 +70,120 @@ def _begin_id(direction: str) -> int:
     return BOS_ID if direction == L2R else BOSR_ID
 
 
+def _one_problem(src_ids) -> np.ndarray:
+    src = as_batch(src_ids)
+    if src.shape[0] != 1:
+        raise ValueError(f"expected the source of one problem, got {src.shape[0]} rows; see decode_batch")
+    return src
+
+
+def _search(
+    params: ModelParams,
+    direction: str,
+    memory: Tensor,
+    src_pad: np.ndarray,
+    beam_size: int,
+    max_len: int,
+) -> list[list[Hypothesis]]:
+    """Beam search of every problem in the encoder ``memory`` batch in one
+    direction; one score-sorted hypothesis list per problem."""
+    if beam_size < 1:
+        raise ValueError("beam_size must be >= 1")
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    n = memory.shape[0]
+    pools: list[list[Hypothesis]] = [[] for _ in range(n)]
+    live: list[list[tuple[int, ...]]] = [[()] for _ in range(n)]
+    live_scores: list[list[float]] = [[0.0] for _ in range(n)]
+    active = list(range(n))  # the problem at each batch position
+    scores = np.zeros((n, 1))  # (batch, rows per problem), -inf on padding rows
+    cache = DecoderCache()
+    dec_in = np.full((n, 1), _begin_id(direction), dtype=np.int64)
+    for _ in range(max_len):
+        logits = decoder_forward(params, direction, dec_in, memory, src_pad, cache=cache)
+        logp = _log_softmax(logits.data[:, -1, :])
+        vocab, width = logp.shape[-1], scores.shape[1]
+        cand = (scores.reshape(-1, 1) + logp).reshape(len(active), width * vocab)
+        order = np.argsort(-cand, axis=1, kind="stable")
+        kept: list[int] = []
+        parents: list[list[int]] = []
+        for b, prob in enumerate(active):
+            pool, seqs = pools[prob], live[prob]
+            rows: list[int] = []
+            new_live: list[tuple[int, ...]] = []
+            new_scores: list[float] = []
+            top = order[b, : min(beam_size, len(seqs) * vocab)]
+            for flat, score in zip(top.tolist(), cand[b, top].tolist()):
+                h, tok = divmod(flat, vocab)
+                if tok == EOS_ID:
+                    pool.append(Hypothesis(seqs[h] + (tok,), score, direction, True))
+                else:
+                    rows.append(b * width + h)
+                    new_live.append(seqs[h] + (tok,))
+                    new_scores.append(score)
+            live[prob], live_scores[prob] = new_live, new_scores
+            if len(pool) < beam_size and new_live:
+                kept.append(b)
+                parents.append(rows)
+        if not kept:
+            break
+        shrunk = len(kept) < len(active)
+        if shrunk:
+            active = [active[b] for b in kept]
+            memory, src_pad = Tensor.from_checked(memory.data[kept]), src_pad[kept]
+        # every problem gets as many rows as the widest, padded with copies of its first
+        width = max(map(len, parents))
+        idx: list[int] = []
+        flat_scores: list[float] = []
+        last: list[int] = []
+        for rows, prob in zip(parents, active):
+            k = width - len(rows)
+            idx += rows + rows[:1] * k
+            flat_scores += live_scores[prob] + [-np.inf] * k
+            last += [seq[-1] for seq in live[prob]] + [live[prob][0][-1]] * k
+        cache.reorder(np.array(idx), kept if shrunk else None)
+        scores = np.array(flat_scores).reshape(len(active), width)
+        dec_in = np.array(last, dtype=np.int64)[:, None]
+    else:
+        for prob in active:
+            pools[prob].extend(
+                Hypothesis(seq, s, direction, False) for seq, s in zip(live[prob], live_scores[prob])
+            )
+    for pool in pools:
+        pool.sort(key=lambda h: h.score, reverse=True)
+    return [pool[:beam_size] for pool in pools]
+
+
+def decode_batch(
+    params: ModelParams, srcs, beam_size: int, max_len: int
+) -> list[tuple[list[Hypothesis], list[Hypothesis]]]:
+    """Beam search in both directions for every problem of ``srcs`` (1-d id
+    sequences, any lengths) over one encoder pass of the right-padded batch;
+    one (L2R, R2L) pair of score-sorted hypothesis lists per problem, each
+    as ``beam_search`` returns it for that problem alone."""
+    if not len(srcs):
+        return []
+    src = pad_right(srcs)
+    with no_grad():
+        memory = encode(params, src)
+        l2r = _search(params, L2R, memory, src == PAD_ID, beam_size, max_len)
+        r2l = _search(params, R2L, memory, src == PAD_ID, beam_size, max_len)
+    return list(zip(l2r, r2l))
+
+
 def beam_search(
     params: ModelParams,
     direction: str,
     src_ids,
     beam_size: int,
     max_len: int,
-    memory: Tensor | None = None,
 ) -> list[Hypothesis]:
-    """Decode one instance; returns up to beam_size hypotheses sorted by
-    score descending, finished and force-finished ones alike. Pass the
-    instance's encoder ``memory`` to share one encoder pass between both
-    directions; source padding is read off ``src_ids``."""
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    src = as_batch(src_ids)
-    src_pad = src == PAD_ID
+    """Decode one problem in one direction, as a batch of one; returns up to
+    beam_size hypotheses sorted by score descending, finished and
+    force-finished ones alike. Source padding is read off ``src_ids``."""
+    src = _one_problem(src_ids)
     with no_grad():
-        if memory is None:
-            memory = encode(params, src)
-        cache = DecoderCache()
-        dec_in = np.array([[_begin_id(direction)]], dtype=np.int64)
-        live: list[tuple[int, ...]] = [()]
-        live_scores = np.zeros(1)
-        finished: list[Hypothesis] = []
-        for _ in range(max_len):
-            logits = decoder_forward(params, direction, dec_in, memory, src_pad, cache=cache)
-            logp = _log_softmax(logits.data[:, -1, :])
-            cand = (live_scores[:, None] + logp).reshape(-1)
-            k = min(beam_size, cand.size)
-            top = np.argsort(-cand, kind="stable")[:k]
-            parents: list[int] = []
-            new_live: list[tuple[int, ...]] = []
-            new_scores: list[float] = []
-            vocab = logp.shape[-1]
-            for flat in top:
-                h, tok = divmod(int(flat), vocab)
-                seq = live[h] + (tok,)
-                score = float(cand[flat])
-                if tok == EOS_ID:
-                    finished.append(Hypothesis(seq, score, direction, True))
-                else:
-                    parents.append(h)
-                    new_live.append(seq)
-                    new_scores.append(score)
-            live = new_live
-            live_scores = np.asarray(new_scores)
-            if len(finished) >= beam_size or not live:
-                break
-            cache.reorder(parents)
-            dec_in = np.array([[seq[-1]] for seq in live], dtype=np.int64)
-        else:
-            finished.extend(
-                Hypothesis(seq, float(s), direction, False)
-                for seq, s in zip(live, live_scores)
-            )
-
-    finished.sort(key=lambda h: h.score, reverse=True)
-    return finished[:beam_size]
+        return _search(params, direction, encode(params, src), src == PAD_ID, beam_size, max_len)[0]
 
 
 def canonical_tokens(hyp: Hypothesis) -> list[int]:
@@ -145,12 +207,7 @@ def decode_both(
     params: ModelParams, src_ids, beam_size: int, max_len: int
 ) -> tuple[list[Hypothesis], list[Hypothesis]]:
     """Run beam search in both directions over one shared encoder pass."""
-    src = as_batch(src_ids)
-    with no_grad():
-        memory = encode(params, src)
-    l2r = beam_search(params, L2R, src, beam_size, max_len, memory=memory)
-    r2l = beam_search(params, R2L, src, beam_size, max_len, memory=memory)
-    return l2r, r2l
+    return decode_batch(params, _one_problem(src_ids), beam_size, max_len)[0]
 
 
 def hypothesis_log_prob(
@@ -164,7 +221,7 @@ def hypothesis_log_prob(
     direction's factorization; differentiable, used for policy gradients.
 
     ``hyps`` share one direction and are scored in one decoder pass over a
-    right-padded batch sharing the batch-1 encoder memory. Padded targets
+    right-padded batch sharing the problem's one encoder memory. Padded targets
     are -1, not ``PAD_ID``, which a hypothesis may contain. The result is the sum of the log-probabilities, each scaled by
     its entry in ``weights`` when given. Pass a precomputed ``memory`` of
     ``src_ids`` to share one encoder pass (and its gradient subgraph) with

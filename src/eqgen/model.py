@@ -259,10 +259,10 @@ def _attend(
     mask: Optional[np.ndarray],
 ) -> Tensor:
     """Multi-head attention of ``x_q`` (B, t_q, d) over projected keys and
-    values (B, t_k, d), followed by the output projection.
+    values (kb, t_k, d), followed by the output projection.
 
-    Keys/values of batch 1 are shared by every query row (see
-    ``numerics.attention``); ``mask`` must then have batch 1 as well.
+    With kb < B, each key set serves B / kb consecutive query rows (see
+    ``numerics.attention``), and ``mask`` must broadcast to kb as well.
     """
     p = params.tensors
     q = linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
@@ -321,24 +321,31 @@ def _target_table(params: ModelParams, direction: str) -> Tensor:
 
 @dataclass
 class DecoderCache:
-    """Decode-only state of one incremental decoder pass.
+    """Decode-only state of one incremental decoder pass over B problems.
 
     Holds, per layer, the self-attention keys/values of the ``length``
     positions fed so far, each a (rows, length, model_dim) array with one
     row per live hypothesis, and the cross-attention keys/values, each a
-    (1, source length, model_dim) tensor projected once from the shared
-    batch-1 encoder memory. Heads are split inside ``numerics.attention``,
-    not in the cache. ``reorder`` reindexes the rows after the beam's top-k
-    selection; the memory keys/values are shared and never reindexed.
+    (B, source length, model_dim) tensor projected once from the encoder
+    memories of the B problems. The rows of one problem sit next to each
+    other, the same number per problem, so rows / B consecutive rows share
+    one memory (see ``numerics.attention``). Heads are split inside
+    ``numerics.attention``, not in the cache. ``reorder`` reindexes the rows
+    after the beam's top-k selection and drops the memories of problems
+    that left the batch.
     """
 
     length: int = 0
     self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     memory_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
-    def reorder(self, rows) -> None:
-        """Row i becomes the former row ``rows[i]``."""
+    def reorder(self, rows, problems=None) -> None:
+        """Row i becomes the former row ``rows[i]``; with ``problems``, the
+        memory of problem j becomes the former memory ``problems[j]``."""
         self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+        if problems is not None:
+            self.memory_kv = [(Tensor.from_checked(k.data[problems]), Tensor.from_checked(v.data[problems]))
+                              for k, v in self.memory_kv]
 
     def append(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Append new positions' keys/values to ``layer``'s; returns all of them."""
@@ -349,7 +356,8 @@ class DecoderCache:
         k_all = np.concatenate((old_k, k.data), axis=1)
         v_all = np.concatenate((old_v, v.data), axis=1)
         self.self_kv[layer] = (k_all, v_all)
-        return Tensor(k_all), Tensor(v_all)
+        # every row came out of a guarded linear, so the NaN/Inf scan is not repeated
+        return Tensor.from_checked(k_all), Tensor.from_checked(v_all)
 
 
 def decoder_forward(
@@ -371,7 +379,9 @@ def decoder_forward(
     With a ``cache`` (decoding only), ``tgt_ids`` holds just the positions
     after the ``cache.length`` already fed, one row per cached row; they
     attend to the cached keys/values and are appended to them. A cached pass
-    records no autodiff graph, and its memory must have batch 1.
+    records no autodiff graph. Its row count must be a multiple of the
+    memory batch B: the first rows / B rows read memory 0, the next ones
+    memory 1, and so on.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}")
@@ -390,8 +400,12 @@ def decoder_forward(
     if cache is not None:
         if train:
             raise ConfigError("the decoder cache is for decoding only, not training")
-        if memory.shape[0] != 1:
-            raise ConfigError("cached decoding attends to one shared memory of batch 1")
+        if tgt.shape[0] % memory.shape[0]:
+            raise ConfigError(f"cached decoding needs a multiple of the memory batch {memory.shape[0]} "
+                              f"as row count, got {tgt.shape[0]} rows")
+        if cache.memory_kv and cache.memory_kv[0][0].shape[0] != memory.shape[0]:
+            raise ConfigError(f"the cache holds {cache.memory_kv[0][0].shape[0]} memories, "
+                              f"not {memory.shape[0]}")
     with no_grad() if cache is not None else contextlib.nullcontext():
         x = embedding(_target_table(params, direction), tgt) * math.sqrt(cfg.model_dim)
         x = x + Tensor(_pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[start : start + t])
@@ -435,22 +449,25 @@ class Batch:
     tgt_r2l: np.ndarray  # (B, T) <bos_r> reversed(y) ... <eos> <pad>*
 
 
+def pad_right(seqs) -> np.ndarray:
+    """Id sequences as a (len(seqs), longest length) int64 array, each row
+    right-padded with PAD_ID."""
+    out = np.full((len(seqs), max(len(s) for s in seqs)), PAD_ID, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        out[i, : len(s)] = s
+    return out
+
+
 def make_batch(src_seqs: list[list[int]], tgt_seqs: list[list[int]]) -> Batch:
     """Assemble a batch from source ids and canonical target content ids
     (no sentinels); the reversed view is built here."""
     if len(src_seqs) != len(tgt_seqs) or not src_seqs:
         raise ValueError("need equally many non-empty source and target lists")
-    s_max = max(len(s) for s in src_seqs)
-    t_max = max(len(t) for t in tgt_seqs) + 2
-    n = len(src_seqs)
-    src = np.full((n, s_max), PAD_ID, dtype=np.int64)
-    l2r = np.full((n, t_max), PAD_ID, dtype=np.int64)
-    r2l = np.full((n, t_max), PAD_ID, dtype=np.int64)
-    for i, (s, t) in enumerate(zip(src_seqs, tgt_seqs)):
-        src[i, : len(s)] = s
-        l2r[i, : len(t) + 2] = [BOS_ID, *t, EOS_ID]
-        r2l[i, : len(t) + 2] = [BOSR_ID, *reversed(t), EOS_ID]
-    return Batch(src, l2r, r2l)
+    return Batch(
+        pad_right(src_seqs),
+        pad_right([[BOS_ID, *t, EOS_ID] for t in tgt_seqs]),
+        pad_right([[BOSR_ID, *reversed(t), EOS_ID] for t in tgt_seqs]),
+    )
 
 
 @dataclass

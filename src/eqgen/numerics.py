@@ -77,6 +77,18 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    @classmethod
+    def from_checked(cls, data: np.ndarray) -> "Tensor":
+        """A graph-free leaf over ``data`` that a guarded op already produced,
+        without a second NaN/Inf scan."""
+        out = cls.__new__(cls)
+        out.data = data
+        out.grad = None
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
+        return out
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -110,13 +122,11 @@ def _wrap(x, like: Tensor) -> Tensor:
 def _result(data: np.ndarray, parents: tuple, backward: Optional[Callable]) -> Tensor:
     if not np.isfinite(data).all():
         raise NonFiniteError("op produced non-finite values")
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    out.requires_grad = track
-    out._parents = parents if track else ()
-    out._backward = backward if track else None
+    out = Tensor.from_checked(data)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward
     return out
 
 
@@ -215,38 +225,46 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for (..., k) inputs, a (k, n) weight and an (n,) bias."""
+    """``x @ w + b`` for (..., k) inputs, a (k, n) weight and an (n,) bias.
+
+    The leading axes are flattened, so the forward product and the input
+    gradient are each one 2-d GEMM: numpy runs ``(R, 1, k) @ (k, n)`` as R
+    tiny products.
+    """
     xd, wd = x.data, w.data
     if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1] or b.shape != wd.shape[1:]:
         raise ShapeError(f"linear needs (..., k) @ (k, n) + (n,), got {xd.shape} @ {wd.shape} + {b.shape}")
-    data = xd @ wd
+    x2 = xd.reshape(-1, xd.shape[-1])
+    data = x2 @ wd
     data += b.data
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        return g @ wd.T, xd.reshape(-1, xd.shape[-1]).T @ g2, g2.sum(axis=0)
+        return (g2 @ wd.T).reshape(xd.shape), x2.T @ g2, g2.sum(axis=0)
 
-    return _result(data, (x, w, b), bw)
+    return _result(data.reshape(xd.shape[:-1] + wd.shape[1:]), (x, w, b), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
     """Multi-head scaled dot-product attention, softmax(q kᵀ / √hd + mask) v.
 
-    ``q`` is (B, t_q, d) and ``k``/``v`` are (B, t_k, d) or, shared by every
-    query row, (1, t_k, d): the rows are then folded into the query axis, so
-    one (1, heads, B * t_q, hd) product serves them all and the keys are
-    never broadcast. ``mask`` is added to the (B, heads, t_q, t_k) scores, or
-    to the folded scores, and must broadcast to them.
+    ``q`` is (B, t_q, d) and ``k``/``v`` are (kb, t_k, d) with kb dividing B.
+    Key set i serves the B / kb consecutive query rows from i * B / kb on;
+    each group of rows is folded into the query axis, so one
+    (kb, heads, B / kb * t_q, hd) product serves them all and the keys are
+    never broadcast. kb = B is plain batched attention, and kb = 1 shares one
+    key set with every row. ``mask`` is added to the folded
+    (kb, heads, B / kb * t_q, t_k) scores and must broadcast to them.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or kd.shape[2] != qd.shape[2]
-            or kd.shape[0] not in (1, qd.shape[0]) or qd.shape[2] % heads):
-        raise ShapeError(f"attention needs q (B, t, d), k = v (B or 1, t, d) and heads dividing d; "
-                         f"got {qd.shape}, {kd.shape}, {vd.shape}, {heads} heads")
+            or kd.shape[0] == 0 or qd.shape[0] % kd.shape[0] or qd.shape[2] % heads):
+        raise ShapeError(f"attention needs q (B, t, d), k = v (kb, t, d) with kb dividing B and heads "
+                         f"dividing d; got {qd.shape}, {kd.shape}, {vd.shape}, {heads} heads")
     bsz, t_q, d = qd.shape
     kb, t_k = kd.shape[:2]
     hd = d // heads
-    rows, t = (1, bsz * t_q) if kb != bsz else (bsz, t_q)
+    rows, t = kb, bsz // kb * t_q
 
     def split(x, n, m):
         return x.reshape(n, m, heads, hd).transpose(0, 2, 1, 3)

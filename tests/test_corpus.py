@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eqgen import cli, corpus, equations, model, training
+from eqgen import cli, corpus, decoding, equations, model, training
 from eqgen.cli import main as cli_main
 from eqgen.corpus import (
     DatasetError,
@@ -378,9 +383,45 @@ class TestCli:
         assert small.layers == 1 and small.vocab_src == vocab.src_size
 
 
+class TestCliBlasThreads:
+    """Importing the CLI pins BLAS to one thread before numpy loads, unless
+    the environment already sets a count."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    # records each variable at the moment numpy is first imported
+    PROBE = (
+        "import json, os, sys\n"
+        "seen = {}\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.update({v: os.environ.get(v) for v in %r})\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "import eqgen.cli\n"
+        "print(json.dumps(seen))\n"
+    ) % (VARS,)
+
+    def probe(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(preset)
+        out = subprocess.run([sys.executable, "-c", self.PROBE], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        return json.loads(out.stdout)
+
+    def test_one_thread_by_default(self):
+        assert self.probe() == {v: "1" for v in self.VARS}
+
+    def test_a_preset_count_is_kept(self):
+        assert self.probe(OPENBLAS_NUM_THREADS="2") == {
+            "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 class TestCliEvalFolds:
-    def test_summed_folds_equal_full_decode(self, tmp_path, capsys):
-        # a model trained far enough that the directions and the vote differ
+    def trained(self, tmp_path):
+        """A model trained far enough that the directions and the vote differ,
+        saved as a checkpoint next to its data."""
         data = tmp_path / "data.jsonl"
         save(data, synth_gen(5, 8, ["linear"]))
         insts, _ = prepare_all(load(data))
@@ -400,6 +441,27 @@ class TestCliEvalFolds:
             training.mle_step(params, opt, batch)
         ckpt = tmp_path / "model.npz"
         model.save_checkpoint(ckpt, params, vocab.src_tokens, vocab.tgt_tokens)
+        return data, ckpt, insts, vocab, params
+
+    def test_evaluate_sums_per_problem_reports(self, tmp_path):
+        _, _, insts, vocab, params = self.trained(tmp_path)
+        insts = insts + [replace(insts[0], problem=replace(insts[0].problem, answers=[]))]
+        each = corpus.evaluate_each(params, vocab, insts, 3)
+        assert len(each) == len(insts) and all(r.n == 1 for r in each)
+        assert each[-1] == EvalReport(1, 0, 0, 0)  # no answers: counted, never correct
+        for inst, report in zip(insts[:-1], each):  # batched decoding scores as one problem alone
+            hyps_l, hyps_r = decoding.decode_both(params, vocab.encode_source(inst.source), 3, 64)
+            picks = (decoding.canonical_tokens(hyps_l[0]), decoding.canonical_tokens(hyps_r[0]),
+                     decoding.vote(hyps_l[0], hyps_r[0]))
+            want = [equations.reward(vocab.decode_target(t), inst.mapping, inst.problem.answers) for t in picks]
+            assert report == EvalReport(1, *want)
+        total = corpus.evaluate(params, vocab, insts, 3)
+        assert total == EvalReport(len(insts), sum(r.correct_l2r for r in each),
+                                   sum(r.correct_r2l for r in each), sum(r.correct_vote for r in each))
+        assert 0 < total.correct_vote < total.n
+
+    def test_summed_folds_equal_full_decode(self, tmp_path, capsys):
+        data, ckpt, insts, vocab, params = self.trained(tmp_path)
 
         def run_eval(folds):
             capsys.readouterr()
@@ -413,6 +475,9 @@ class TestCliEvalFolds:
         assert summed["overall"] == full["overall"]
         assert full["overall"] == corpus.evaluate(params, vocab, insts, 3).as_dict()
         assert sum(f["n"] for f in summed["folds"]) == full["overall"]["n"] == 8
+        for i, fold in enumerate(corpus.folds(len(insts), 3, 2)):
+            want = corpus.evaluate(params, vocab, [insts[j] for j in fold], 3)
+            assert summed["folds"][i] == {"fold": i, **want.as_dict()}
         accs = full["overall"]
         assert 0 < accs["answer_accuracy_vote"]
         assert len({accs["answer_accuracy_l2r"], accs["answer_accuracy_r2l"]}) == 2

@@ -8,6 +8,7 @@ from eqgen.decoding import (
     Hypothesis,
     beam_search,
     canonical_tokens,
+    decode_batch,
     decode_both,
     hypothesis_log_prob,
     vote,
@@ -24,6 +25,7 @@ from eqgen.model import (
     encode,
     init_params,
 )
+from eqgen import decoding
 from eqgen.numerics import Tensor, no_grad
 
 
@@ -245,6 +247,92 @@ class TestIncrementalMatchesFullPrefix:
             want = reference_beam_search(params, direction, src, 4, 8)
             assert [h.tokens for h in got] == [h.tokens for h in want]
             assert max(abs(g.score - w.score) for g, w in zip(got, want)) < 1e-9
+
+
+class TestDecodeBatch:
+    """Many problems in one batched search against the full-prefix oracle run
+    on each problem alone: same tokens and flags, scores to 1e-9."""
+
+    # mixed lengths, one source with its own trailing padding
+    SRCS = [[5, 6, 7], [8], [5, 6, 7, 8, PAD_ID], [6, 8], [7, 5, 6, 8, 8]]
+
+    def spy_memory_batches(self, monkeypatch):
+        """The memory batch of every cached decoder call, per direction."""
+        seen = {L2R: [], R2L: []}
+        real = decoding.decoder_forward
+
+        def spy(params, direction, tgt_ids, memory, *args, **kwargs):
+            seen[direction].append(memory.shape[0])
+            return real(params, direction, tgt_ids, memory, *args, **kwargs)
+
+        monkeypatch.setattr(decoding, "decoder_forward", spy)
+        return seen
+
+    def check(self, params, srcs, beam, max_len):
+        """Returns how many problems were force-finished at ``max_len``."""
+        got = decode_batch(params, srcs, beam, max_len)
+        assert len(got) == len(srcs)
+        forced = 0
+        for src, pair in zip(srcs, got):
+            for direction, hyps in zip((L2R, R2L), pair):
+                want = reference_beam_search(params, direction, np.array([src]), beam, max_len)
+                assert [(h.tokens, h.finished, h.direction) for h in hyps] == [
+                    (h.tokens, h.finished, h.direction) for h in want
+                ]
+                assert max(abs(g.score - w.score) for g, w in zip(hyps, want)) < 1e-9
+                forced += any(not h.finished for h in hyps)
+        return forced
+
+    def test_matches_reference_per_problem(self, monkeypatch):
+        seen = self.spy_memory_batches(monkeypatch)
+        shrank = forced = finished_early = 0
+        for seed in range(70, 78):
+            for overrides in ({}, dict(layers=2, model_dim=16, heads=4, ff_dim=16,
+                                       share_target_embedding=False)):
+                params = tiny_params(seed, **overrides)
+                for beam in (1, 4, 10):
+                    seen[L2R].clear(), seen[R2L].clear()
+                    forced += self.check(params, self.SRCS, beam, max_len=8)
+                    for batches in seen.values():
+                        shrank += batches[-1] < batches[0]
+                        finished_early += len(batches) < 8
+        # the cases cover a batch that shrinks, problems that stop at
+        # different steps and problems that reach max_len
+        assert shrank and forced and finished_early
+
+    def test_beam_wider_than_every_candidate(self):
+        # vocab 5: at most live * 5 candidates, far fewer than the beam
+        for seed in range(2):
+            params = tiny_params(seed + 80, vocab_tgt=5)
+            self.check(params, [[5, 6, 7], [6], [7, 5, PAD_ID]], beam=625, max_len=4)
+
+    def test_empty_batch_and_bad_arguments(self):
+        params = tiny_params(81)
+        assert decode_batch(params, [], 4, 4) == []
+        with pytest.raises(ValueError):
+            decode_batch(params, [[5]], 0, 4)
+        with pytest.raises(ValueError):
+            decode_batch(params, [[5]], 4, 0)
+        with pytest.raises(ValueError):  # the single-problem wrappers take one source
+            decode_both(params, np.array([[5, 6], [7, 8]]), 4, 4)
+
+    def test_float32_scores_match_a_float64_rescore(self):
+        # decoding in float32; every returned hypothesis re-scored teacher-forced
+        # under a float64 copy of the same parameters. A score sums at most 8
+        # float32 log-probabilities; the bound is 1e-5 and the worst seen 1.9e-6.
+        params = tiny_params(82, layers=2, model_dim=16, heads=4, ff_dim=16, dtype="float32")
+        params64 = tiny_params(82, layers=2, model_dim=16, heads=4, ff_dim=16)
+        for name, t in params.named():
+            params64.tensors[name] = Tensor(t.data.astype(np.float64))
+        assert params["out_l2r.w"].dtype == np.float32
+        worst = 0.0
+        for src, pair in zip(self.SRCS, decode_batch(params, self.SRCS, 4, 8)):
+            for hyps in pair:
+                for h in hyps:
+                    with no_grad():
+                        ref = hypothesis_log_prob(params64, np.array([src]), [h]).item()
+                    worst = max(worst, abs(h.score - ref))
+        assert 0 < worst < 1e-5
 
 
 class TestVote:

@@ -246,6 +246,25 @@ class TestDecoderCache:
         want = decoder_forward(params, L2R, full_in, mem4, np.broadcast_to(pad, (4, 4))).data[:, -1]
         assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_rows_follow_their_problem_memory(self):
+        params = init_params(tiny_config(layers=2), 7)
+        src = np.array([[5, 6, 7, PAD_ID], [8, 9, PAD_ID, PAD_ID]])
+        memory, pad = encode(params, src), src == PAD_ID
+        prefixes = np.array([[BOS_ID, 5], [BOS_ID, 6], [BOS_ID, 7], [BOS_ID, 8]])  # two rows per problem
+        cache = DecoderCache()
+        got = decoder_forward(params, L2R, prefixes, memory, pad, cache=cache).data
+        for b in range(2):
+            one = encode(params, src[b : b + 1, : 3 - b])  # the problem alone, unpadded
+            want = decoder_forward(params, L2R, prefixes[2 * b : 2 * b + 2], one, None).data
+            assert np.max(np.abs(got[2 * b : 2 * b + 2] - want)) < 1e-12
+        # problem 0 leaves the batch; problem 1 keeps three rows
+        cache.reorder([2, 3, 3], [1])
+        step = np.array([[5], [6], [7]])
+        got = decoder_forward(params, L2R, step, Tensor(memory.data[1:]), pad[1:], cache=cache).data[:, -1]
+        full_in = np.concatenate([prefixes[[2, 3, 3]], step], axis=1)
+        want = decoder_forward(params, L2R, full_in, Tensor(memory.data[1:]), pad[1:]).data[:, -1]
+        assert np.max(np.abs(got - want)) < 1e-12
+
     def test_float32_within_1e5(self):
         params, memory, pad = self.setup(dtype="float32", share_target_embedding=False)
         assert memory.dtype == np.float32
@@ -270,9 +289,14 @@ class TestDecoderCache:
             decoder_forward(params, L2R, np.array([[BOS_ID]]), memory, pad, train=True,
                             rng=np.random.default_rng(0), cache=DecoderCache())
         two = Tensor(np.concatenate([memory.data, memory.data]))
-        with pytest.raises(ConfigError):
-            decoder_forward(params, L2R, np.array([[BOS_ID], [BOS_ID]]), two,
+        with pytest.raises(ConfigError):  # 3 rows cannot split evenly over 2 memories
+            decoder_forward(params, L2R, np.array([[BOS_ID], [BOS_ID], [BOS_ID]]), two,
                             np.concatenate([pad, pad]), cache=DecoderCache())
+        with pytest.raises(ConfigError):  # a cache projected from 2 memories, fed 1
+            cache = DecoderCache()
+            decoder_forward(params, L2R, np.array([[BOS_ID], [BOS_ID]]), two,
+                            np.concatenate([pad, pad]), cache=cache)
+            decoder_forward(params, L2R, np.array([[5], [5]]), memory, pad, cache=cache)
         with pytest.raises(ConfigError):  # padding of another batch than the memory
             decoder_forward(params, L2R, np.array([[BOS_ID]]), memory, np.concatenate([pad, pad]))
         with pytest.raises(ConfigError):  # cached length counts toward max_positions

@@ -150,6 +150,8 @@ class TestAttention:
         (2, 2, (1, 1, 3, 4)),  # causal-style, shared by every row
         (3, 1, None),  # folded: one set of keys/values under three query rows
         (3, 1, (1, 1, 1, 4)),  # folded and masked
+        (6, 2, None),  # two key sets, each folded under three query rows
+        (6, 2, (2, 1, 1, 4)),  # the same with key padding per key set
     ])
     def test_matches_unfused_graph(self, q_rows, kv_rows, mask_shape):
         rng = np.random.default_rng(33)
@@ -170,7 +172,8 @@ class TestAttention:
         ((2, 3, 6), (2, 4, 6), (2, 4, 6), 4),  # heads do not divide d
         ((2, 3, 6), (2, 4, 6), (2, 5, 6), 2),  # keys and values differ
         ((2, 3, 6), (2, 4, 8), (2, 4, 8), 2),  # key width is not d
-        ((3, 3, 6), (2, 4, 6), (2, 4, 6), 2),  # key batch neither 1 nor B
+        ((3, 3, 6), (2, 4, 6), (2, 4, 6), 2),  # key batch does not divide B
+        ((3, 3, 6), (0, 4, 6), (0, 4, 6), 2),  # no key set
         ((3, 6), (4, 6), (4, 6), 2),  # no batch axis
     ])
     def test_shape_mismatch(self, q, k, v, heads):
@@ -346,9 +349,10 @@ class TestFiniteDifferences:
         err_b = check_op_grad(lambda b: (linear(Tensor(x0), Tensor(w0), b) * c).sum(), b0)
         assert max(err_x, err_w, err_b) < 1e-4
 
-    @pytest.mark.parametrize("q_rows, kv_rows", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("q_rows, kv_rows", [(2, 2), (3, 1), (6, 2)])
     def test_attention_all_inputs_masked(self, q_rows, kv_rows):
-        # (2, 2): a padded key per row; (3, 1): folded rows under one key set
+        # (2, 2): a padded key per row; (3, 1): folded rows under one key set;
+        # (6, 2): three rows folded under each of two key sets
         rng = np.random.default_rng(24)
         q0, k0, v0 = _attention_case(rng, q_rows, kv_rows)
         mask = np.zeros((kv_rows, 1, 1, 4))

@@ -73,11 +73,12 @@ def _heads(x: Tensor, heads: int) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
-    """The multi-head core op by op; keys/values of batch 1 under several
-    query rows fold the rows into the query axis."""
+    """The multi-head core op by op; kb key sets under B query rows fold
+    each group of B / kb consecutive rows into the query axis."""
     bsz, t_q, d = q.shape
-    if k.shape[0] != bsz:
-        q = reshape(q, (1, bsz * t_q, d))
+    kb = k.shape[0]
+    if kb != bsz:
+        q = reshape(q, (kb, bsz // kb * t_q, d))
     scale = Tensor(np.asarray(1.0 / math.sqrt(d // heads), dtype=q.dtype))
     scores = mul(matmul(_heads(q, heads), swapaxes(_heads(k, heads), 2, 3)), scale)
     if mask is not None:
