@@ -431,8 +431,8 @@ def evaluate_each(
     beam_size: int = 10,
     max_len: int = 64,
 ) -> list[EvalReport]:
-    """One report over a single instance per instance, in order: decode
-    both directions, vote, substitute, solve, compare. Instances are decoded
+    """A report of n = 1 for each instance, in order: decode both
+    directions, vote, substitute, solve, compare. Instances are decoded
     ``DECODE_CHUNK_SIZE`` at a time. Instances that cannot be interpreted at
     any step count as wrong; the reports are a pure function of (params,
     instances, flags)."""
