@@ -373,8 +373,9 @@ class Vocabulary:
 
 
 def encodable(vocab: Vocabulary, inst: PreparedInstance) -> bool:
-    """Training usability: alignable and every template token in-vocab."""
-    if not inst.alignable:
+    """Training usability: a non-empty source, alignable, and every template
+    token in-vocab."""
+    if not inst.source or not inst.alignable:
         return False
     return all(t in vocab.tgt_ids for t in inst.template.tokens)
 

@@ -239,7 +239,8 @@ def hypothesis_log_prob(
     for row, h in enumerate(hyps):
         dec_in[row, 1 : len(h.tokens)] = h.tokens[:-1]
         targets[row, : len(h.tokens)] = h.tokens
-    logits = decoder_forward(params, direction, dec_in, memory, src == PAD_ID)
+    logits = decoder_forward(params, direction, dec_in, memory, src == PAD_ID,
+                             lengths=[len(h.tokens) for h in hyps])
     w = None if weights is None else np.asarray(weights)[:, None]
     return neg(cross_entropy(logits, targets, ignore_index=-1, weights=w))
 

@@ -16,6 +16,20 @@ Sequence conventions:
 
 Reserved token ids (shared by source and target vocabularies):
 pad=0, bos=1, bos_r=2, eos=3, unk=4.
+
+Rows and grid. A batch is a right-padded (B, t) grid of ids, but only its
+real positions are computed. The position-wise layers (embeddings,
+positions, linear maps, feed-forward, dropout, residual adds and layer
+norm) run on the (N, d) stack of the N real positions in row-major order.
+Attention alone needs the (B, t, d) grid: its queries, keys and values are
+scattered into a grid of zeros, padded keys are masked out, and its output
+is gathered back to rows. Real source positions are the non-PAD ids;
+``encode`` returns its rows on the grid, with padding reading 0. The
+decoder's real positions are the first ``lengths[i]`` of each row i (all of
+them when ``lengths`` is not given), and positions after them read 0 in the
+logits. A grid without padding stays a grid throughout, with no gather or
+scatter. Dropout draws its mask over the whole grid, so the random stream
+and each real position's mask do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -35,10 +49,12 @@ from .numerics import (
     cross_entropy,
     dropout,
     embedding,
+    gather_rows,
     layer_norm,
     linear,
     no_grad,
     relu,
+    scatter_rows,
 )
 
 PAD_ID, BOS_ID, BOSR_ID, EOS_ID, UNK_ID = 0, 1, 2, 3, 4
@@ -235,44 +251,70 @@ def _key_mask(pad: np.ndarray) -> Optional[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _maybe_dropout(x: Tensor, config: ModelConfig, train: bool, rng) -> Tensor:
+def _maybe_dropout(x: Tensor, config: ModelConfig, train: bool, rng, real) -> Tensor:
     if not train or config.dropout <= 0.0:
         return x
     if rng is None:
         raise ValueError("training-mode forward needs an rng for dropout")
-    return dropout(x, config.dropout, rng)
+    return dropout(x, config.dropout, rng, real)
 
 
-def _project_kv(params: ModelParams, prefix: str, x_kv: Tensor) -> tuple[Tensor, Tensor]:
-    """Keys and values of ``x_kv`` for the attention at ``prefix``, each
-    (B, t_k, model_dim) like ``x_kv``."""
+def _real(mask: np.ndarray) -> Optional[np.ndarray]:
+    """The (B, t) mask of real positions, or None when there is no padding."""
+    return None if mask.all() else mask
+
+
+def _grid(x: Tensor, real: Optional[np.ndarray]) -> Tensor:
+    return x if real is None else scatter_rows(x, real)
+
+
+def _rows(x: Tensor, real: Optional[np.ndarray]) -> Tensor:
+    return x if real is None else gather_rows(x, real)
+
+
+def _embed(params: ModelParams, table: Tensor, ids: np.ndarray, real, start: int = 0) -> tuple[Tensor, Tensor]:
+    """Embedded ids of the real positions, and their sinusoidal positions
+    counted from ``start``."""
+    cfg = params.config
+    pe = _pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)
+    if real is None:
+        return embedding(table, ids), Tensor(pe[start : start + ids.shape[1]])
+    return embedding(table, ids[real]), Tensor(pe[start + np.nonzero(real)[1]])
+
+
+def _project_kv(params: ModelParams, prefix: str, x_kv: Tensor, real) -> tuple[Tensor, Tensor]:
+    """Keys and values of the rows ``x_kv`` for the attention at ``prefix``,
+    each on the (B, t_k, model_dim) grid."""
     p = params.tensors
-    return linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    return (_grid(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), real),
+            _grid(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), real))
 
 
 def _attend(
     params: ModelParams,
     prefix: str,
     x_q: Tensor,
+    real,
     k: Tensor,
     v: Tensor,
     mask: Optional[np.ndarray],
 ) -> Tensor:
-    """Multi-head attention of ``x_q`` (B, t_q, d) over projected keys and
-    values (kb, t_k, d), followed by the output projection.
+    """Multi-head attention of the query rows ``x_q`` (of a (B, t_q, d)
+    grid) over projected keys and values (kb, t_k, d), followed by the
+    output projection; one output row per query row.
 
     With kb < B, each key set serves B / kb consecutive query rows (see
     ``numerics.attention``), and ``mask`` must broadcast to kb as well.
     """
     p = params.tensors
-    q = linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-    ctx = attention(q, k, v, params.config.heads, mask)
+    q = _grid(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), real)
+    ctx = _rows(attention(q, k, v, params.config.heads, mask), real)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
-def _sublayer(params, prefix_ln: str, x: Tensor, out: Tensor, train: bool, rng) -> Tensor:
+def _sublayer(params, prefix_ln: str, x: Tensor, out: Tensor, train: bool, rng, real) -> Tensor:
     p = params.tensors
-    out = _maybe_dropout(out, params.config, train, rng)
+    out = _maybe_dropout(out, params.config, train, rng, real)
     return layer_norm(x + out, p[f"{prefix_ln}.g"], p[f"{prefix_ln}.b"])
 
 
@@ -293,24 +335,25 @@ def as_batch(ids) -> np.ndarray:
 
 
 def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tensor:
-    """Run the shared encoder; padded positions are masked out of attention."""
+    """Run the shared encoder over the real (non-PAD) source positions;
+    padding is masked out of attention and reads 0 in the result."""
     cfg = params.config
     src = as_batch(src_ids)
-    if src.shape[1] == 0:
+    pad = src == PAD_ID
+    if src.shape[1] == 0 or pad.all(axis=1).any():
         raise ConfigError("source sequence must be non-empty")
     if src.shape[1] > cfg.max_positions:
         raise ConfigError(f"source length {src.shape[1]} exceeds max_positions {cfg.max_positions}")
-    s = src.shape[1]
-    x = embedding(params["src_embed"], src)
+    real = _real(~pad)
+    x, pos = _embed(params, params["src_embed"], src, real)
     x = linear(x, params["src_proj.w"], params["src_proj.b"]) * math.sqrt(cfg.model_dim)
-    x = x + Tensor(_pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[:s])
-    x = _maybe_dropout(x, cfg, train, rng)
-    mask = _key_mask(src == PAD_ID)
+    x = _maybe_dropout(x + pos, cfg, train, rng, real)
+    mask = _key_mask(pad)
     for i in range(cfg.layers):
-        attn = _attend(params, f"enc.{i}.attn", x, *_project_kv(params, f"enc.{i}.attn", x), mask)
-        x = _sublayer(params, f"enc.{i}.ln1", x, attn, train, rng)
-        x = _sublayer(params, f"enc.{i}.ln2", x, _ffn(params, f"enc.{i}.ff", x), train, rng)
-    return x
+        attn = _attend(params, f"enc.{i}.attn", x, real, *_project_kv(params, f"enc.{i}.attn", x, real), mask)
+        x = _sublayer(params, f"enc.{i}.ln1", x, attn, train, rng, real)
+        x = _sublayer(params, f"enc.{i}.ln2", x, _ffn(params, f"enc.{i}.ff", x), train, rng, real)
+    return _grid(x, real)
 
 
 def _target_table(params: ModelParams, direction: str) -> Tensor:
@@ -369,12 +412,16 @@ def decoder_forward(
     train: bool = False,
     rng=None,
     cache: Optional[DecoderCache] = None,
+    lengths=None,
 ) -> Tensor:
     """Causal decoder pass in the stack's own reading order.
 
     ``tgt_ids`` must already be in that reading order (the R2L caller passes
     the reversed target behind its own begin sentinel); output position t
     depends only on earlier prefix positions and on the encoder memory.
+    ``lengths`` (one per row) marks the first ``lengths[i]`` positions of
+    row i as real: the later ones are not computed and their logits read 0.
+    Without it every position is real.
 
     With a ``cache`` (decoding only), ``tgt_ids`` holds just the positions
     after the ``cache.length`` already fed, one row per cached row; they
@@ -397,9 +444,15 @@ def decoder_forward(
         raise ConfigError("encoder memory must be (batch, len >= 1, model_dim)")
     if src_pad is not None and np.shape(src_pad) != memory.shape[:2]:
         raise ConfigError(f"source padding {np.shape(src_pad)} does not match memory {memory.shape[:2]}")
+    real = None
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != tgt.shape[:1] or lengths.min() < 1 or lengths.max() > t:
+            raise ConfigError(f"lengths must give each of the {tgt.shape[0]} rows 1 to {t} positions")
+        real = _real(np.arange(t) < lengths[:, None])
     if cache is not None:
-        if train:
-            raise ConfigError("the decoder cache is for decoding only, not training")
+        if train or lengths is not None:
+            raise ConfigError("the decoder cache is for decoding only, not training or scoring")
         if tgt.shape[0] % memory.shape[0]:
             raise ConfigError(f"cached decoding needs a multiple of the memory batch {memory.shape[0]} "
                               f"as row count, got {tgt.shape[0]} rows")
@@ -407,31 +460,33 @@ def decoder_forward(
             raise ConfigError(f"the cache holds {cache.memory_kv[0][0].shape[0]} memories, "
                               f"not {memory.shape[0]}")
     with no_grad() if cache is not None else contextlib.nullcontext():
-        x = embedding(_target_table(params, direction), tgt) * math.sqrt(cfg.model_dim)
-        x = x + Tensor(_pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[start : start + t])
-        x = _maybe_dropout(x, cfg, train, rng)
+        x, pos = _embed(params, _target_table(params, direction), tgt, real, start)
+        x = _maybe_dropout(x * math.sqrt(cfg.model_dim) + pos, cfg, train, rng, real)
         causal = _causal_mask(t, start)
-        mem_mask = _key_mask(src_pad) if src_pad is not None else None
+        mem_real = None if src_pad is None else _real(~src_pad)
+        mem_mask = None if src_pad is None else _key_mask(src_pad)
+        # a cache projects the memory on its first call only
+        mem_rows = _rows(memory, mem_real) if cache is None or not cache.memory_kv else None
         stack = f"dec_{direction}"
         for i in range(cfg.layers):
             layer = f"{stack}.{i}"
-            k, v = _project_kv(params, f"{layer}.attn", x)
+            k, v = _project_kv(params, f"{layer}.attn", x, real)
             if cache is not None:
                 k, v = cache.append(i, k, v)
-            attn = _attend(params, f"{layer}.attn", x, k, v, causal)
-            x = _sublayer(params, f"{layer}.ln1", x, attn, train, rng)
+            attn = _attend(params, f"{layer}.attn", x, real, k, v, causal)
+            x = _sublayer(params, f"{layer}.ln1", x, attn, train, rng, real)
             if cache is None:
-                k, v = _project_kv(params, f"{layer}.xattn", memory)
+                k, v = _project_kv(params, f"{layer}.xattn", mem_rows, mem_real)
             else:
                 if i == len(cache.memory_kv):
-                    cache.memory_kv.append(_project_kv(params, f"{layer}.xattn", memory))
+                    cache.memory_kv.append(_project_kv(params, f"{layer}.xattn", mem_rows, mem_real))
                 k, v = cache.memory_kv[i]
-            cross = _attend(params, f"{layer}.xattn", x, k, v, mem_mask)
-            x = _sublayer(params, f"{layer}.ln2", x, cross, train, rng)
-            x = _sublayer(params, f"{layer}.ln3", x, _ffn(params, f"{layer}.ff", x), train, rng)
+            cross = _attend(params, f"{layer}.xattn", x, real, k, v, mem_mask)
+            x = _sublayer(params, f"{layer}.ln2", x, cross, train, rng, real)
+            x = _sublayer(params, f"{layer}.ln3", x, _ffn(params, f"{layer}.ff", x), train, rng, real)
         if cache is not None:
             cache.length += t
-        return linear(x, params[f"out_{direction}.w"], params[f"out_{direction}.b"])
+        return _grid(linear(x, params[f"out_{direction}.w"], params[f"out_{direction}.b"]), real)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +537,8 @@ class LossParts:
 def _direction_loss(params, direction, tgt, memory, src_pad, train, rng):
     dec_in = tgt[:, :-1]
     targets = tgt[:, 1:]
-    logits = decoder_forward(params, direction, dec_in, memory, src_pad, train, rng)
+    lengths = (targets != PAD_ID).sum(axis=1)
+    logits = decoder_forward(params, direction, dec_in, memory, src_pad, train, rng, lengths=lengths)
     return cross_entropy(logits, targets, ignore_index=PAD_ID), int((targets != PAD_ID).sum())
 
 

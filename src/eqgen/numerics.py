@@ -10,7 +10,9 @@ Each op costs a fixed Python overhead, so the Transformer's two hot
 patterns are single fused ops with hand-written backward passes:
 ``linear`` is ``x @ w + b`` and ``attention`` is the whole multi-head core
 (head split, scaled scores, additive mask, softmax, context product and
-head merge) on ``(B, t, d)`` operands.
+head merge) on ``(B, t, d)`` operands. ``gather_rows`` and ``scatter_rows``
+move rows between such a grid and the ``(N, d)`` stack of its real
+positions, so that the other ops can skip padding.
 """
 
 from __future__ import annotations
@@ -122,6 +124,11 @@ def _wrap(x, like: Tensor) -> Tensor:
 def _result(data: np.ndarray, parents: tuple, backward: Optional[Callable]) -> Tensor:
     if not np.isfinite(data).all():
         raise NonFiniteError("op produced non-finite values")
+    return _node(data, parents, backward)
+
+
+def _node(data: np.ndarray, parents: tuple, backward: Optional[Callable]) -> Tensor:
+    """``_result`` without the NaN/Inf scan, for ops that only move finite values."""
     out = Tensor.from_checked(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -316,9 +323,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce / d is what ndarray.mean computes, without its Python-level wrapper
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
@@ -329,8 +337,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dgain = (g * xhat).sum(axis=lead)
         dbias = g.sum(axis=lead)
         dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx, dgain, dbias
 
@@ -354,14 +362,46 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(data, (table,), bw)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
+def gather_rows(x: Tensor, real: np.ndarray) -> Tensor:
+    """The (N, d) stack of the rows of a (B, t, d) ``x`` where the boolean
+    (B, t) ``real`` is True, in row-major order; ``scatter_rows`` is its
+    backward and it is ``scatter_rows``'s."""
+    shape = x.shape
+    if shape[:-1] != real.shape:
+        raise ShapeError(f"gather_rows needs (B, t, d) rows under a (B, t) mask, got {shape} and {real.shape}")
+    return _node(x.data[real], (x,), lambda g: (_scatter(g, real, shape),))
+
+
+def scatter_rows(x: Tensor, real: np.ndarray) -> Tensor:
+    """The (N, d) rows of ``x`` placed where the boolean (B, t) ``real`` is
+    True, in row-major order, in a (B, t, d) grid of zeros."""
+    if x.ndim != 2 or x.shape[0] != np.count_nonzero(real):
+        raise ShapeError(f"scatter_rows needs one (N, d) row per True entry, got {x.shape} for {real.sum()}")
+    return _node(_scatter(x.data, real, real.shape + x.shape[1:]), (x,), lambda g: (g[real],))
+
+
+def _scatter(rows: np.ndarray, real: np.ndarray, shape: tuple) -> np.ndarray:
+    out = np.zeros(shape, dtype=rows.dtype)
+    out[real] = rows
+    return out
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator, real: Optional[np.ndarray] = None) -> Tensor:
+    """Inverted dropout; identity when rate == 0.
+
+    With a boolean (B, t) ``real``, ``x`` holds the (N, d) rows of the True
+    positions of a (B, t, d) grid (see ``gather_rows``): the mask is drawn
+    over the whole grid and each row keeps its position's part, so the
+    random stream and every row's mask are those of the padded grid.
+    """
     if rate <= 0.0:
         return x
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    mask = mask.astype(x.dtype)
+    keep = rng.random(x.shape if real is None else real.shape + x.shape[-1:]) >= rate
+    if real is not None:
+        keep = keep[real]
+    mask = (keep / (1.0 - rate)).astype(x.dtype)
     return _result(x.data * mask, (x,), lambda g: (g * mask,))
 
 

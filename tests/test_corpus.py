@@ -156,6 +156,30 @@ class TestVocabulary:
         inst = prepare(p)
         assert not inst.alignable
 
+    def test_empty_source_is_not_encodable(self):
+        # "x = 5" aligns through the whitelisted 5, but there is nothing to encode
+        empty = prepare(Problem("empty", "", "x = 5", [F(5)]))
+        worded = prepare(Problem("worded", "x is 5", "x = 5", [F(5)]))
+        vocab = Vocabulary.build([empty, worded])
+        assert empty.alignable and empty.source == []
+        assert not corpus.encodable(vocab, empty)
+        assert worded.source and corpus.encodable(vocab, worded)
+
+    def test_run_mle_leaves_an_empty_source_out(self):
+        empty = prepare(Problem("empty", "", "x = 5", [F(5)]))
+        worded = prepare(Problem("worded", "x is 5", "x = 5", [F(5)]))
+        vocab = Vocabulary.build([empty, worded])
+        cfg = ModelConfig(vocab_src=vocab.src_size, vocab_tgt=vocab.tgt_size, embed_dim=8, model_dim=16,
+                          layers=1, heads=2, ff_dim=16, max_positions=64, dropout=0.0)
+        batches = []
+        real = training.mle_step
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(training, "mle_step", lambda p, o, batch, rng=None: batches.append(batch) or real(p, o, batch, rng))
+            training.run_mle(init_params(cfg, 0), vocab, [empty, worded], training.TrainSettings(epochs=1))
+        assert [b.src.shape[0] for b in batches] == [1]
+        with pytest.raises(DatasetError, match="no alignable"):
+            training.run_mle(init_params(cfg, 0), vocab, [empty], training.TrainSettings(epochs=1))
+
 
 class TestEvaluate:
     def test_pure_function(self):

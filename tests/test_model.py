@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import padded
 import unfused
 from eqgen import decoding
 from eqgen import model as M
@@ -453,6 +454,145 @@ class TestFusedOpsMatchUnfusedGraph:
             return lp, list(logits)
 
         self.compare(monkeypatch, params, build)
+
+
+class TestPackedRowsMatchPaddedGrid:
+    """The model's passes, whose position-wise layers see only real
+    positions, against the padded passes of ``tests/padded.py``. Absolute
+    tolerances: some gradients (the key biases) are zero up to rounding."""
+
+    def run(self, monkeypatch, params, build, oracle):
+        """Loss, per-call logits, gradients and the generator ``build``
+        returns, with the padded passes swapped in when ``oracle``."""
+        logits = []
+
+        def recording(forward):
+            def spy(*args, **kwargs):
+                out = forward(*args, **kwargs)
+                logits.append((out.data, kwargs.get("lengths")))
+                return out
+            return spy
+
+        with monkeypatch.context() as m:
+            enc = padded.encode if oracle else M.encode
+            dec = recording(padded.decoder_forward if oracle else M.decoder_forward)
+            for module in (M, decoding):
+                m.setattr(module, "encode", enc)
+                m.setattr(module, "decoder_forward", dec)
+            params.zero_grad()
+            loss, rng = build()
+            backward(loss)
+        grads = {name: t.grad.copy() for name, t in params.named() if t.grad is not None}
+        return loss.item(), logits, grads, rng
+
+    def compare(self, monkeypatch, params, build, tol=1e-12):
+        packed = self.run(monkeypatch, params, build, oracle=False)
+        ref = self.run(monkeypatch, params, build, oracle=True)
+        assert abs(packed[0] - ref[0]) <= tol
+        assert len(packed[1]) == len(ref[1]) > 0
+        for (got, lengths), (want, _) in zip(packed[1], ref[1]):
+            assert lengths is not None and got.shape == want.shape
+            assert np.max(np.abs(padded.real_positions(got, lengths) - padded.real_positions(want, lengths))) <= tol
+            for row, n in enumerate(lengths):
+                assert not got[row, n:].any()  # positions past a row's length read 0
+        assert packed[2].keys() == ref[2].keys()
+        for name, g in packed[2].items():
+            assert np.max(np.abs(g - ref[2][name])) <= tol, name
+        if ref[3] is not None:
+            assert packed[3].bit_generator.state == ref[3].bit_generator.state
+        return packed
+
+    def joint(self, params, batch, train):
+        def build():
+            rng = np.random.default_rng(4) if train else None
+            return joint_loss(params, batch, train=train, rng=rng).total, rng
+        return build
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_joint_loss(self, monkeypatch, train):
+        params = init_params(tiny_config(layers=2, dropout=0.2), 20)
+        batch = make_batch([[5, 6, 7, 8, 9], [10, 11], [12, 5, 6]], [[6, 7], [8, 9, 10, 5, 6], [7]])
+        self.compare(monkeypatch, params, self.joint(params, batch, train))
+
+    def test_one_token_source_next_to_a_long_one(self, monkeypatch):
+        params = init_params(tiny_config(layers=2, dropout=0.1, share_target_embedding=False), 21)
+        batch = make_batch([[5], [6, 7, 8, 9, 10, 11, 12, 5, 6]], [[6, 7, 8, 9], [10]])
+        self.compare(monkeypatch, params, self.joint(params, batch, True))
+
+    def test_hypothesis_log_prob_with_pad_id_inside(self, monkeypatch):
+        params = init_params(tiny_config(layers=2), 22)
+        src = np.array([5, 6, 7])
+        hyps = [decoding.Hypothesis((6, PAD_ID, 7, EOS_ID), -1.0, L2R, True),
+                decoding.Hypothesis((PAD_ID,), -2.0, L2R, False),
+                decoding.Hypothesis((8, 9, PAD_ID, 10, 6, EOS_ID), -3.0, L2R, True)]
+
+        def build():
+            return decoding.hypothesis_log_prob(params, src, hyps, weights=[0.5, -1.0, 2.0]), None
+
+        self.compare(monkeypatch, params, build)
+
+    def test_float32_within_1e5(self, monkeypatch):
+        params = init_params(tiny_config(layers=2, dropout=0.1, dtype="float32"), 23)
+        batch = make_batch([[5, 6, 7, 8, 9, 10], [11, 12]], [[6], [7, 8, 9, 10, 5]])
+        packed = self.compare(monkeypatch, params, self.joint(params, batch, True), tol=1e-5)
+        assert all(g.dtype == np.float32 for g in packed[2].values())
+
+    def test_unpadded_input_makes_no_gather_or_scatter(self, monkeypatch):
+        calls = []
+        for name in ("gather_rows", "scatter_rows"):
+            real = getattr(M, name)
+            monkeypatch.setattr(M, name, lambda *a, real=real: calls.append(1) or real(*a))
+        params = init_params(tiny_config(), 24)
+        joint_loss(params, make_batch([[5, 6], [7, 8]], [[6, 7], [8, 9]]))
+        memory = encode(params, np.array([[5, 6, 7]]))
+        decoder_forward(params, L2R, np.full((3, 2), 6), memory, np.zeros((1, 3), bool), cache=DecoderCache())
+        assert calls == []
+        joint_loss(params, make_batch([[5, 6], [7]], [[6, 7], [8, 9]]))
+        assert calls
+
+    def test_bad_lengths_rejected(self):
+        params = init_params(tiny_config(), 25)
+        memory = encode(params, np.array([[5, 6], [7, 8]]))
+        tgt = np.full((2, 3), 6)
+        for lengths in ([3], [0, 2], [2, 4], [[1, 2]]):
+            with pytest.raises(ConfigError):
+                decoder_forward(params, L2R, tgt, memory, lengths=lengths)
+        with pytest.raises(ConfigError):  # the cache feeds no padding
+            decoder_forward(params, L2R, tgt, memory, cache=DecoderCache(), lengths=[3, 3])
+
+    def test_all_padding_source_row_rejected(self):
+        params = init_params(tiny_config(), 26)
+        with pytest.raises(ConfigError, match="non-empty"):
+            encode(params, np.array([[5, 6], [PAD_ID, PAD_ID]]))
+
+
+class TestLinearSeesOnlyRealRows:
+    def test_joint_loss_on_a_padded_batch(self, monkeypatch):
+        # 6 real source positions of 2 x 5, and 2 + 6 real target positions of 2 x 6 per direction
+        batch = make_batch([[5, 6, 7, 8, 9], [10]], [[6], [7, 8, 9, 10, 5]])
+        n_src, n_tgt = int((batch.src != PAD_ID).sum()), int((batch.tgt_l2r[:, 1:] != PAD_ID).sum())
+        assert (n_src, n_tgt) == (6, 8)
+        rows, real = [], M.linear
+        monkeypatch.setattr(M, "linear", lambda x, w, b: rows.append(x.data.size // x.shape[-1]) or real(x, w, b))
+        params = init_params(tiny_config(layers=2), 27)
+        joint_loss(params, batch, train=True, rng=np.random.default_rng(0))
+        layers = 2
+        # the encoder's input projection and 6 per layer, each decoder's cross-attention keys and values
+        assert rows.count(n_src) == 1 + 6 * layers + 2 * 2 * layers
+        # per decoder: 8 per layer and the output projection
+        assert rows.count(n_tgt) == 2 * (8 * layers + 1)
+        assert len(rows) == rows.count(n_src) + rows.count(n_tgt)
+
+    def test_hypothesis_log_prob(self, monkeypatch):
+        hyps = [decoding.Hypothesis((6, 7, EOS_ID), -1.0, L2R, True), decoding.Hypothesis((8,), -2.0, L2R, False)]
+        rows, real = [], M.linear
+        monkeypatch.setattr(M, "linear", lambda x, w, b: rows.append(x.data.size // x.shape[-1]) or real(x, w, b))
+        params = init_params(tiny_config(), 28)
+        memory = encode(params, np.array([[5, 6, 7, 8, 9]]))
+        rows.clear()
+        decoding.hypothesis_log_prob(params, np.array([5, 6, 7, 8, 9]), hyps, memory)
+        # 4 real of 2 x 3 target positions: 8 per layer and the output projection
+        assert sorted(set(rows)) == [4, 5] and rows.count(4) == 8 + 1
 
 
 class TestOpCount:

@@ -1,8 +1,11 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqgen import equations
 from eqgen.numbering import (
@@ -290,6 +293,77 @@ class TestRoundTrip:
             concrete = substitute(template, mapping)
             sol = equations.solve(equations.parse(concrete))
             assert equations.check_answer(sol, answers), (text, concrete)
+
+
+def _surface(kind: str, whole: int, num: int, den: int, sign: bool) -> tuple[str, F]:
+    """One number as problem text writes it, with its exact value."""
+    if kind == "mixed":
+        num = num % (den - 1) + 1  # a proper fraction
+        text, value = f"{whole} {num}/{den}", whole + F(num, den)
+    elif kind == "percent":
+        text, value = f"{whole}%", F(whole, 100)
+    elif kind == "spaced percent":
+        text, value = f"{whole}.{num} %", (whole + F(num, 10)) / 100
+    elif kind == "thousands":
+        whole = whole * 1000 + den
+        text, value = f"{whole:,}.{num}", whole + F(num, 10)
+    elif kind == "decimal":
+        text, value = f"{whole}.{num}", whole + F(num, 10)
+    else:
+        text, value = str(whole), F(whole)
+    return ("-" + text, -value) if sign else (text, value)
+
+
+def _literal(value: F) -> str:
+    """The value as a gold equation writes it: an integer, a decimal when
+    it terminates, otherwise a fraction; negatives in parentheses."""
+    mag = abs(value)
+    if mag.denominator == 1:
+        text = str(mag)
+    elif all(p in (2, 5) for p in _factors(mag.denominator)):
+        text = str(Decimal(mag.numerator) / Decimal(mag.denominator))
+    else:
+        text = f"{mag.numerator}/{mag.denominator}"
+    return f"(-{text})" if value < 0 else text
+
+
+def _factors(n: int) -> set[int]:
+    out, p = set(), 2
+    while n > 1:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out
+
+
+_numbers = st.builds(
+    _surface,
+    st.sampled_from(["mixed", "percent", "spaced percent", "thousands", "decimal", "integer"]),
+    st.integers(1, 1200),
+    st.integers(1, 9),
+    st.integers(2, 12),
+    st.booleans(),
+)
+
+
+class TestAlignSubstituteProperty:
+    """``substitute(align(...))`` gives the gold answers for random surface
+    forms: mixed numbers, percents, thousands separators, signed numbers."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_numbers, min_size=1, max_size=4, unique_by=lambda nv: nv[1]),
+           st.lists(st.sampled_from("+-*"), min_size=3, max_size=3))
+    def test_round_trip_reproduces_gold_answers(self, numbers, ops):
+        text = "we have " + " and then ".join(f"{surface} items" for surface, _ in numbers)
+        gold = "x=" + "".join(
+            (ops[i - 1] if i else "") + _literal(value) for i, (_, value) in enumerate(numbers)
+        )
+        answers = equations.solve(equations.parse(gold)).values()
+        nums = extract_numbers(text)
+        assert [n.value for n in nums] == [value for _, value in numbers]
+        concrete = substitute(align(nums, gold), NumberMapping(nums))
+        assert equations.check_answer(equations.solve(equations.parse(concrete)), answers), (text, gold, concrete)
 
 
 class TestSourceTokens:

@@ -13,9 +13,11 @@ from eqgen.numerics import (
     dropout,
     embedding,
     attention,
+    gather_rows,
     layer_norm,
     linear,
     relu,
+    scatter_rows,
 )
 from fdcheck import check_op_grad, fd_grad, rel_err
 import unfused
@@ -209,6 +211,58 @@ class TestLayerNorm:
     def test_bad_gain_shape(self):
         with pytest.raises(ShapeError):
             layer_norm(T(np.zeros((2, 4))), T(np.ones(3)), T(np.zeros(4)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(10, 1, 64), (16, 41, 64), (37, 64)])
+    def test_bit_identical_to_the_mean_formula(self, dtype, shape):
+        rng = np.random.default_rng(5)
+        x, g_out = (rng.normal(1.0, 2.0, size=shape).astype(dtype) for _ in range(2))
+        gain, bias = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+        # the formula with ndarray.mean, forward and backward
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        dxhat = g_out * gain
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        leaf = Tensor(x, requires_grad=True)
+        out = layer_norm(leaf, Tensor(gain, requires_grad=True), Tensor(bias))
+        assert out.dtype == dtype and np.array_equal(out.data, xhat * gain + bias)
+        backward((out * Tensor(g_out)).sum())
+        assert np.array_equal(leaf.grad, dx)
+
+
+class TestRows:
+    """``gather_rows`` and ``scatter_rows`` between a (B, t, d) grid and
+    the (N, d) stack of its real rows."""
+
+    real = np.array([[True, True, False], [True, False, False]])
+
+    def test_round_trip(self):
+        grid = np.arange(18.0).reshape(2, 3, 3)
+        rows = gather_rows(T(grid), self.real)
+        assert rows.data.tolist() == [grid[0, 0].tolist(), grid[0, 1].tolist(), grid[1, 0].tolist()]
+        back = scatter_rows(rows, self.real).data
+        assert np.array_equal(back[self.real], rows.data) and not back[~self.real].any()
+
+    def test_each_is_the_others_backward(self):
+        rng = np.random.default_rng(6)
+        w_rows, w_grid = rng.normal(size=(3, 3)), rng.normal(size=(2, 3, 3))
+        assert check_op_grad(lambda x: (scatter_rows(x, self.real) * T(w_grid)).sum(), w_rows) < 1e-8
+        assert check_op_grad(lambda x: (gather_rows(x, self.real) * T(w_rows)).sum(), w_grid) < 1e-8
+
+    @pytest.mark.parametrize("op,x", [(gather_rows, np.zeros((2, 2, 3))), (gather_rows, np.zeros((6, 3))),
+                                      (scatter_rows, np.zeros((4, 3))), (scatter_rows, np.zeros((2, 3, 3)))])
+    def test_shape_mismatch(self, op, x):
+        with pytest.raises(ShapeError):
+            op(T(x), self.real)
+
+    def test_dropout_rows_keep_their_grid_mask(self):
+        x = np.random.default_rng(7).normal(size=(2, 3, 4))
+        rng_grid, rng_rows = np.random.default_rng(8), np.random.default_rng(8)
+        on_grid = dropout(T(x), 0.5, rng_grid).data
+        on_rows = dropout(T(x[self.real]), 0.5, rng_rows, self.real).data
+        assert np.array_equal(on_rows, on_grid[self.real])
+        assert rng_rows.bit_generator.state == rng_grid.bit_generator.state
 
 
 class TestCrossEntropy:
