@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
@@ -54,6 +55,10 @@ def _error(message: str) -> int:
     return 2
 
 
+def _bad_lr(lr: float) -> bool:
+    return not (math.isfinite(lr) and lr > 0)
+
+
 def cmd_gen(args) -> int:
     if args.n < 0:
         return _error(f"--n must be at least 0, got {args.n}")
@@ -86,10 +91,12 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     if args.epochs < 1:
         return _error(f"--epochs must be at least 1, got {args.epochs}")
+    if _bad_lr(args.lr):
+        return _error(f"--lr must be a finite number above 0, got {args.lr}")
     instances, unalignable = corpus.prepare_all(corpus.load(args.data))
     usable = [i for i in instances if i.alignable]
     if unalignable:
-        print(f"excluding {unalignable} unalignable instances from training")
+        print(f"excluding {unalignable} unalignable instances from training", file=sys.stderr)
     vocab = Vocabulary.build(usable)
     overrides = None
     if args.config:
@@ -120,6 +127,8 @@ def cmd_rl(args) -> int:
         return _error(f"--epochs must be at least 1, got {args.epochs}")
     if args.beam < 1:
         return _error(f"--beam must be at least 1, got {args.beam}")
+    if _bad_lr(args.lr):
+        return _error(f"--lr must be a finite number above 0, got {args.lr}")
     params, src_tokens, tgt_tokens = load_checkpoint(args.ckpt)
     vocab = Vocabulary(src_tokens, tgt_tokens)
     instances, _ = corpus.prepare_all(corpus.load(args.data))
@@ -238,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad input or configuration and unreadable or
-    unwritable files are reported as one line on stderr with exit code 2,
-    like an argparse usage error."""
+    """Run one subcommand; bad input or configuration, unreadable or
+    unwritable files and a diverged training run are reported as one line
+    on stderr with exit code 2, like an argparse usage error."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ConfigError, TemplateError, OSError) as e:
+    except (DatasetError, ConfigError, TemplateError, OSError, training.TrainingDiverged) as e:
         return _error(str(e))
 
 

@@ -2,7 +2,10 @@
 
 A small numpy-backed engine: every primitive op records a backward closure
 on its output, ``backward()`` replays the closures in reverse topological
-order and accumulates gradients. Storage is row-major, float32 or float64.
+order and accumulates gradients on the leaves only. It consumes the graph
+as it goes: each closure and its links to its inputs are dropped once it
+has run, so activations are freed during the pass and a graph can be
+back-propagated once. Storage is row-major, float32 or float64.
 Any op that produces NaN/Inf raises immediately rather than letting it
 propagate through training.
 
@@ -150,12 +153,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _spent(g):
+    """Stands in for the closure of a node whose graph was back-propagated."""
+    raise RuntimeError("backward through a graph that was already back-propagated")
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into .grad for every reachable node.
+    """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf that
+    requires grad; interior nodes keep ``grad = None``.
 
     The graph is walked in reverse topological order; construction order of
     the tensors is already a topological order, the DFS below recovers it
-    without recursion so deep graphs are safe.
+    without recursion so deep graphs are safe. Each interior node gives up
+    its closure and its parents once the closure has run, so the graph is
+    spent afterwards: a second ``backward`` that reaches any of its nodes
+    raises ``RuntimeError`` before any gradient is written.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
@@ -167,6 +179,8 @@ def backward(loss: Tensor) -> None:
         if i == 0:
             if id(node) in seen:
                 continue
+            if node._backward is _spent:
+                _spent(None)
             seen.add(id(node))
         if i < len(node._parents):
             stack.append((node, i + 1))
@@ -177,15 +191,18 @@ def backward(loss: Tensor) -> None:
             topo.append(node)
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
+        if node._backward is None:
+            if g is not None and node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        parents, bw = node._parents, node._backward
+        node._parents, node._backward = (), _spent
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._backward is None:
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        for parent, pg in zip(parents, bw(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)

@@ -373,6 +373,46 @@ class TestCli:
             assert capsys.readouterr().err == f"eqgen: error: {message}\n", argv
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-1e-3"])
+    def test_lr_not_finite_and_positive_is_one_line_error(self, tmp_path, capsys, lr):
+        # the checkpoint does not exist: the rate is checked before it is read
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 3))
+        for argv in (["train", "--data", str(data), "--out", str(tmp_path / "m.npz")],
+                     ["rl", "--data", str(data), "--ckpt", str(tmp_path / "missing.npz"),
+                      "--out", str(tmp_path / "r.npz")]):
+            capsys.readouterr()
+            assert cli_main(argv + [f"--lr={lr}"]) == 2, argv
+            assert capsys.readouterr().err == f"eqgen: error: --lr must be a finite number above 0, got {float(lr)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_diverged_training_is_one_line_error(self, tmp_path, capsys):
+        # one batch per epoch: the first update blows the parameters up and the second step's loss overflows
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 4))
+        capsys.readouterr()
+        code = cli_main(["train", "--data", str(data), "--epochs", "2", "--lr", "1e300",
+                         "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "eqgen: error: non-finite loss at optimizer step 2: op produced non-finite values\n")
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_train_logs_exclusions_to_stderr(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        text = " and ".join(str(11 + i) for i in range(13))  # too many numbers to align
+        save(data, synth_gen(3, 3) + [Problem("big", text, "x=11", [F(11)])])
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"embed_dim": 8, "model_dim": 16, "layers": 1, "heads": 2, "ff_dim": 16}))
+        capsys.readouterr()
+        assert cli_main(["train", "--data", str(data), "--config", str(cfg), "--epochs", "1",
+                         "--out", str(tmp_path / "m.npz")]) == 0
+        out, err = capsys.readouterr()
+        assert "excluding" not in out
+        assert err == "excluding 1 unalignable instances from training\n"
+        assert json.loads(out.splitlines()[-1])["split"] == "train"
+
     def test_unknown_template_is_one_line_error(self, tmp_path, capsys):
         out = tmp_path / "gen.jsonl"
         capsys.readouterr()

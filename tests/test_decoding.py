@@ -306,6 +306,51 @@ class TestDecodeBatch:
             params = tiny_params(seed + 80, vocab_tgt=5)
             self.check(params, [[5, 6, 7], [6], [7, 5, PAD_ID]], beam=625, max_len=4)
 
+    def test_candidate_cap_of_a_padded_problem(self, monkeypatch):
+        """Problem A (source [5]) has 12 live rows after step 2, sends 10 of
+        them to the end sentinel at step 3 and keeps 2: 2 · 5 = 10 candidates
+        for a beam of 12. Problem B (source [6]) keeps 12 rows, so A is padded
+        to 12 rows, and only the cap ``min(beam, live · V)`` keeps the -inf
+        candidates of A's padding rows out of its top-k. Random models never
+        get here, so a stub decoder picks the logits by problem, step and last
+        token; a batch of one is never padded and is the reference."""
+        vocab, beam, low = 5, 12, -100.0
+        widths = []
+
+        def logits_row(problem, step, last):
+            row = np.zeros(vocab)
+            if step == 0:
+                return row  # all five tokens are taken, one end sentinel finishes
+            if problem == 6 or step >= 3:
+                row[EOS_ID] = low
+            elif step == 1:  # twelve live rows, two of them ending in token 4
+                row[EOS_ID] = low
+                row[4] = 1.0 if last in (0, 1) else low
+            elif last == 4:  # step 2: these two rows go on
+                row[EOS_ID] = low
+            else:  # ... and the other ten finish
+                row[:] = low
+                row[EOS_ID] = 0.0
+            return row
+
+        def stub(params, direction, dec_in, memory, src_pad, cache):
+            step, cache.length = cache.length, cache.length + 1
+            width = dec_in.shape[0] // memory.shape[0]
+            widths.append((direction, step, memory.shape[0], width))
+            rows = [logits_row(int(memory.data[r // width, 0, 0]), step, int(dec_in[r, -1]))
+                    for r in range(dec_in.shape[0])]
+            return Tensor(np.array(rows)[:, None, :])
+
+        monkeypatch.setattr(decoding, "encode", lambda params, src: Tensor(src[:, :, None]))
+        monkeypatch.setattr(decoding, "decoder_forward", stub)
+        alone_a = decode_batch(None, [[5]], beam, 5)
+        assert (L2R, 3, 1, 2) in widths  # A alone: 2 live rows at step 3
+        widths.clear()
+        both = decode_batch(None, [[5], [6]], beam, 5)
+        assert (L2R, 3, 2, 12) in widths  # next to B: padded to 12 rows
+        assert both == alone_a + decode_batch(None, [[6]], beam, 5)
+        assert [len(hyps) for hyps in both[0]] == [beam, beam]
+
     def test_empty_batch_and_bad_arguments(self):
         params = tiny_params(81)
         assert decode_batch(params, [], 4, 4) == []

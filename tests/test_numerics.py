@@ -20,6 +20,7 @@ from eqgen.numerics import (
     scatter_rows,
 )
 from fdcheck import check_op_grad, fd_grad, rel_err
+import retained
 import unfused
 from unfused import matmul, reshape, softmax, swapaxes
 
@@ -353,6 +354,54 @@ class TestBackward:
             y = y + x
         backward(y.sum())
         assert np.allclose(x.grad, [5001.0])
+
+    def test_gradients_land_on_leaves_only(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        w = Tensor(np.array([3.0, 0.5]), requires_grad=True)
+        const = Tensor(np.array([4.0, 4.0]))
+        h = relu(x * w) + const
+        loss = (h * h).sum()
+        backward(loss)
+        assert np.array_equal(x.grad, [2 * (3.0 + 4.0) * 3.0, 0.0])
+        assert np.array_equal(w.grad, [2 * (3.0 + 4.0) * 1.0, 0.0])
+        assert const.grad is None
+        assert h.grad is None and loss.grad is None
+        assert h._parents == () and loss._parents == ()
+
+    def test_second_backward_raises_before_writing_a_gradient(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = x * x
+        loss = h.sum()
+        backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already back-propagated"):
+            backward(loss)
+        # a new graph that reaches a spent node raises too, and no leaf gains a gradient
+        y = Tensor(np.array([5.0, 6.0]), requires_grad=True)
+        with pytest.raises(RuntimeError, match="already back-propagated"):
+            backward((h * y).sum())
+        assert np.array_equal(x.grad, first) and y.grad is None
+
+    def test_shared_subgraph_in_one_pass(self):
+        # a node reached along two paths still runs its closure once, with the summed gradient
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        h = x * x
+        backward((h + h * h).sum())
+        assert np.allclose(x.grad, [(1 + 2 * 4.0) * 2 * 2.0])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_leaf_gradients_equal_the_retaining_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 4, 6)), rng.normal(size=(6, 6)),
+                  rng.normal(size=(6,)), rng.normal(size=(6,)))
+        grads = []
+        for bw in (backward, retained.backward):
+            q, kv, w, b, gain = (T(a, grad=True) for a in arrays)
+            h = layer_norm(linear(attention(q, kv, kv, 2), w, b), gain, T(np.zeros(6)))
+            bw((relu(h) * h).sum())
+            grads.append([t.grad for t in (q, kv, w, b, gain)])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
 
 
 class TestFiniteDifferences:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from eqgen.training import (
     train,
 )
 from fdcheck import rel_err
+import retained
 
 
 def small_setup(n=12, seed=5, **cfg_kw):
@@ -460,3 +463,69 @@ class TestGradClip:
         returned = clip_grads(params, 1.0)
         assert returned == pytest.approx(pre)
         assert grad_norm(params) == pytest.approx(1.0, rel=1e-9)
+
+
+class TestConsumedGraph:
+    """``backward`` consumes its graph; the steps match the retaining pass."""
+
+    def test_mle_step_frees_its_graph_by_refcount(self, monkeypatch):
+        config, insts, vocab = small_setup(layers=2, dropout=0.1)
+        params = init_params(config, 30)
+        closures, arrays = [], []
+        real = training.backward
+
+        def spy(loss):
+            # weakrefs to the closure and the array of every interior node of the step's graph
+            stack, seen = [loss], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    if node._backward is not None:
+                        closures.append(weakref.ref(node._backward))
+                        if isinstance(node.data, np.ndarray):  # 0-d products can be numpy scalars
+                            arrays.append(weakref.ref(node.data))
+                    stack.extend(node._parents)
+            real(loss)
+
+        monkeypatch.setattr(training, "backward", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            parts = mle_step(params, Adam(params, lr=1e-3), batch_of(vocab, insts), rng=np.random.default_rng(0))
+            dead_closures = all(r() is None for r in closures)
+            alive = [r() for r in arrays if r() is not None]
+        finally:
+            gc.enable()
+        assert len(closures) > 100 and dead_closures
+        kept = [parts.total.data, parts.l2r.data, parts.r2l.data]
+        assert all(any(a is k for k in kept) for a in alive), len(alive)
+        assert parts.total._parents == () and parts.l2r._parents == () and parts.total.grad is None
+
+    def _run(self, monkeypatch, backward_fn):
+        """Losses and parameters after three MLE steps with dropout and two
+        REINFORCE updates with mixed rewards, through ``backward_fn``."""
+        config, insts, vocab = small_setup(layers=2, dropout=0.1)
+        params = init_params(config, 31)
+        real_pool = training.sample_pool
+
+        def mixed_pool(*args):
+            pool = real_pool(*args)
+            for i, s in enumerate(pool):
+                s.reward = i % 2
+            return pool
+
+        monkeypatch.setattr(training, "backward", backward_fn)
+        monkeypatch.setattr(training, "sample_pool", mixed_pool)
+        opt, rng = Adam(params, lr=1e-2), np.random.default_rng(3)
+        losses = [mle_step(params, opt, batch_of(vocab, insts[i::3]), rng=rng).total.item() for i in range(3)]
+        rl_opt = Adam(params, lr=1e-3)
+        norms = [reinforce_step(params, rl_opt, vocab, insts[i], beam_size=3, max_len=8).grad_norm for i in (0, 1)]
+        return losses, norms, {name: t.data.copy() for name, t in params.named()}
+
+    def test_steps_equal_the_retaining_backward(self, monkeypatch):
+        losses, norms, got = self._run(monkeypatch, backward)
+        want_losses, want_norms, want = self._run(monkeypatch, retained.backward)
+        assert losses == want_losses and norms == want_norms and all(n > 0 for n in norms)
+        for name, data in want.items():
+            assert np.array_equal(got[name], data), name
