@@ -28,6 +28,8 @@ from fractions import Fraction
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np
+
 from . import corpus, equations, numbering, training
 from .corpus import DatasetError, TemplateError, Vocabulary
 from .model import ConfigError, ModelConfig, load_checkpoint, save_checkpoint
@@ -57,6 +59,14 @@ def _error(message: str) -> int:
 
 def _bad_lr(lr: float) -> bool:
     return not (math.isfinite(lr) and lr > 0)
+
+
+def _fresh_log(out: str) -> str:
+    """``out``'s metrics log, emptied, so that it holds this run's records
+    only; the run appends them epoch by epoch."""
+    path = f"{out}.metrics.jsonl"
+    open(path, "w", encoding="utf-8").close()
+    return path
 
 
 def cmd_gen(args) -> int:
@@ -112,7 +122,7 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         lr=args.lr,
         seed=args.seed,
-        log_path=f"{args.out}.metrics.jsonl",
+        log_path=_fresh_log(args.out),
     )
     params, metrics = training.train(config, usable, vocab, settings)
     save_checkpoint(args.out, params, vocab.src_tokens, vocab.tgt_tokens)
@@ -137,7 +147,7 @@ def cmd_rl(args) -> int:
         rl_epochs=args.epochs,
         rl_lr=args.lr,
         rl_beam=args.beam,
-        log_path=f"{args.out}.metrics.jsonl",
+        log_path=_fresh_log(args.out),
     )
     metrics = training.run_rl(params, vocab, instances, settings)
     save_checkpoint(args.out, params, vocab.src_tokens, vocab.tgt_tokens)
@@ -249,10 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; bad input or configuration, unreadable or
     unwritable files and a diverged training run are reported as one line
-    on stderr with exit code 2, like an argparse usage error."""
+    on stderr with exit code 2, like an argparse usage error. numpy's
+    floating-point warnings are off: every op's NaN/Inf guard reports an
+    overflow, and it alone."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (DatasetError, ConfigError, TemplateError, OSError, training.TrainingDiverged) as e:
         return _error(str(e))
 

@@ -1,29 +1,33 @@
-"""Beam search per decoder direction, over a batch of problems, and the
-two-beam vote.
+"""Beam search of both decoder directions in lockstep, over a batch of
+problems, and the two-beam vote.
 
 Scores are raw sums of token log-probabilities (no length normalization;
 both directions score the same target length for the same final string, so
-the sums stay comparable). Each step expands every live hypothesis over the
+the sums stay comparable). Each (direction, problem) pair is its own search,
+a *group*: each step expands every live hypothesis of the group over the
 full vocabulary, keeps the top ``beam_size`` candidates by cumulative score,
-and retires the ones ending in the end sentinel into the result pool. Search
-stops once the pool holds ``beam_size`` finished hypotheses or ``max_len`` is
-reached; leftover live hypotheses then join the pool force-finished with
-``finished=False``. The result is the pool in pure score order: a
-force-finished hypothesis can outrank a finished one.
+and retires the ones ending in the end sentinel into the group's result
+pool. A group is finished once its pool holds ``beam_size`` finished
+hypotheses or it has no live one; at ``max_len`` the leftover live
+hypotheses join the pool force-finished with ``finished=False``. The result
+is the pool in pure score order: a force-finished hypothesis can outrank a
+finished one.
 
-Decoding is incremental and batched across problems. The encoder runs once
-over the right-padded sources, and each step feeds only the newest token of
-every live hypothesis to the decoder, which keeps the earlier positions in a
-``DecoderCache``: every layer's self-attention keys/values for the prefix,
-plus its cross-attention keys/values projected once from the encoder
-memories. The rows of one problem's beam sit next to each other and every
-problem has the same number of rows; a problem with fewer live hypotheses
-is padded with copies of one of them that score -inf, so no candidate of
-theirs is ever selected. Each problem keeps its own pool and stop rule, and
-a problem that stops leaves the batch with its cache rows and memory. After
-the top-k selection the cache rows are reindexed by each surviving
-hypothesis's parent. ``beam_search`` and ``decode_both`` decode one problem,
-as a batch of one.
+Decoding is incremental, batched across problems and lockstep across
+directions. The encoder runs once over the right-padded sources, and its
+memory is tiled once per direction. Each step makes one cached decoder call
+that feeds only the newest token of every live hypothesis of every group;
+the decoders' weights are stacked once per search (see ``DecoderCache``),
+so the call runs each direction's rows through its own decoder. Rows are
+direction-major, and within a direction the rows of one problem sit next to
+each other. Every group has the same number of rows; a group with fewer live
+hypotheses, or a finished one, is padded with rows that score -inf, so no
+candidate of theirs is ever selected. A problem leaves the batch, with its
+cache rows and memories, once all its directions are finished. After the
+top-k selection the cache rows are reindexed by each surviving hypothesis's
+parent. ``decode_both`` decodes one problem as a batch of one;
+``beam_search`` decodes one problem in one direction, the one-direction
+case of the same search.
 """
 
 from __future__ import annotations
@@ -79,79 +83,89 @@ def _one_problem(src_ids) -> np.ndarray:
 
 def _search(
     params: ModelParams,
-    direction: str,
+    directions: tuple[str, ...],
     memory: Tensor,
     src_pad: np.ndarray,
     beam_size: int,
     max_len: int,
-) -> list[list[Hypothesis]]:
-    """Beam search of every problem in the encoder ``memory`` batch in one
-    direction; one score-sorted hypothesis list per problem."""
+) -> list[list[list[Hypothesis]]]:
+    """Beam search of every problem in the encoder ``memory`` batch in each
+    of ``directions``, all in lockstep; per direction, one score-sorted
+    hypothesis list per problem."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    n = memory.shape[0]
-    pools: list[list[Hypothesis]] = [[] for _ in range(n)]
-    live: list[list[tuple[int, ...]]] = [[()] for _ in range(n)]
-    live_scores: list[list[float]] = [[0.0] for _ in range(n)]
+    n, n_dir = memory.shape[0], len(directions)
+    # one search per (direction, problem) group; group s * n + j is direction s of problem j
+    pools: list[list[Hypothesis]] = [[] for _ in range(n_dir * n)]
+    live: list[list[tuple[int, ...]]] = [[()] for _ in range(n_dir * n)]
+    live_scores: list[list[float]] = [[0.0] for _ in range(n_dir * n)]
     active = list(range(n))  # the problem at each batch position
-    scores = np.zeros((n, 1))  # (batch, rows per problem), -inf on padding rows
+    groups = list(range(n_dir * n))  # the group at each position, direction-major
+    scores = np.zeros((n_dir * n, 1))  # (groups, rows per group), -inf on padding rows
     cache = DecoderCache()
-    dec_in = np.full((n, 1), _begin_id(direction), dtype=np.int64)
+    memory = Tensor.from_checked(np.concatenate([memory.data] * n_dir))
+    src_pad = np.concatenate([src_pad] * n_dir)
+    dec_in = np.repeat([_begin_id(d) for d in directions], n)[:, None]
     for _ in range(max_len):
-        logits = decoder_forward(params, direction, dec_in, memory, src_pad, cache=cache)
+        logits = decoder_forward(params, directions, dec_in, memory, src_pad, cache=cache)
         logp = _log_softmax(logits.data[:, -1, :])
         vocab, width = logp.shape[-1], scores.shape[1]
-        cand = (scores.reshape(-1, 1) + logp).reshape(len(active), width * vocab)
+        cand = (scores.reshape(-1, 1) + logp).reshape(len(groups), width * vocab)
         order = np.argsort(-cand, axis=1, kind="stable")
-        kept: list[int] = []
         parents: list[list[int]] = []
-        for b, prob in enumerate(active):
-            pool, seqs = pools[prob], live[prob]
+        for b, g in enumerate(groups):
+            pool, seqs = pools[g], live[g]
             rows: list[int] = []
             new_live: list[tuple[int, ...]] = []
             new_scores: list[float] = []
+            # a finished group has no live hypotheses, so it takes no candidate
             top = order[b, : min(beam_size, len(seqs) * vocab)]
             for flat, score in zip(top.tolist(), cand[b, top].tolist()):
                 h, tok = divmod(flat, vocab)
                 if tok == EOS_ID:
-                    pool.append(Hypothesis(seqs[h] + (tok,), score, direction, True))
+                    pool.append(Hypothesis(seqs[h] + (tok,), score, directions[g // n], True))
                 else:
                     rows.append(b * width + h)
                     new_live.append(seqs[h] + (tok,))
                     new_scores.append(score)
-            live[prob], live_scores[prob] = new_live, new_scores
-            if len(pool) < beam_size and new_live:
-                kept.append(b)
-                parents.append(rows)
+            if len(pool) >= beam_size:  # the group is finished
+                rows, new_live, new_scores = [], [], []
+            live[g], live_scores[g] = new_live, new_scores
+            parents.append(rows)
+        # a problem leaves the batch once all its directions are finished
+        kept = [b for b, prob in enumerate(active) if any(live[s * n + prob] for s in range(n_dir))]
         if not kept:
             break
-        shrunk = len(kept) < len(active)
-        if shrunk:
+        picked = None
+        if len(kept) < len(active):
+            picked = [s * len(active) + b for s in range(n_dir) for b in kept]
             active = [active[b] for b in kept]
-            memory, src_pad = Tensor.from_checked(memory.data[kept]), src_pad[kept]
-        # every problem gets as many rows as the widest, padded with copies of its first
+            groups = [groups[b] for b in picked]
+            parents = [parents[b] for b in picked]
+            memory, src_pad = Tensor.from_checked(memory.data[picked]), src_pad[picked]
+        # every group gets as many rows as the widest; padding rows copy row 0,
+        # are fed PAD_ID and score -inf, so no candidate of theirs is ever taken
         width = max(map(len, parents))
         idx: list[int] = []
         flat_scores: list[float] = []
         last: list[int] = []
-        for rows, prob in zip(parents, active):
+        for rows, g in zip(parents, groups):
             k = width - len(rows)
-            idx += rows + rows[:1] * k
-            flat_scores += live_scores[prob] + [-np.inf] * k
-            last += [seq[-1] for seq in live[prob]] + [live[prob][0][-1]] * k
-        cache.reorder(np.array(idx), kept if shrunk else None)
-        scores = np.array(flat_scores).reshape(len(active), width)
+            idx += rows + [0] * k
+            flat_scores += live_scores[g] + [-np.inf] * k
+            last += [seq[-1] for seq in live[g]] + [PAD_ID] * k
+        cache.reorder(np.array(idx), picked)
+        scores = np.array(flat_scores).reshape(len(groups), width)
         dec_in = np.array(last, dtype=np.int64)[:, None]
     else:
-        for prob in active:
-            pools[prob].extend(
-                Hypothesis(seq, s, direction, False) for seq, s in zip(live[prob], live_scores[prob])
-            )
+        for g in groups:
+            pools[g].extend(Hypothesis(seq, s, directions[g // n], False)
+                            for seq, s in zip(live[g], live_scores[g]))
     for pool in pools:
         pool.sort(key=lambda h: h.score, reverse=True)
-    return [pool[:beam_size] for pool in pools]
+    return [[pool[:beam_size] for pool in pools[s * n : (s + 1) * n]] for s in range(n_dir)]
 
 
 def decode_batch(
@@ -165,9 +179,7 @@ def decode_batch(
         return []
     src = pad_right(srcs)
     with no_grad():
-        memory = encode(params, src)
-        l2r = _search(params, L2R, memory, src == PAD_ID, beam_size, max_len)
-        r2l = _search(params, R2L, memory, src == PAD_ID, beam_size, max_len)
+        l2r, r2l = _search(params, (L2R, R2L), encode(params, src), src == PAD_ID, beam_size, max_len)
     return list(zip(l2r, r2l))
 
 
@@ -183,7 +195,7 @@ def beam_search(
     force-finished ones alike. Source padding is read off ``src_ids``."""
     src = _one_problem(src_ids)
     with no_grad():
-        return _search(params, direction, encode(params, src), src == PAD_ID, beam_size, max_len)[0]
+        return _search(params, (direction,), encode(params, src), src == PAD_ID, beam_size, max_len)[0][0]
 
 
 def canonical_tokens(hyp: Hypothesis) -> list[int]:

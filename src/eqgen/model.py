@@ -166,8 +166,27 @@ def param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
 
 @dataclass
 class ModelParams:
+    """The named trainable tensors of one model.
+
+    Each L2R decoder tensor and its R2L twin are made views of one (2, ...)
+    buffer, as its slices 0 and 1; ``pairs`` keeps the buffer and the two
+    views under the L2R name. The lockstep decode reads such a pair as one
+    stacked weight without copying it (see ``_decoder_weights``), as long as
+    both tensors still hold those views; in-place updates keep them.
+    """
+
     config: ModelConfig
     tensors: dict[str, Tensor]
+    pairs: dict[str, tuple[np.ndarray, tuple[np.ndarray, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, t in self.tensors.items():
+            twin = self.tensors.get(name.replace(L2R, R2L, 1)) if L2R in name else None
+            if twin is not None:
+                buf = np.stack([t.data, twin.data])
+                t.data, twin.data = buf[0], buf[1]
+                self.pairs[name] = (buf, (t.data, twin.data))
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -282,16 +301,16 @@ def _embed(params: ModelParams, table: Tensor, ids: np.ndarray, real, start: int
     return embedding(table, ids[real]), Tensor(pe[start + np.nonzero(real)[1]])
 
 
-def _project_kv(params: ModelParams, prefix: str, x_kv: Tensor, real) -> tuple[Tensor, Tensor]:
-    """Keys and values of the rows ``x_kv`` for the attention at ``prefix``,
-    each on the (B, t_k, model_dim) grid."""
-    p = params.tensors
+def _project_kv(p: dict, prefix: str, x_kv: Tensor, real) -> tuple[Tensor, Tensor]:
+    """Keys and values of the rows ``x_kv`` for the attention at ``prefix``
+    of the weights ``p``, each on the (B, t_k, model_dim) grid."""
     return (_grid(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), real),
             _grid(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), real))
 
 
 def _attend(
-    params: ModelParams,
+    p: dict,
+    heads: int,
     prefix: str,
     x_q: Tensor,
     real,
@@ -306,20 +325,18 @@ def _attend(
     With kb < B, each key set serves B / kb consecutive query rows (see
     ``numerics.attention``), and ``mask`` must broadcast to kb as well.
     """
-    p = params.tensors
     q = _grid(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), real)
-    ctx = _rows(attention(q, k, v, params.config.heads, mask), real)
+    ctx = _rows(attention(q, k, v, heads, mask), real)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
-def _sublayer(params, prefix_ln: str, x: Tensor, out: Tensor, train: bool, rng, real) -> Tensor:
-    p = params.tensors
-    out = _maybe_dropout(out, params.config, train, rng, real)
+def _sublayer(p: dict, cfg: ModelConfig, prefix_ln: str, x: Tensor, out: Tensor, train: bool, rng,
+              real) -> Tensor:
+    out = _maybe_dropout(out, cfg, train, rng, real)
     return layer_norm(x + out, p[f"{prefix_ln}.g"], p[f"{prefix_ln}.b"])
 
 
-def _ffn(params, prefix: str, x: Tensor) -> Tensor:
-    p = params.tensors
+def _ffn(p: dict, prefix: str, x: Tensor) -> Tensor:
     return linear(relu(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])), p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
@@ -349,42 +366,90 @@ def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tenso
     x = linear(x, params["src_proj.w"], params["src_proj.b"]) * math.sqrt(cfg.model_dim)
     x = _maybe_dropout(x + pos, cfg, train, rng, real)
     mask = _key_mask(pad)
+    p = params.tensors
     for i in range(cfg.layers):
-        attn = _attend(params, f"enc.{i}.attn", x, real, *_project_kv(params, f"enc.{i}.attn", x, real), mask)
-        x = _sublayer(params, f"enc.{i}.ln1", x, attn, train, rng, real)
-        x = _sublayer(params, f"enc.{i}.ln2", x, _ffn(params, f"enc.{i}.ff", x), train, rng, real)
+        k, v = _project_kv(p, f"enc.{i}.attn", x, real)
+        attn = _attend(p, cfg.heads, f"enc.{i}.attn", x, real, k, v, mask)
+        x = _sublayer(p, cfg, f"enc.{i}.ln1", x, attn, train, rng, real)
+        x = _sublayer(p, cfg, f"enc.{i}.ln2", x, _ffn(p, f"enc.{i}.ff", x), train, rng, real)
     return _grid(x, real)
 
 
+def _target_name(config: ModelConfig, direction: str) -> str:
+    return "tgt_embed" if config.share_target_embedding else f"tgt_embed_{direction}"
+
+
 def _target_table(params: ModelParams, direction: str) -> Tensor:
-    if params.config.share_target_embedding:
-        return params["tgt_embed"]
-    return params[f"tgt_embed_{direction}"]
+    return params[_target_name(params.config, direction)]
+
+
+@functools.lru_cache(maxsize=32)
+def _decoder_names(config: ModelConfig, direction: str) -> tuple[tuple[str, str], ...]:
+    """(direction-free name, ``direction``'s name) of every decoder tensor
+    but the target table: ("dec.0.attn.wq", "dec_r2l.0.attn.wq"), ("out.w",
+    "out_r2l.w"), ..."""
+    return tuple((name.replace("_l2r", "", 1), name.replace(L2R, direction, 1))
+                 for name in param_specs(config) if name.startswith(("dec_l2r.", "out_l2r.")))
+
+
+def _stacked(params: ModelParams, names: list[str]) -> Tensor:
+    """The tensors ``names`` stacked on a new leading axis: their shared
+    buffer when they are its slices in order (see ``ModelParams``), else a
+    copy."""
+    arrays = [params[name].data for name in names]
+    buf, views = params.pairs.get(names[0], (None, ()))
+    if len(views) != len(arrays) or any(a is not v for a, v in zip(arrays, views)):
+        buf = np.stack(arrays)
+    return Tensor.from_checked(buf)
+
+
+def _decoder_weights(params: ModelParams, directions: tuple[str, ...]) -> dict[str, Tensor]:
+    """The decoder tensors of ``directions`` under direction-free names
+    ("dec.0.attn.wq", "out.w", "embed"). For one direction they are its own
+    tensors. For S directions each weight or bias is their (S, ...) stack,
+    which ``linear`` and ``layer_norm`` apply group by group, and "embed" is
+    their target tables one after the other, (S * vocab, d)."""
+    cfg = params.config
+    if len(directions) == 1:
+        weights = {key: params[name] for key, name in _decoder_names(cfg, directions[0])}
+        weights["embed"] = _target_table(params, directions[0])
+        return weights
+    weights = {names[0][0]: _stacked(params, [name for _, name in names])
+               for names in zip(*(_decoder_names(cfg, d) for d in directions))}
+    tables = _stacked(params, [_target_name(cfg, d) for d in directions])
+    weights["embed"] = Tensor.from_checked(tables.data.reshape(-1, cfg.model_dim))
+    return weights
 
 
 @dataclass
 class DecoderCache:
-    """Decode-only state of one incremental decoder pass over B problems.
+    """Decode-only state of one incremental decoder pass over the directions
+    it was first called with and B memories.
 
-    Holds, per layer, the self-attention keys/values of the ``length``
-    positions fed so far, each a (rows, length, model_dim) array with one
-    row per live hypothesis, and the cross-attention keys/values, each a
-    (B, source length, model_dim) tensor projected once from the encoder
-    memories of the B problems. The rows of one problem sit next to each
-    other, the same number per problem, so rows / B consecutive rows share
-    one memory (see ``numerics.attention``). Heads are split inside
-    ``numerics.attention``, not in the cache. ``reorder`` reindexes the rows
-    after the beam's top-k selection and drops the memories of problems
-    that left the batch.
+    ``weights`` holds those directions' decoder tensors, stacked once when
+    there are several (see ``_decoder_weights``). Per layer it holds the
+    self-attention keys/values of the ``length`` positions fed so far, each
+    a (rows, length, model_dim) array with one row per live hypothesis, and
+    the cross-attention keys/values, each a (B, source length, model_dim)
+    tensor projected once from the B encoder memories. Rows and memories are
+    direction-major: with S directions, the first B / S memories and the
+    first rows / S rows are the first direction's, and so on. Within that
+    order the rows of one memory sit next to each other, the same number per
+    memory, so rows / B consecutive rows share one memory (see
+    ``numerics.attention``). Heads are split inside ``numerics.attention``,
+    not in the cache. ``reorder`` reindexes the rows after the beam's top-k
+    selection and drops the memories of problems that left the batch.
     """
 
     length: int = 0
+    directions: tuple[str, ...] = ()
+    weights: dict[str, Tensor] = field(default_factory=dict)
     self_kv: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     memory_kv: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def reorder(self, rows, problems=None) -> None:
         """Row i becomes the former row ``rows[i]``; with ``problems``, the
-        memory of problem j becomes the former memory ``problems[j]``."""
+        memory j becomes the former memory ``problems[j]``."""
         self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
         if problems is not None:
             self.memory_kv = [(Tensor.from_checked(k.data[problems]), Tensor.from_checked(v.data[problems]))
@@ -405,7 +470,7 @@ class DecoderCache:
 
 def decoder_forward(
     params: ModelParams,
-    direction: str,
+    direction,
     tgt_ids,
     memory: Tensor,
     src_pad: Optional[np.ndarray] = None,
@@ -428,10 +493,14 @@ def decoder_forward(
     attend to the cached keys/values and are appended to them. A cached pass
     records no autodiff graph. Its row count must be a multiple of the
     memory batch B: the first rows / B rows read memory 0, the next ones
-    memory 1, and so on.
+    memory 1, and so on. A cached pass may also take a tuple of S distinct
+    directions, decoded in lockstep in one pass: the memory batch and the
+    rows then split into S equal groups in the tuple's order, and group s
+    runs through direction s's decoder and reads its memories.
     """
-    if direction not in DIRECTIONS:
-        raise ConfigError(f"unknown direction {direction!r}")
+    directions = (direction,) if isinstance(direction, str) else tuple(direction)
+    if not directions or len(set(directions)) < len(directions) or not set(directions) <= set(DIRECTIONS):
+        raise ConfigError(f"unknown direction or repeated directions {direction!r}")
     cfg = params.config
     tgt = as_batch(tgt_ids)
     t = tgt.shape[1]
@@ -450,43 +519,56 @@ def decoder_forward(
         if lengths.shape != tgt.shape[:1] or lengths.min() < 1 or lengths.max() > t:
             raise ConfigError(f"lengths must give each of the {tgt.shape[0]} rows 1 to {t} positions")
         real = _real(np.arange(t) < lengths[:, None])
-    if cache is not None:
+    if cache is None:
+        if len(directions) > 1:
+            raise ConfigError("several directions decode in lockstep only with a decoder cache")
+        p = _decoder_weights(params, directions)
+    else:
         if train or lengths is not None:
             raise ConfigError("the decoder cache is for decoding only, not training or scoring")
-        if tgt.shape[0] % memory.shape[0]:
-            raise ConfigError(f"cached decoding needs a multiple of the memory batch {memory.shape[0]} "
-                              f"as row count, got {tgt.shape[0]} rows")
+        if memory.shape[0] % len(directions) or tgt.shape[0] % memory.shape[0]:
+            raise ConfigError(f"cached decoding of {len(directions)} direction(s) needs a memory batch "
+                              f"{memory.shape[0]} divisible by that and a multiple of it as row count, "
+                              f"got {tgt.shape[0]} rows")
         if cache.memory_kv and cache.memory_kv[0][0].shape[0] != memory.shape[0]:
             raise ConfigError(f"the cache holds {cache.memory_kv[0][0].shape[0]} memories, "
                               f"not {memory.shape[0]}")
+        if not cache.directions:
+            cache.directions, cache.weights = directions, _decoder_weights(params, directions)
+        elif cache.directions != directions:
+            raise ConfigError(f"the cache decodes {cache.directions}, not {directions}")
+        p = cache.weights
+    ids = tgt
+    if len(directions) > 1:  # group s looks up its ids in the s-th table of p["embed"]
+        offsets = np.arange(len(directions)) * cfg.vocab_tgt
+        ids = tgt + np.repeat(offsets, tgt.shape[0] // len(directions))[:, None]
     with no_grad() if cache is not None else contextlib.nullcontext():
-        x, pos = _embed(params, _target_table(params, direction), tgt, real, start)
+        x, pos = _embed(params, p["embed"], ids, real, start)
         x = _maybe_dropout(x * math.sqrt(cfg.model_dim) + pos, cfg, train, rng, real)
         causal = _causal_mask(t, start)
         mem_real = None if src_pad is None else _real(~src_pad)
         mem_mask = None if src_pad is None else _key_mask(src_pad)
         # a cache projects the memory on its first call only
         mem_rows = _rows(memory, mem_real) if cache is None or not cache.memory_kv else None
-        stack = f"dec_{direction}"
         for i in range(cfg.layers):
-            layer = f"{stack}.{i}"
-            k, v = _project_kv(params, f"{layer}.attn", x, real)
+            layer = f"dec.{i}"
+            k, v = _project_kv(p, f"{layer}.attn", x, real)
             if cache is not None:
                 k, v = cache.append(i, k, v)
-            attn = _attend(params, f"{layer}.attn", x, real, k, v, causal)
-            x = _sublayer(params, f"{layer}.ln1", x, attn, train, rng, real)
+            attn = _attend(p, cfg.heads, f"{layer}.attn", x, real, k, v, causal)
+            x = _sublayer(p, cfg, f"{layer}.ln1", x, attn, train, rng, real)
             if cache is None:
-                k, v = _project_kv(params, f"{layer}.xattn", mem_rows, mem_real)
+                k, v = _project_kv(p, f"{layer}.xattn", mem_rows, mem_real)
             else:
                 if i == len(cache.memory_kv):
-                    cache.memory_kv.append(_project_kv(params, f"{layer}.xattn", mem_rows, mem_real))
+                    cache.memory_kv.append(_project_kv(p, f"{layer}.xattn", mem_rows, mem_real))
                 k, v = cache.memory_kv[i]
-            cross = _attend(params, f"{layer}.xattn", x, real, k, v, mem_mask)
-            x = _sublayer(params, f"{layer}.ln2", x, cross, train, rng, real)
-            x = _sublayer(params, f"{layer}.ln3", x, _ffn(params, f"{layer}.ff", x), train, rng, real)
+            cross = _attend(p, cfg.heads, f"{layer}.xattn", x, real, k, v, mem_mask)
+            x = _sublayer(p, cfg, f"{layer}.ln2", x, cross, train, rng, real)
+            x = _sublayer(p, cfg, f"{layer}.ln3", x, _ffn(p, f"{layer}.ff", x), train, rng, real)
         if cache is not None:
             cache.length += t
-        return _grid(linear(x, params[f"out_{direction}.w"], params[f"out_{direction}.b"]), real)
+        return _grid(linear(x, p["out.w"], p["out.b"]), real)
 
 
 # ---------------------------------------------------------------------------

@@ -253,20 +253,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     The leading axes are flattened, so the forward product and the input
     gradient are each one 2-d GEMM: numpy runs ``(R, 1, k) @ (k, n)`` as R
-    tiny products.
+    tiny products. A stacked (S, k, n) weight with an (S, n) bias applies
+    slice s to the s-th of S equal groups of the flattened rows, as S GEMMs
+    in one batched product.
     """
     xd, wd = x.data, w.data
-    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1] or b.shape != wd.shape[1:]:
-        raise ShapeError(f"linear needs (..., k) @ (k, n) + (n,), got {xd.shape} @ {wd.shape} + {b.shape}")
-    x2 = xd.reshape(-1, xd.shape[-1])
+    if (wd.ndim not in (2, 3) or xd.shape[-1:] != wd.shape[-2:-1] or b.shape != wd.shape[:-2] + wd.shape[-1:]
+            or wd.ndim == 3 and xd.size // max(xd.shape[-1], 1) % wd.shape[0]):
+        raise ShapeError(f"linear needs (..., k) @ (k, n) + (n,), or rows in S groups @ (S, k, n) + (S, n); "
+                         f"got {xd.shape} @ {wd.shape} + {b.shape}")
+    x2 = xd.reshape(wd.shape[:-2] + (-1, xd.shape[-1]))
     data = x2 @ wd
-    data += b.data
+    data += b.data[..., None, :]
 
     def bw(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        return (g2 @ wd.T).reshape(xd.shape), x2.T @ g2, g2.sum(axis=0)
+        g2 = g.reshape(x2.shape[:-1] + g.shape[-1:])
+        return (g2 @ wd.swapaxes(-1, -2)).reshape(xd.shape), x2.swapaxes(-1, -2) @ g2, g2.sum(axis=-2)
 
-    return _result(data.reshape(xd.shape[:-1] + wd.shape[1:]), (x, w, b), bw)
+    return _result(data.reshape(xd.shape[:-1] + wd.shape[-1:]), (x, w, b), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
@@ -336,30 +340,38 @@ def relu(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    A (d,) gain and bias serve every row; a stacked (S, d) pair applies
+    slice s to the s-th of S equal groups of the rows (all axes but the last
+    flattened), as ``linear`` does with a stacked weight.
+    """
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm gain/bias must have shape ({d},)")
+    s = gain.shape[0] if gain.ndim == 2 else 1
+    if gain.shape[-1:] != (d,) or gain.ndim > 2 or bias.shape != gain.shape or x.data.size % (s * d):
+        raise ShapeError(f"layer_norm gain/bias must have shape ({d},) or (S, {d}) with S dividing the rows; "
+                         f"got {gain.shape} and {bias.shape} for {x.shape}")
+    xd = x.data.reshape(s, -1, d)
+    gd = gain.data.reshape(s, 1, d)
     # np.add.reduce / d is what ndarray.mean computes, without its Python-level wrapper
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    xc = x.data - mu
+    mu = np.add.reduce(xd, axis=-1, keepdims=True) / d
+    xc = xd - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    data = xhat * gain.data + bias.data
-    gd = gain.data
+    data = xhat * gd + bias.data.reshape(s, 1, d)
 
     def bw(g):
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
+        g = g.reshape(xd.shape)
+        dgain = (g * xhat).sum(axis=1).reshape(gain.shape)
+        dbias = g.sum(axis=1).reshape(gain.shape)
         dxhat = g * gd
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
         dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgain, dbias
+        return dx.reshape(x.shape), dgain, dbias
 
-    return _result(data, (x, gain, bias), bw)
+    return _result(data.reshape(x.shape), (x, gain, bias), bw)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

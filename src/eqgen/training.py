@@ -314,9 +314,11 @@ def run_rl(
     metrics: Optional[list[dict]] = None,
 ) -> list[dict]:
     """REINFORCE phase: one ``reinforce_step`` per usable instance and
-    epoch, logging one ``"rl-train"`` record per epoch. Instances with no
-    answers or an empty source cannot be rewarded or encoded; they are left
-    out, and each record's ``"skipped"`` counts them."""
+    epoch, logging one ``"rl-train"`` record per epoch. Its ``"grad_norm"``
+    is the mean pre-clip gradient norm of the epoch's updates, ``None`` when
+    no step updated. Instances with no answers or an empty source cannot be
+    rewarded or encoded; they are left out, and each record's ``"skipped"``
+    counts them."""
     metrics = metrics if metrics is not None else []
     usable = [i for i in train_insts if i.problem.answers and i.source]
     skipped = len(train_insts) - len(usable)
@@ -324,9 +326,11 @@ def run_rl(
     order_rng = np.random.default_rng(settings.seed + 2)
     for epoch in range(settings.rl_epochs):
         order = order_rng.permutation(len(usable))
-        rewards = [reinforce_step(params, opt, vocab, usable[i], settings.rl_beam).mean_reward for i in order]
+        steps = [reinforce_step(params, opt, vocab, usable[i], settings.rl_beam) for i in order]
+        norms = [step.grad_norm for step in steps if step.updated]
         record = _metric_record(epoch, "rl-train")
-        record["mean_reward"] = sum(rewards) / len(rewards) if rewards else 0.0
+        record["mean_reward"] = sum(step.mean_reward for step in steps) / len(steps) if steps else 0.0
+        record["grad_norm"] = sum(norms) / len(norms) if norms else None
         record["skipped"] = skipped
         _log(settings, metrics, record)
     return metrics

@@ -399,6 +399,38 @@ class TestCli:
             "eqgen: error: non-finite loss at optimizer step 2: op produced non-finite values\n")
         assert not (tmp_path / "m.npz").exists()
 
+    def test_overflow_is_one_stderr_line(self, tmp_path):
+        # in a fresh process, where numpy's warnings are not captured: the
+        # guard's one-line error is all that reaches stderr
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 4))
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "eqgen.cli", "train", "--data", str(data), "--epochs", "2",
+                              "--lr", "1e300", "--out", str(tmp_path / "m.npz")],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            "eqgen: error: non-finite loss at optimizer step 2: op produced non-finite values"]
+
+    def test_rerun_replaces_the_metrics_log(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 4))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"embed_dim": 8, "model_dim": 16, "layers": 1, "heads": 2, "ff_dim": 16}))
+        log = tmp_path / "m.npz.metrics.jsonl"
+        runs = []
+        for epochs, seed in (("3", "1"), ("2", "2")):
+            capsys.readouterr()
+            assert cli_main(["train", "--data", str(data), "--config", str(cfg), "--epochs", epochs,
+                             "--seed", seed, "--out", str(tmp_path / "m.npz")]) == 0
+            runs.append([json.loads(line) for line in log.read_text().splitlines()])
+            assert runs[-1][-1] == json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert [r["epoch"] for r in runs[0]] == [0, 1, 2]
+        assert [r["epoch"] for r in runs[1]] == [0, 1]  # the second run's records only
+        assert runs[1][0]["loss_l2r"] != runs[0][0]["loss_l2r"]
+
     def test_train_logs_exclusions_to_stderr(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         text = " and ".join(str(11 + i) for i in range(13))  # too many numbers to align

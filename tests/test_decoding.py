@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from eqgen.model import (
 )
 from eqgen import decoding
 from eqgen.numerics import Tensor, no_grad
+import per_direction
+from per_direction import reference_decode_batch
 
 
 def tiny_params(seed, vocab_tgt=10, vocab_src=9, **overrides):
@@ -122,6 +125,21 @@ def exhaustive_pool(params, direction, src, max_len):
             continue
         pool.append((seq, seq_score(seq), False))
     return pool
+
+
+def spy_decoder_calls(monkeypatch):
+    """(directions, memory batch) of every cached decoder call, of the
+    lockstep search and of the per-direction reference alike."""
+    calls = []
+    real = decoding.decoder_forward
+
+    def spy(params, direction, tgt_ids, memory, *args, **kwargs):
+        calls.append((direction, memory.shape[0]))
+        return real(params, direction, tgt_ids, memory, *args, **kwargs)
+
+    monkeypatch.setattr(decoding, "decoder_forward", spy)
+    monkeypatch.setattr(per_direction, "decoder_forward", spy)
+    return calls
 
 
 class TestBeamOracle:
@@ -256,18 +274,6 @@ class TestDecodeBatch:
     # mixed lengths, one source with its own trailing padding
     SRCS = [[5, 6, 7], [8], [5, 6, 7, 8, PAD_ID], [6, 8], [7, 5, 6, 8, 8]]
 
-    def spy_memory_batches(self, monkeypatch):
-        """The memory batch of every cached decoder call, per direction."""
-        seen = {L2R: [], R2L: []}
-        real = decoding.decoder_forward
-
-        def spy(params, direction, tgt_ids, memory, *args, **kwargs):
-            seen[direction].append(memory.shape[0])
-            return real(params, direction, tgt_ids, memory, *args, **kwargs)
-
-        monkeypatch.setattr(decoding, "decoder_forward", spy)
-        return seen
-
     def check(self, params, srcs, beam, max_len):
         """Returns how many problems were force-finished at ``max_len``."""
         got = decode_batch(params, srcs, beam, max_len)
@@ -284,18 +290,20 @@ class TestDecodeBatch:
         return forced
 
     def test_matches_reference_per_problem(self, monkeypatch):
-        seen = self.spy_memory_batches(monkeypatch)
+        seen = spy_decoder_calls(monkeypatch)
         shrank = forced = finished_early = 0
         for seed in range(70, 78):
             for overrides in ({}, dict(layers=2, model_dim=16, heads=4, ff_dim=16,
                                        share_target_embedding=False)):
                 params = tiny_params(seed, **overrides)
                 for beam in (1, 4, 10):
-                    seen[L2R].clear(), seen[R2L].clear()
+                    seen.clear()
                     forced += self.check(params, self.SRCS, beam, max_len=8)
-                    for batches in seen.values():
-                        shrank += batches[-1] < batches[0]
-                        finished_early += len(batches) < 8
+                    # every call is a lockstep call over both directions' memories
+                    assert {direction for direction, _ in seen} == {(L2R, R2L)}
+                    batches = [batch // 2 for _, batch in seen]
+                    shrank += batches[-1] < batches[0]
+                    finished_early += len(batches) < 8
         # the cases cover a batch that shrinks, problems that stop at
         # different steps and problems that reach max_len
         assert shrank and forced and finished_early
@@ -334,9 +342,10 @@ class TestDecodeBatch:
             return row
 
         def stub(params, direction, dec_in, memory, src_pad, cache):
+            # memory holds one copy of the batch's memories per direction
             step, cache.length = cache.length, cache.length + 1
             width = dec_in.shape[0] // memory.shape[0]
-            widths.append((direction, step, memory.shape[0], width))
+            widths.append((direction, step, memory.shape[0] // len(direction), width))
             rows = [logits_row(int(memory.data[r // width, 0, 0]), step, int(dec_in[r, -1]))
                     for r in range(dec_in.shape[0])]
             return Tensor(np.array(rows)[:, None, :])
@@ -344,10 +353,10 @@ class TestDecodeBatch:
         monkeypatch.setattr(decoding, "encode", lambda params, src: Tensor(src[:, :, None]))
         monkeypatch.setattr(decoding, "decoder_forward", stub)
         alone_a = decode_batch(None, [[5]], beam, 5)
-        assert (L2R, 3, 1, 2) in widths  # A alone: 2 live rows at step 3
+        assert ((L2R, R2L), 3, 1, 2) in widths  # A alone: 2 live rows at step 3
         widths.clear()
         both = decode_batch(None, [[5], [6]], beam, 5)
-        assert (L2R, 3, 2, 12) in widths  # next to B: padded to 12 rows
+        assert ((L2R, R2L), 3, 2, 12) in widths  # next to B: padded to 12 rows
         assert both == alone_a + decode_batch(None, [[6]], beam, 5)
         assert [len(hyps) for hyps in both[0]] == [beam, beam]
 
@@ -378,6 +387,72 @@ class TestDecodeBatch:
                         ref = hypothesis_log_prob(params64, np.array([src]), [h]).item()
                     worst = max(worst, abs(h.score - ref))
         assert 0 < worst < 1e-5
+
+
+class TestLockstepMatchesPerDirection:
+    """The lockstep search of both directions against one search per
+    direction (``tests/per_direction.py``): the same hypotheses in the same
+    order, the same flags, scores to 1e-9."""
+
+    # mixed lengths and padding; the last two problems are one-token sources
+    SRCS = [[5, 6, 7], [8], [5, 6, 7, 8, PAD_ID], [6, 8], [7, 5, 6, 8, 8], [6], [7]]
+
+    def assert_same(self, got, want):
+        assert [(h.tokens, h.finished, h.direction) for h in got] == [
+            (h.tokens, h.finished, h.direction) for h in want
+        ]
+        assert all(abs(g.score - w.score) <= 1e-9 for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(layers=2, model_dim=16, heads=4, ff_dim=16, share_target_embedding=False),
+        dict(dtype="float32"),
+        dict(layers=2, model_dim=16, heads=4, ff_dim=16, share_target_embedding=False, dtype="float32"),
+    ])
+    def test_batches_and_single_problems(self, overrides, monkeypatch):
+        calls = spy_decoder_calls(monkeypatch)
+        apart = 0  # problems whose two directions stop 3 or more steps apart
+        for seed in range(90, 93):
+            params = tiny_params(seed, **overrides)
+            for beam in (1, 3, 10):
+                got = decode_batch(params, self.SRCS, beam, 8)
+                want = reference_decode_batch(params, self.SRCS, beam, 8)
+                assert len(got) == len(want) == len(self.SRCS)
+                for pair, want_pair in zip(got, want):
+                    for hyps, want_hyps in zip(pair, want_pair):
+                        self.assert_same(hyps, want_hyps)
+                for src in self.SRCS:
+                    one = np.array([src])
+                    want_pair = reference_decode_batch(params, [src], beam, 8)[0]
+                    for got_pair in (decode_both(params, one, beam, 8), decode_batch(params, [src], beam, 8)[0]):
+                        for hyps, want_hyps in zip(got_pair, want_pair):
+                            self.assert_same(hyps, want_hyps)
+                    steps = {}
+                    for direction, want_hyps in zip((L2R, R2L), want_pair):
+                        calls.clear()
+                        self.assert_same(beam_search(params, direction, one, beam, 8), want_hyps)
+                        assert {d for d, _ in calls} == {(direction,)}
+                        steps[direction] = len(calls)
+                    apart += abs(steps[L2R] - steps[R2L]) >= 3
+        assert apart
+
+    def test_one_decoder_call_per_step_for_both_directions(self, monkeypatch):
+        """One cached call per step covers both directions' rows: a batch takes
+        as many calls as the longer of its two per-direction searches."""
+        calls = spy_decoder_calls(monkeypatch)
+        uneven = 0
+        for seed in range(70, 74):
+            params = tiny_params(seed)
+            for beam in (1, 4):
+                calls.clear()
+                reference_decode_batch(params, self.SRCS, beam, 8)
+                per_direction_calls = Counter(direction for direction, _ in calls)
+                calls.clear()
+                decode_batch(params, self.SRCS, beam, 8)
+                assert all(direction == (L2R, R2L) for direction, _ in calls)
+                assert len(calls) == max(per_direction_calls[L2R], per_direction_calls[R2L])
+                uneven += per_direction_calls[L2R] != per_direction_calls[R2L]
+        assert uneven
 
 
 class TestVote:

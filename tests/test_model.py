@@ -306,6 +306,87 @@ class TestDecoderCache:
             decoder_forward(params, L2R, np.array([[5]]), memory, pad, cache=cache)
 
 
+class TestLockstepDirections:
+    """A cached call over the tuple (L2R, R2L), on memories tiled per
+    direction, gives each direction's rows the logits of its own call."""
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_matches_one_call_per_direction(self, share):
+        params = init_params(tiny_config(layers=2, share_target_embedding=share), 8)
+        src = np.array([[5, 6, 7, PAD_ID], [8, 9, PAD_ID, PAD_ID]])
+        memory, pad = encode(params, src), src == PAD_ID
+        tiled, tiled_pad = Tensor(np.concatenate([memory.data] * 2)), np.concatenate([pad] * 2)
+        rng = np.random.default_rng(1)
+        # two rows per problem and direction; the last step reorders the rows
+        feeds = [rng.integers(5, 11, size=(8, n)) for n in (3, 1, 1)]
+        feeds[0][:4, 0], feeds[0][4:, 0] = BOS_ID, BOSR_ID
+        parents = [1, 1, 2, 3, 4, 4, 7, 6]
+        lockstep, alone = DecoderCache(), {L2R: DecoderCache(), R2L: DecoderCache()}
+        for i, feed in enumerate(feeds):
+            if i == 2:
+                lockstep.reorder(parents)
+                alone[L2R].reorder(parents[:4])
+                alone[R2L].reorder([p - 4 for p in parents[4:]])
+            got = decoder_forward(params, (L2R, R2L), feed, tiled, tiled_pad, cache=lockstep).data
+            for half, direction in enumerate((L2R, R2L)):
+                rows = slice(4 * half, 4 * half + 4)
+                want = decoder_forward(params, direction, feed[rows], memory, pad, cache=alone[direction]).data
+                assert np.max(np.abs(got[rows] - want)) < 1e-12
+
+    def test_contract_violations(self):
+        params = init_params(tiny_config(), 9)
+        src = np.array([[5, 6]])
+        memory, pad = encode(params, src), src == PAD_ID
+        two, two_pad = Tensor(np.concatenate([memory.data] * 2)), np.concatenate([pad] * 2)
+        bos = np.array([[BOS_ID], [BOSR_ID]])
+        with pytest.raises(ConfigError):  # lockstep decoding needs a cache
+            decoder_forward(params, (L2R, R2L), bos, two, two_pad)
+        with pytest.raises(ConfigError):  # a direction twice
+            decoder_forward(params, (L2R, L2R), bos, two, two_pad, cache=DecoderCache())
+        with pytest.raises(ConfigError):  # one memory cannot split over two directions
+            decoder_forward(params, (L2R, R2L), bos, memory, pad, cache=DecoderCache())
+        with pytest.raises(ConfigError):  # a cache holds the weights of its first directions
+            cache = DecoderCache()
+            decoder_forward(params, (L2R, R2L), bos, two, two_pad, cache=cache)
+            decoder_forward(params, (R2L, L2R), np.array([[5], [5]]), two, two_pad, cache=cache)
+
+
+class TestDecoderPairs:
+    """Each L2R decoder tensor and its R2L twin are slices of one buffer,
+    which the lockstep decode reads as the stacked weight without a copy."""
+
+    def stacked(self, params):
+        return M._decoder_weights(params, (L2R, R2L))
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_init_copy_and_load_keep_the_pairs(self, tmp_path, share):
+        params = init_params(tiny_config(share_target_embedding=share), 14)
+        save_checkpoint(tmp_path / "m.npz", params, [], [])
+        for p in (params, params.copy(), load_checkpoint(tmp_path / "m.npz")[0]):
+            weights = self.stacked(p)
+            for key, name in M._decoder_names(p.config, L2R):
+                twin = name.replace(L2R, R2L, 1)
+                assert np.array_equal(weights[key].data, np.stack([p[name].data, p[twin].data]))
+                assert np.shares_memory(weights[key].data, p[name].data)
+                assert np.shares_memory(weights[key].data, p[twin].data)
+            tables = [p["tgt_embed"].data] * 2 if share else [p["tgt_embed_l2r"].data, p["tgt_embed_r2l"].data]
+            assert np.array_equal(weights["embed"].data, np.concatenate(tables))
+            assert share or np.shares_memory(weights["embed"].data, tables[1])
+            assert weights["embed"].shape == (2 * p.config.vocab_tgt, p.config.model_dim)
+
+    def test_in_place_updates_show_and_rebound_tensors_are_stacked_afresh(self):
+        params = init_params(tiny_config(), 15)
+        params["dec_l2r.0.ff.w1"].data -= 1.0  # in place, as Adam updates
+        fresh = Tensor(params["dec_r2l.0.ff.w2"].data + 1.0)
+        params.tensors["dec_r2l.0.ff.w2"] = fresh  # a new tensor, no longer a slice of the pair
+        weights = self.stacked(params)
+        assert np.shares_memory(weights["dec.0.ff.w1"].data, params["dec_l2r.0.ff.w1"].data)
+        assert np.array_equal(weights["dec.0.ff.w1"].data[0], params["dec_l2r.0.ff.w1"].data)
+        assert not np.shares_memory(weights["dec.0.ff.w2"].data, fresh.data)
+        assert np.array_equal(weights["dec.0.ff.w2"].data,
+                              np.stack([params["dec_l2r.0.ff.w2"].data, fresh.data]))
+
+
 class TestJointLoss:
     def batch(self):
         return make_batch([[5, 6, 7], [8, 9]], [[6, 7], [5, 10, 9]])

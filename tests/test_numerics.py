@@ -119,11 +119,28 @@ class TestLinear:
         ((2, 3), (4, 5), (5,)),  # inner dimensions differ
         ((2, 4), (4, 5), (4,)),  # bias does not match the output width
         ((2, 4), (4, 5), (1, 5)),  # bias is not 1-d
-        ((2, 4), (2, 4, 5), (5,)),  # weight is not 2-d
+        ((2, 4), (2, 4, 5), (5,)),  # a stacked weight with a 1-d bias
+        ((3, 4), (2, 4, 5), (2, 5)),  # 3 rows do not split into 2 groups
+        ((2, 4), (2, 4, 5), (3, 5)),  # 2 weights, 3 biases
+        ((2, 4), (2, 3, 5), (2, 5)),  # stacked inner dimensions differ
+        ((4, 4), (2, 1, 4, 5), (2, 1, 5)),  # weight is 4-d
     ])
     def test_shape_mismatch(self, x, w, b):
         with pytest.raises(ShapeError):
             linear(T(np.zeros(x)), T(np.zeros(w)), T(np.zeros(b)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape, s", [((6, 1, 8), 2), ((3, 2, 8), 2), ((9, 8), 3), ((4, 8), 1)])
+    def test_stacked_weight_is_per_group(self, dtype, x_shape, s):
+        # slice i of an (S, k, n) weight and (S, n) bias maps the i-th of S
+        # equal groups of the flattened rows, exactly as a call per slice
+        rng = np.random.default_rng(31)
+        x, w, b = (rng.normal(size=shape).astype(dtype) for shape in (x_shape, (s, 8, 5), (s, 5)))
+        out = linear(Tensor(x), Tensor(w), Tensor(b)).data
+        groups = x.reshape(s, -1, 8)
+        want = np.concatenate([linear(Tensor(groups[i]), Tensor(w[i]), Tensor(b[i])).data for i in range(s)])
+        assert out.shape == x_shape[:-1] + (5,) and out.dtype == dtype
+        assert np.array_equal(out.reshape(-1, 5), want)
 
     def test_nan_raises(self):
         # inf + (-inf) in one output entry
@@ -212,6 +229,28 @@ class TestLayerNorm:
     def test_bad_gain_shape(self):
         with pytest.raises(ShapeError):
             layer_norm(T(np.zeros((2, 4))), T(np.ones(3)), T(np.zeros(4)))
+
+    @pytest.mark.parametrize("x, gain, bias", [
+        ((4, 4), (2, 4), (4,)),  # stacked gain, unstacked bias
+        ((3, 4), (2, 4), (2, 4)),  # 3 rows do not split into 2 groups
+        ((4, 4), (2, 3), (2, 3)),  # stacked width differs from the rows'
+        ((4, 4), (1, 2, 4), (1, 2, 4)),  # gain is 3-d
+    ])
+    def test_bad_stacked_gain_shape(self, x, gain, bias):
+        with pytest.raises(ShapeError):
+            layer_norm(T(np.zeros(x)), T(np.ones(gain)), T(np.zeros(bias)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape, s", [((6, 1, 8), 2), ((3, 2, 8), 2), ((9, 8), 3)])
+    def test_stacked_gain_is_per_group(self, dtype, x_shape, s):
+        rng = np.random.default_rng(32)
+        x, gain, bias = (rng.normal(size=shape).astype(dtype) for shape in (x_shape, (s, 8), (s, 8)))
+        out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        groups = x.reshape(s, -1, 8)
+        want = np.concatenate([layer_norm(Tensor(groups[i]), Tensor(gain[i]), Tensor(bias[i])).data
+                               for i in range(s)])
+        assert out.shape == x_shape and out.dtype == dtype
+        assert np.array_equal(out.reshape(-1, 8), want)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("shape", [(10, 1, 64), (16, 41, 64), (37, 64)])
@@ -451,6 +490,25 @@ class TestFiniteDifferences:
         err_w = check_op_grad(lambda w: (linear(Tensor(x0), w, Tensor(b0)) * c).sum(), w0)
         err_b = check_op_grad(lambda b: (linear(Tensor(x0), Tensor(w0), b) * c).sum(), b0)
         assert max(err_x, err_w, err_b) < 1e-4
+
+    def test_stacked_linear_all_inputs(self):
+        # two groups of three rows, the group boundary inside the leading axis
+        rng = np.random.default_rng(25)
+        x0, w0, b0 = rng.normal(size=(3, 2, 4)), rng.normal(size=(2, 4, 5)), rng.normal(size=(2, 5))
+        c = Tensor(rng.normal(size=(3, 2, 5)))
+        err_x = check_op_grad(lambda x: (linear(x, Tensor(w0), Tensor(b0)) * c).sum(), x0)
+        err_w = check_op_grad(lambda w: (linear(Tensor(x0), w, Tensor(b0)) * c).sum(), w0)
+        err_b = check_op_grad(lambda b: (linear(Tensor(x0), Tensor(w0), b) * c).sum(), b0)
+        assert max(err_x, err_w, err_b) < 1e-4
+
+    def test_stacked_layer_norm_all_inputs(self):
+        rng = np.random.default_rng(26)
+        x0, g0, b0 = rng.normal(size=(3, 2, 6)), rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+        w = Tensor(rng.normal(size=(3, 2, 6)))
+        err_x = check_op_grad(lambda x: (layer_norm(x, Tensor(g0), Tensor(b0)) * w).sum(), x0)
+        err_g = check_op_grad(lambda g: (layer_norm(Tensor(x0), g, Tensor(b0)) * w).sum(), g0)
+        err_b = check_op_grad(lambda b: (layer_norm(Tensor(x0), Tensor(g0), b) * w).sum(), b0)
+        assert max(err_x, err_g, err_b) < 1e-4
 
     @pytest.mark.parametrize("q_rows, kv_rows", [(2, 2), (3, 1), (6, 2)])
     def test_attention_all_inputs_masked(self, q_rows, kv_rows):

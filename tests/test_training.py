@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import weakref
 
@@ -40,6 +41,7 @@ from eqgen.training import (
     train,
 )
 from fdcheck import rel_err
+import per_direction
 import retained
 
 
@@ -441,6 +443,45 @@ class TestTrainDriver:
         params, metrics = train(config, insts, vocab, s)
         assert any(rec["split"] == "rl-train" for rec in metrics)
 
+    def test_log_holds_both_phases(self, tmp_path):
+        config, insts, vocab = small_setup(n=6)
+        log = tmp_path / "metrics.jsonl"
+        s = TrainSettings(epochs=2, lr=1e-3, seed=14, rl_epochs=1, rl_beam=2, log_path=str(log))
+        _, metrics = train(config, insts, vocab, s)
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["split"] for r in lines] == ["train", "train", "rl-train"] and lines == metrics
+
+    def test_rl_records_mean_grad_norm(self, monkeypatch):
+        config, insts, vocab = small_setup(n=6)
+        params = init_params(config, 17)
+        real_pool, real_step = training.sample_pool, training.reinforce_step
+        steps = []
+
+        def some_mixed_pools(params, vocab, src, mapping, *args):
+            pool = real_pool(params, vocab, src, mapping, *args)
+            for i, s in enumerate(pool):
+                s.reward = i % 2 if len(steps) % 3 else 0  # every third step all equal: no update
+            return pool
+
+        def spy_step(*args, **kwargs):
+            steps.append(real_step(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(training, "sample_pool", some_mixed_pools)
+        monkeypatch.setattr(training, "reinforce_step", spy_step)
+        metrics = training.run_rl(params, vocab, insts, TrainSettings(seed=17, rl_epochs=2, rl_beam=2))
+        assert len(steps) == 2 * len(insts)
+        for record, epoch_steps in zip(metrics, (steps[: len(insts)], steps[len(insts):])):
+            norms = [st.grad_norm for st in epoch_steps if st.updated]
+            assert 0 < len(norms) < len(epoch_steps)
+            assert record["grad_norm"] == sum(norms) / len(norms) > 0
+
+    def test_rl_grad_norm_is_null_without_updates(self):
+        config, insts, vocab = small_setup(n=3)
+        params = init_params(config, 18)  # untrained: every sample gets reward 0
+        metrics = training.run_rl(params, vocab, insts, TrainSettings(seed=18, rl_epochs=1, rl_beam=2))
+        assert metrics[0]["mean_reward"] == 0.0 and metrics[0]["grad_norm"] is None
+
     def test_rl_counts_instances_without_answers(self):
         config, insts, vocab = small_setup(n=3)
         params = init_params(config, 16)
@@ -527,5 +568,42 @@ class TestConsumedGraph:
         losses, norms, got = self._run(monkeypatch, backward)
         want_losses, want_norms, want = self._run(monkeypatch, retained.backward)
         assert losses == want_losses and norms == want_norms and all(n > 0 for n in norms)
+        for name, data in want.items():
+            assert np.array_equal(got[name], data), name
+
+
+class TestLockstepSearchInReinforce:
+    """REINFORCE on the lockstep two-direction search takes the same steps
+    as on one search per direction (``tests/per_direction.py``)."""
+
+    def _run(self, monkeypatch, decode_batch, calls):
+        """Step results and parameters after four REINFORCE updates with
+        mixed rewards, every pool decoded by ``decode_batch``."""
+        config, insts, vocab = small_setup(layers=2, share_target_embedding=False)
+        params = init_params(config, 32)
+        real_pool = training.sample_pool
+
+        def mixed_pool(*args):
+            pool = real_pool(*args)
+            for i, s in enumerate(pool):
+                s.reward = i % 2
+            return pool
+
+        def counted(*args):
+            calls.append(decode_batch)
+            return decode_batch(*args)
+
+        monkeypatch.setattr(decoding, "decode_batch", counted)
+        monkeypatch.setattr(training, "sample_pool", mixed_pool)
+        opt = Adam(params, lr=1e-3)
+        steps = [reinforce_step(params, opt, vocab, insts[i], beam_size=3, max_len=8) for i in range(4)]
+        return steps, {name: t.data.copy() for name, t in params.named()}
+
+    def test_parameters_equal_the_per_direction_search(self, monkeypatch):
+        calls, lockstep, reference = [], decoding.decode_batch, per_direction.reference_decode_batch
+        got_steps, got = self._run(monkeypatch, lockstep, calls)
+        want_steps, want = self._run(monkeypatch, reference, calls)
+        assert calls == [lockstep] * 4 + [reference] * 4
+        assert got_steps == want_steps and all(step.updated for step in got_steps)
         for name, data in want.items():
             assert np.array_equal(got[name], data), name
