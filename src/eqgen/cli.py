@@ -159,6 +159,8 @@ def cmd_rl(args) -> int:
 def cmd_eval(args) -> int:
     if args.beam < 1:
         return _error(f"--beam must be at least 1, got {args.beam}")
+    if args.folds < 0:
+        return _error(f"--folds must be at least 0, got {args.folds}")
     params, src_tokens, tgt_tokens = load_checkpoint(args.ckpt)
     vocab = Vocabulary(src_tokens, tgt_tokens)
     instances, unalignable = corpus.prepare_all(corpus.load(args.data))
@@ -245,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", type=str, required=True)
     e.add_argument("--ckpt", type=str, required=True)
     e.add_argument("--beam", type=int, default=10)
-    e.add_argument("--folds", type=int, default=5)
+    e.add_argument("--folds", type=int, default=5,
+                   help="also report each of this many folds; 0 or 1 reports the overall accuracy only")
     e.add_argument("--seed", type=int, default=0)
     e.set_defaults(func=cmd_eval)
 

@@ -18,18 +18,22 @@ Reserved token ids (shared by source and target vocabularies):
 pad=0, bos=1, bos_r=2, eos=3, unk=4.
 
 Rows and grid. A batch is a right-padded (B, t) grid of ids, but only its
-real positions are computed. The position-wise layers (embeddings,
-positions, linear maps, feed-forward, dropout, residual adds and layer
-norm) run on the (N, d) stack of the N real positions in row-major order.
-Attention alone needs the (B, t, d) grid: its queries, keys and values are
-scattered into a grid of zeros, padded keys are masked out, and its output
-is gathered back to rows. Real source positions are the non-PAD ids;
-``encode`` returns its rows on the grid, with padding reading 0. The
-decoder's real positions are the first ``lengths[i]`` of each row i (all of
-them when ``lengths`` is not given), and positions after them read 0 in the
-logits. A grid without padding stays a grid throughout, with no gather or
-scatter. Dropout draws its mask over the whole grid, so the random stream
-and each real position's mask do not depend on the layout.
+real positions are computed. Every layer (embeddings, positions, linear
+maps, attention, feed-forward, dropout, residual adds and layer norm) runs
+on the (N, d) stack of the N real positions in row-major order. Attention
+takes the stacked query and key rows with each batch row's lengths: one
+``attention_plan`` per attention kind and pass, shared by all layers, cuts
+the batch rows into at most two groups of similar lengths, and each group
+attends on its own small grid (see ``numerics.attention``). Real source
+positions are the non-PAD ids; ``encode`` returns its rows on the grid,
+with padding reading 0. The decoder's real positions are the first
+``lengths[i]`` of each row i (all of them when ``lengths`` is not given),
+and positions after them read 0 in the logits. A grid without padding
+stays a grid throughout and attends as one, as do the cached decoding
+steps. Queries under a memory batch smaller than their row batch (folded
+key sets) are scattered onto their grid for cross-attention and gathered
+back. Dropout draws its mask over the whole grid, so the random stream and
+each real position's mask do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -38,14 +42,18 @@ import contextlib
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .numerics import (
+    MASK_VALUE,
     Tensor,
     attention,
+    attention_plan,
+    causal_mask,
     cross_entropy,
     dropout,
     embedding,
@@ -63,8 +71,6 @@ NUM_RESERVED = 5
 L2R = "l2r"
 R2L = "r2l"
 DIRECTIONS = (L2R, R2L)
-
-_MASK_VALUE = -1e9  # additive attention mask; finite so the NaN guard stays meaningful
 
 
 class ConfigError(ValueError):
@@ -247,22 +253,10 @@ def _pe_table(n: int, dim: int, dtype: str) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=256)
-def _causal_mask(t: int, offset: int = 0) -> Optional[np.ndarray]:
-    """Mask for t new positions behind ``offset`` cached ones: new position i
-    sees keys 0 .. offset + i. None for a single new position, which sees
-    every key."""
-    if t == 1:
-        return None
-    mask = np.triu(np.full((t, offset + t), _MASK_VALUE), k=offset + 1)[None, None]
-    mask.setflags(write=False)
-    return mask
-
-
 def _key_mask(pad: np.ndarray) -> Optional[np.ndarray]:
     if not pad.any():
         return None
-    return np.where(pad[:, None, None, :], _MASK_VALUE, 0.0)
+    return np.where(pad[:, None, None, :], MASK_VALUE, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,32 +295,28 @@ def _embed(params: ModelParams, table: Tensor, ids: np.ndarray, real, start: int
     return embedding(table, ids[real]), Tensor(pe[start + np.nonzero(real)[1]])
 
 
-def _project_kv(p: dict, prefix: str, x_kv: Tensor, real) -> tuple[Tensor, Tensor]:
-    """Keys and values of the rows ``x_kv`` for the attention at ``prefix``
-    of the weights ``p``, each on the (B, t_k, model_dim) grid."""
+def _project_kv(p: dict, prefix: str, x_kv: Tensor, real=None) -> tuple[Tensor, Tensor]:
+    """Keys and values of ``x_kv`` for the attention at ``prefix`` of the
+    weights ``p``, in its layout; with ``real``, the rows ``x_kv`` are
+    scattered onto their (B, t_k, model_dim) grid."""
     return (_grid(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), real),
             _grid(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), real))
 
 
-def _attend(
-    p: dict,
-    heads: int,
-    prefix: str,
-    x_q: Tensor,
-    real,
-    k: Tensor,
-    v: Tensor,
-    mask: Optional[np.ndarray],
-) -> Tensor:
-    """Multi-head attention of the query rows ``x_q`` (of a (B, t_q, d)
-    grid) over projected keys and values (kb, t_k, d), followed by the
-    output projection; one output row per query row.
+def _attend(p: dict, heads: int, prefix: str, x_q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray],
+            plan, real=None) -> Tensor:
+    """Multi-head attention of the queries ``x_q`` over projected keys and
+    values, followed by the output projection; one output row per query.
 
-    With kb < B, each key set serves B / kb consecutive query rows (see
-    ``numerics.attention``), and ``mask`` must broadcast to kb as well.
+    With a ``plan``, ``x_q``, ``k`` and ``v`` are the real rows it places
+    (see ``numerics.attention``). Without one they are grids: ``x_q`` is
+    (B, t_q, d) and ``k``/``v`` are (kb, t_k, d), where with kb < B each key
+    set serves B / kb consecutive query rows and ``mask`` must broadcast to
+    kb as well. Only there are the query rows ``x_q`` of a grid with the real
+    positions ``real`` scattered onto it, and the output gathered back.
     """
     q = _grid(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), real)
-    ctx = _rows(attention(q, k, v, heads, mask), real)
+    ctx = _rows(attention(q, k, v, heads, mask, plan), real)
     return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
@@ -362,14 +352,15 @@ def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tenso
     if src.shape[1] > cfg.max_positions:
         raise ConfigError(f"source length {src.shape[1]} exceeds max_positions {cfg.max_positions}")
     real = _real(~pad)
+    lengths = (~pad).sum(axis=1)
+    plan = None if real is None else attention_plan(lengths, lengths)
     x, pos = _embed(params, params["src_embed"], src, real)
     x = linear(x, params["src_proj.w"], params["src_proj.b"]) * math.sqrt(cfg.model_dim)
     x = _maybe_dropout(x + pos, cfg, train, rng, real)
-    mask = _key_mask(pad)
     p = params.tensors
     for i in range(cfg.layers):
-        k, v = _project_kv(p, f"enc.{i}.attn", x, real)
-        attn = _attend(p, cfg.heads, f"enc.{i}.attn", x, real, k, v, mask)
+        k, v = _project_kv(p, f"enc.{i}.attn", x)
+        attn = _attend(p, cfg.heads, f"enc.{i}.attn", x, k, v, None, plan)
         x = _sublayer(p, cfg, f"enc.{i}.ln1", x, attn, train, rng, real)
         x = _sublayer(p, cfg, f"enc.{i}.ln2", x, _ffn(p, f"enc.{i}.ff", x), train, rng, real)
     return _grid(x, real)
@@ -542,28 +533,38 @@ def decoder_forward(
     if len(directions) > 1:  # group s looks up its ids in the s-th table of p["embed"]
         offsets = np.arange(len(directions)) * cfg.vocab_tgt
         ids = tgt + np.repeat(offsets, tgt.shape[0] // len(directions))[:, None]
+    mem_real = None if src_pad is None else _real(~src_pad)
+    # one attention plan per kind, for all layers; calls without padding, cached steps and key sets
+    # folded under several rows (memory batch < rows) attend on the grid
+    self_plan = None if real is None else attention_plan(lengths, lengths, causal=True)
+    causal = causal_mask(t, start) if self_plan is None else None
+    cross_plan = mem_mask = mem_grid = grid_real = None
+    if cache is None and memory.shape[0] == tgt.shape[0] and (real is not None or mem_real is not None):
+        rows = tgt.shape[0]
+        cross_plan = attention_plan(np.full(rows, t) if lengths is None else lengths,
+                                    np.full(rows, memory.shape[1]) if src_pad is None else (~src_pad).sum(axis=1))
+    else:  # on the grid: memory keys and values, and the query rows of folded key sets, go onto it
+        mem_mask = None if src_pad is None else _key_mask(src_pad)
+        mem_grid, grid_real = mem_real, real
     with no_grad() if cache is not None else contextlib.nullcontext():
         x, pos = _embed(params, p["embed"], ids, real, start)
         x = _maybe_dropout(x * math.sqrt(cfg.model_dim) + pos, cfg, train, rng, real)
-        causal = _causal_mask(t, start)
-        mem_real = None if src_pad is None else _real(~src_pad)
-        mem_mask = None if src_pad is None else _key_mask(src_pad)
         # a cache projects the memory on its first call only
         mem_rows = _rows(memory, mem_real) if cache is None or not cache.memory_kv else None
         for i in range(cfg.layers):
             layer = f"dec.{i}"
-            k, v = _project_kv(p, f"{layer}.attn", x, real)
+            k, v = _project_kv(p, f"{layer}.attn", x)
             if cache is not None:
                 k, v = cache.append(i, k, v)
-            attn = _attend(p, cfg.heads, f"{layer}.attn", x, real, k, v, causal)
+            attn = _attend(p, cfg.heads, f"{layer}.attn", x, k, v, causal, self_plan)
             x = _sublayer(p, cfg, f"{layer}.ln1", x, attn, train, rng, real)
             if cache is None:
-                k, v = _project_kv(p, f"{layer}.xattn", mem_rows, mem_real)
+                k, v = _project_kv(p, f"{layer}.xattn", mem_rows, mem_grid)
             else:
                 if i == len(cache.memory_kv):
-                    cache.memory_kv.append(_project_kv(p, f"{layer}.xattn", mem_rows, mem_real))
+                    cache.memory_kv.append(_project_kv(p, f"{layer}.xattn", mem_rows, mem_grid))
                 k, v = cache.memory_kv[i]
-            cross = _attend(p, cfg.heads, f"{layer}.xattn", x, real, k, v, mem_mask)
+            cross = _attend(p, cfg.heads, f"{layer}.xattn", x, k, v, mem_mask, cross_plan, grid_real)
             x = _sublayer(p, cfg, f"{layer}.ln2", x, cross, train, rng, real)
             x = _sublayer(p, cfg, f"{layer}.ln3", x, _ffn(p, f"{layer}.ff", x), train, rng, real)
         if cache is not None:
@@ -654,11 +655,29 @@ def save_checkpoint(path, params: ModelParams, src_tokens: list[str], tgt_tokens
 
 
 def load_checkpoint(path) -> tuple[ModelParams, list[str], list[str]]:
-    """Load and validate every tensor shape against the stored config."""
-    with np.load(path, allow_pickle=False) as z:
+    """Load and validate every tensor shape against the stored config. A
+    file that is not an eqgen checkpoint raises ``ConfigError`` naming the
+    path and the problem; one that cannot be opened raises ``OSError``."""
+    with open(path, "rb") as fh:
+        try:
+            return _read_checkpoint(fh)
+        except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as e:
+            raise ConfigError(f"checkpoint {path}: {e}") from None
+
+
+def _read_checkpoint(fh) -> tuple[ModelParams, list[str], list[str]]:
+    if not zipfile.is_zipfile(fh):
+        raise ConfigError("not an .npz archive, or a truncated one")
+    fh.seek(0)
+    with np.load(fh, allow_pickle=False) as z:
+        if "__meta__" not in z.files:
+            raise ConfigError("no __meta__ record, so not saved by eqgen")
         meta = json.loads(str(z["__meta__"]))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+        unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         config = ModelConfig(**meta["config"])
         tensors: dict[str, Tensor] = {}
         for name, (shape, _) in param_specs(config).items():

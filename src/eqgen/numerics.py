@@ -13,16 +13,20 @@ Each op costs a fixed Python overhead, so the Transformer's two hot
 patterns are single fused ops with hand-written backward passes:
 ``linear`` is ``x @ w + b`` and ``attention`` is the whole multi-head core
 (head split, scaled scores, additive mask, softmax, context product and
-head merge) on ``(B, t, d)`` operands. ``gather_rows`` and ``scatter_rows``
-move rows between such a grid and the ``(N, d)`` stack of its real
-positions, so that the other ops can skip padding.
+head merge) on ``(B, t, d)`` operands. For a padded batch, ``attention``
+takes the ``(N, d)`` stacks of its real query and key rows with an
+``attention_plan`` instead and gathers them onto at most two small grids
+of similar lengths itself. ``gather_rows`` and ``scatter_rows`` move rows
+between a ``(B, t, d)`` grid and the stack of its real positions where a
+grid is still needed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -273,52 +277,232 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(data.reshape(xd.shape[:-1] + wd.shape[-1:]), (x, w, b), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Multi-head scaled dot-product attention, softmax(q kᵀ / √hd + mask) v.
+MASK_VALUE = -1e9  # additive attention mask; finite so the NaN guard stays meaningful
 
-    ``q`` is (B, t_q, d) and ``k``/``v`` are (kb, t_k, d) with kb dividing B.
-    Key set i serves the B / kb consecutive query rows from i * B / kb on;
-    each group of rows is folded into the query axis, so one
-    (kb, heads, B / kb * t_q, hd) product serves them all and the keys are
-    never broadcast. kb = B is plain batched attention, and kb = 1 shares one
-    key set with every row. ``mask`` is added to the folded
-    (kb, heads, B / kb * t_q, t_k) scores and must broadcast to them.
+
+@functools.lru_cache(maxsize=256)
+def causal_mask(t: int, offset: int = 0) -> Optional[np.ndarray]:
+    """Mask for t new positions behind ``offset`` cached ones: new position i
+    sees keys 0 .. offset + i. None for a single new position, which sees
+    every key."""
+    if t == 1:
+        return None
+    mask = np.triu(np.full((t, offset + t), MASK_VALUE), k=offset + 1)[None, None]
+    mask.setflags(write=False)
+    return mask
+
+
+class _Group(NamedTuple):
+    """The batch ``rows`` of an ``AttentionPlan`` on their own (n, t_q, t_k)
+    grid.
+
+    Its query slots are the n * t_q plan slots from ``q_at`` on, row-major,
+    and its key slots the n * t_k from ``k_at`` on. Unless the plan is
+    causal, ``keep`` is False on padded key slots, (n, 1, 1, t_k), or None
+    when there are none (see ``_softmax``)."""
+
+    rows: np.ndarray
+    t_q: int
+    t_k: int
+    q_at: int
+    k_at: int
+    keep: Optional[np.ndarray]
+
+
+class AttentionPlan(NamedTuple):
+    """Where the real query and key rows of a batch sit, and the grids
+    ``attention`` gathers them onto; built by ``attention_plan`` from the
+    batch's ``q_lengths``, ``k_lengths`` and ``causal``, which it keeps.
+
+    ``q_slots`` holds the query row of every slot of every group's grid, a
+    padded slot its batch row's last real one, so every slot reads finite
+    values; ``q_pos`` holds the real slot of every query row and ``q_pad``
+    lists the padded slots. ``k_slots`` and ``k_pos`` do the same for keys.
     """
-    qd, kd, vd = q.data, k.data, v.data
-    if (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or kd.shape[2] != qd.shape[2]
-            or kd.shape[0] == 0 or qd.shape[0] % kd.shape[0] or qd.shape[2] % heads):
-        raise ShapeError(f"attention needs q (B, t, d), k = v (kb, t, d) with kb dividing B and heads "
-                         f"dividing d; got {qd.shape}, {kd.shape}, {vd.shape}, {heads} heads")
-    bsz, t_q, d = qd.shape
-    kb, t_k = kd.shape[:2]
-    hd = d // heads
-    rows, t = kb, bsz // kb * t_q
 
-    def split(x, n, m):
-        return x.reshape(n, m, heads, hd).transpose(0, 2, 1, 3)
+    q_lengths: np.ndarray
+    k_lengths: np.ndarray
+    causal: bool
+    groups: tuple[_Group, ...]
+    q_slots: np.ndarray
+    q_pos: np.ndarray
+    q_pad: np.ndarray
+    k_slots: np.ndarray
+    k_pos: np.ndarray
 
-    def merge(x, n):
-        return x.transpose(0, 2, 1, 3).reshape(n, -1, d)
 
-    qh, kh, vh = split(qd, rows, t), split(kd, kb, t_k), split(vd, kb, t_k)
-    scale = 1.0 / math.sqrt(hd)  # a Python float keeps float32 scores float32
+def _slots(rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, t) stack rows and real flags of the slots of ``rows`` on a
+    grid as long as their longest."""
+    n = lengths[rows][:, None]
+    pos = np.arange(n.max())
+    return (np.cumsum(lengths) - lengths)[rows][:, None] + np.minimum(pos, n - 1), pos < n
+
+
+def _positions(slots: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """The real slot of each of the rows ``slots`` lists."""
+    pos = np.empty(np.count_nonzero(real), dtype=np.int64)
+    pos[slots[real]] = np.flatnonzero(real)
+    return pos
+
+
+def attention_plan(q_lengths, k_lengths, causal: bool = False) -> AttentionPlan:
+    """The grouping ``attention`` uses for a batch whose row i has
+    ``q_lengths[i]`` real queries and ``k_lengths[i]`` real keys.
+
+    The real rows of the batch are stacked in batch order: row i's queries
+    are the ``q_lengths[i]`` consecutive query rows after those of rows
+    0 .. i-1, and the same holds for its keys. Query j of a ``causal`` row
+    sees its keys 0 .. j (then the two lengths must be equal); otherwise it
+    sees all its row's keys. The batch rows are sorted by key length, ties by
+    query length, and cut into at most two groups, at the cut that minimises
+    the summed score area n_g * t_q,g * t_k,g of the groups (n_g rows, t_q,g
+    and t_k,g their longest query and key lengths). One group is kept when
+    no cut lowers the area of the single grid.
+    """
+    ql = np.asarray(q_lengths, dtype=np.int64)
+    kl = np.asarray(k_lengths, dtype=np.int64)
+    if ql.ndim != 1 or ql.shape != kl.shape or not ql.size or min(ql.min(), kl.min()) < 1 or (
+            causal and not np.array_equal(ql, kl)):
+        raise ShapeError(f"attention_plan needs equally many query and key lengths of at least 1 "
+                         f"(equal ones when causal), got {ql} and {kl}")
+    order = np.lexsort((ql, kl))
+    sq, sk = ql[order], kl[order]
+    n = len(order)
+    # area of the first c sorted rows for c = 1 .. n, and of the rows from c on for c = 0 .. n-1
+    head = np.arange(1, n + 1) * np.maximum.accumulate(sq) * sk
+    tail = np.arange(n, 0, -1) * np.maximum.accumulate(sq[::-1])[::-1] * sk[-1]
+    cuts = head[:-1] + tail[1:]
+    cut = int(np.argmin(cuts)) + 1 if n > 1 and cuts.min() < tail[0] else n
+    groups, q_parts, k_parts = [], [], []
+    q_at = k_at = 0
+    for rows in (order[:cut], order[cut:]):
+        if not rows.size:
+            continue
+        (q_slots, q_real), (k_slots, k_real) = _slots(rows, ql), _slots(rows, kl)
+        keep = None if causal or k_real.all() else k_real[:, None, None, :]
+        groups.append(_Group(rows, q_real.shape[1], k_real.shape[1], q_at, k_at, keep))
+        q_at, k_at = q_at + q_slots.size, k_at + k_slots.size
+        q_parts.append((q_slots.ravel(), q_real.ravel()))
+        k_parts.append((k_slots.ravel(), k_real.ravel()))
+    q_slots, q_real = map(np.concatenate, zip(*q_parts))
+    k_slots, k_real = map(np.concatenate, zip(*k_parts))
+    return AttentionPlan(ql, kl, causal, tuple(groups), q_slots, _positions(q_slots, q_real),
+                         np.flatnonzero(~q_real), k_slots, _positions(k_slots, k_real))
+
+
+def _softmax(qh: np.ndarray, kh: np.ndarray, scale: float, mask: Optional[np.ndarray] = None,
+             keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """softmax(qh khᵀ · scale + mask) over the keys, the attention weights.
+
+    A boolean ``keep`` instead drops the scores it marks False after the
+    exponential, which is cheaper than an additive mask, whose huge
+    negative scores put ``np.exp`` on its slow underflow path. Each dropped
+    score must repeat a kept one of its row, so that the row maxima and
+    hence the weights are the additive mask's."""
     s = qh @ kh.swapaxes(-1, -2)
     s *= scale
     if mask is not None:
         s += mask
     s -= s.max(axis=-1, keepdims=True)
-    p = np.exp(s)
+    p = np.exp(s, out=s)
+    if keep is not None:
+        p *= keep
     p /= p.sum(axis=-1, keepdims=True)
-    data = merge(p @ vh, bsz)
+    return p
 
-    def bw(g):
-        gc = split(g, rows, t)
-        gp = gc @ vh.swapaxes(-1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        gs *= scale
-        return merge(gs @ kh, bsz), merge(gs.swapaxes(-1, -2) @ qh, kb), merge(p.swapaxes(-1, -2) @ gc, kb)
 
-    return _result(data, (q, k, v), bw)
+def _softmax_grads(gc, qh, kh, vh, p, scale: float, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of the head-split queries, keys and values from that of
+    the context ``p @ vh``; written into the three arrays ``out`` if given."""
+    gs = gc @ vh.swapaxes(-1, -2)
+    gs -= (gs * p).sum(axis=-1, keepdims=True)
+    gs *= p
+    gs *= scale
+    out = out or (None, None, None)
+    return (np.matmul(gs, kh, out=out[0]), np.matmul(gs.swapaxes(-1, -2), qh, out=out[1]),
+            np.matmul(p.swapaxes(-1, -2), gc, out=out[2]))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.ndarray] = None,
+              plan: Optional[AttentionPlan] = None) -> Tensor:
+    """Multi-head scaled dot-product attention, softmax(q kᵀ / √hd + mask) v.
+
+    On the grid (no ``plan``), ``q`` is (B, t_q, d) and ``k``/``v`` are
+    (kb, t_k, d) with kb dividing B. Key set i serves the B / kb consecutive
+    query rows from i * B / kb on; each group of rows is folded into the
+    query axis, so one (kb, heads, B / kb * t_q, hd) product serves them all
+    and the keys are never broadcast. kb = B is plain batched attention, and
+    kb = 1 shares one key set with every row. ``mask`` is added to the folded
+    (kb, heads, B / kb * t_q, t_k) scores and must broadcast to them.
+
+    With a ``plan`` (see ``attention_plan``), ``q`` holds the real query
+    rows and ``k``/``v`` the real key rows of a batch, each with its leading
+    axes flattened, and the result has ``q``'s shape. The rows are gathered
+    onto the plan's group grids, each grid runs through the same arithmetic
+    under the plan's masks, and the real output rows are gathered back; no
+    score outside the groups is computed. ``mask`` must then be None.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    d = qd.shape[-1]
+    if plan is None:
+        bad = (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or kd.shape[2] != d
+               or kd.shape[0] == 0 or qd.shape[0] % kd.shape[0])
+    else:
+        bad = (mask is not None or kd.shape != vd.shape or kd.shape[-1] != d
+               or qd.size != d * len(plan.q_pos) or kd.size != d * len(plan.k_pos))
+    if bad or d % heads:
+        raise ShapeError(f"attention needs q (B, t, d), k = v (kb, t, d) with kb dividing B, or the rows "
+                         f"of a plan and no mask, and heads dividing d; got {qd.shape}, {kd.shape}, "
+                         f"{vd.shape}, {heads} heads")
+    hd = d // heads
+    scale = 1.0 / math.sqrt(hd)  # a Python float keeps float32 scores float32
+
+    def split(x, n, m):
+        return x.reshape(n, m, heads, hd).transpose(0, 2, 1, 3)
+
+    if plan is None:
+        bsz, t_q = qd.shape[:2]
+        kb, t_k = kd.shape[:2]
+        t = bsz // kb * t_q
+
+        def merge(x, n):
+            return x.transpose(0, 2, 1, 3).reshape(n, -1, d)
+
+        qh, kh, vh = split(qd, kb, t), split(kd, kb, t_k), split(vd, kb, t_k)
+        p = _softmax(qh, kh, scale, mask)
+
+        def bw(g):
+            gq, gk, gv = _softmax_grads(split(g, kb, t), qh, kh, vh, p, scale)
+            return merge(gq, bsz), merge(gk, kb), merge(gv, kb)
+
+        return _result(merge(p @ vh, bsz), (q, k, v), bw)
+
+    def parts(grp, *slots):
+        """The group's part of query-slot and key-slot arrays, head-split."""
+        at = (grp.q_at, grp.k_at, grp.k_at)
+        t = (grp.t_q, grp.t_k, grp.t_k)
+        n = len(grp.rows)
+        return [split(x[a : a + n * m], n, m) for x, a, m in zip(slots, at, t)]
+
+    slots = qd.reshape(-1, d)[plan.q_slots], kd.reshape(-1, d)[plan.k_slots], vd.reshape(-1, d)[plan.k_slots]
+    ctx = np.empty_like(slots[0])
+    probs = []
+    for grp in plan.groups:
+        qh, kh, vh = parts(grp, *slots)
+        probs.append(_softmax(qh, kh, scale, causal_mask(grp.t_q) if plan.causal else None, grp.keep))
+        np.matmul(probs[-1], vh, out=parts(grp, ctx)[0])
+
+    def bw_plan(g):
+        gc = g.reshape(-1, d)[plan.q_slots]
+        gc[plan.q_pad] = 0  # padded query slots pass no gradient
+        grads = np.empty_like(gc), np.empty_like(slots[1]), np.empty_like(slots[2])
+        for grp, p in zip(plan.groups, probs):
+            _softmax_grads(parts(grp, gc)[0], *parts(grp, *slots), p, scale, out=parts(grp, *grads))
+        return tuple(x[pos].reshape(y.shape) for x, pos, y in zip(grads, (plan.q_pos, plan.k_pos, plan.k_pos),
+                                                                  (qd, kd, vd)))
+
+    return _result(ctx[plan.q_pos].reshape(qd.shape), (q, k, v), bw_plan)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

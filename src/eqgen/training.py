@@ -318,9 +318,11 @@ def run_rl(
     is the mean pre-clip gradient norm of the epoch's updates, ``None`` when
     no step updated. Instances with no answers or an empty source cannot be
     rewarded or encoded; they are left out, and each record's ``"skipped"``
-    counts them."""
+    counts them. Raises ``DatasetError`` when no instance is left."""
     metrics = metrics if metrics is not None else []
     usable = [i for i in train_insts if i.problem.answers and i.source]
+    if not usable:
+        raise DatasetError("no instances with answers and a source to train on")
     skipped = len(train_insts) - len(usable)
     opt = Adam(params, settings.rl_lr)
     order_rng = np.random.default_rng(settings.seed + 2)
@@ -329,7 +331,7 @@ def run_rl(
         steps = [reinforce_step(params, opt, vocab, usable[i], settings.rl_beam) for i in order]
         norms = [step.grad_norm for step in steps if step.updated]
         record = _metric_record(epoch, "rl-train")
-        record["mean_reward"] = sum(step.mean_reward for step in steps) / len(steps) if steps else 0.0
+        record["mean_reward"] = sum(step.mean_reward for step in steps) / len(steps)
         record["grad_norm"] = sum(norms) / len(norms) if norms else None
         record["skipped"] = skipped
         _log(settings, metrics, record)

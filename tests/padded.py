@@ -6,6 +6,10 @@ target positions are computed like real ones. The model runs its
 position-wise layers on the real positions only; the tests swap these
 passes in for the model's and compare losses, logits at real positions,
 gradients and the dropout random stream.
+
+``grid_attention`` is the attention of the padded grid on its own: the
+model hands ``numerics.attention`` the real rows of a batch in length
+groups, and the tests swap this in for it.
 """
 
 from __future__ import annotations
@@ -14,8 +18,30 @@ import math
 
 import numpy as np
 
-from eqgen.model import PAD_ID, _causal_mask, _key_mask, _pe_table, _target_table, as_batch
-from eqgen.numerics import Tensor, attention, dropout, embedding, layer_norm, linear, relu
+from eqgen.model import PAD_ID, _key_mask, _pe_table, _target_table, as_batch
+from eqgen.numerics import (Tensor, attention, causal_mask, dropout, embedding, gather_rows, layer_norm, linear, relu,
+                            scatter_rows)
+
+
+def grid_attention(q, k, v, heads, mask=None, plan=None, core=attention):
+    """``core`` (by default the fused op) on the padded grid. With a
+    ``plan``, the real rows it places are scattered onto the (B, t, d) grid
+    of its lengths, the padded keys are masked out (a causal plan takes the
+    causal mask alone, as padded keys only reach padded queries), and the
+    real output rows are gathered back."""
+    if plan is None:
+        return core(q, k, v, heads, mask)
+    q_real = np.arange(plan.q_lengths.max()) < plan.q_lengths[:, None]
+    k_real = np.arange(plan.k_lengths.max()) < plan.k_lengths[:, None]
+    mask = causal_mask(q_real.shape[1]) if plan.causal else _key_mask(~k_real)
+    ctx = core(_onto_grid(q, q_real), _onto_grid(k, k_real), _onto_grid(v, k_real), heads, mask)
+    return ctx if q.ndim == 3 else gather_rows(ctx, q_real)
+
+
+def _onto_grid(x, real):
+    """Rows onto their grid; a grid (the model passes one when it has no
+    padding) stays as it is."""
+    return x if x.ndim == 3 else scatter_rows(x, real)
 
 
 def _dropout(x, cfg, train, rng):
@@ -65,7 +91,7 @@ def decoder_forward(params, direction, tgt_ids, memory, src_pad=None, train=Fals
     mem_mask = _key_mask(src_pad) if src_pad is not None else None
     for i in range(cfg.layers):
         layer = f"dec_{direction}.{i}"
-        x = _sublayer(p, f"{layer}.ln1", cfg, x, _attend(p, f"{layer}.attn", cfg.heads, x, x, _causal_mask(t)),
+        x = _sublayer(p, f"{layer}.ln1", cfg, x, _attend(p, f"{layer}.attn", cfg.heads, x, x, causal_mask(t)),
                       train, rng)
         x = _sublayer(p, f"{layer}.ln2", cfg, x, _attend(p, f"{layer}.xattn", cfg.heads, x, memory, mem_mask),
                       train, rng)

@@ -305,6 +305,64 @@ class TestCli:
             assert err.startswith("eqgen: error: ") and err.count("\n") == 1, argv
             assert "No such file or directory" in err, argv
 
+    @staticmethod
+    def checkpoint(tmp_path):
+        """Problem data and an untrained checkpoint of its vocabulary."""
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 3))
+        insts, _ = prepare_all(load(data))
+        vocab = Vocabulary.build(insts)
+        cfg = ModelConfig(vocab_src=vocab.src_size, vocab_tgt=vocab.tgt_size, embed_dim=8, model_dim=16,
+                          layers=1, heads=2, ff_dim=16, max_positions=64, dropout=0.0)
+        ckpt = tmp_path / "model.npz"
+        model.save_checkpoint(ckpt, init_params(cfg, 0), vocab.src_tokens, vocab.tgt_tokens)
+        return data, ckpt
+
+    def test_not_a_checkpoint_is_one_line_error(self, tmp_path, capsys):
+        data, good = self.checkpoint(tmp_path)
+        raw = good.read_bytes()
+        truncated = tmp_path / "truncated.npz"
+        truncated.write_bytes(raw[: len(raw) // 2])
+        no_meta = tmp_path / "no_meta.npz"
+        np.savez(no_meta, weights=np.zeros(2))
+        with np.load(good) as z:
+            payload = dict(z)
+        meta = json.loads(str(payload["__meta__"]))
+        meta["config"]["layerz"] = 3
+        payload["__meta__"] = np.array(json.dumps(meta))
+        unknown = tmp_path / "unknown.npz"
+        np.savez(unknown, **payload)
+        out = tmp_path / "rl.npz"
+        for ckpt, problem in (
+            (data, "not an .npz archive, or a truncated one"),  # a JSONL file
+            (truncated, "not an .npz archive, or a truncated one"),
+            (no_meta, "no __meta__ record, so not saved by eqgen"),
+            (unknown, "unknown config key(s): layerz"),
+        ):
+            for argv in (["eval", "--data", str(data), "--ckpt", str(ckpt)],
+                         ["rl", "--data", str(data), "--ckpt", str(ckpt), "--out", str(out)]):
+                capsys.readouterr()
+                assert cli_main(argv) == 2, argv
+                assert capsys.readouterr().err == f"eqgen: error: checkpoint {ckpt}: {problem}\n", argv
+        assert not out.exists()
+
+    def test_negative_folds_is_one_line_error(self, tmp_path, capsys):
+        # the checkpoint does not exist: the count is checked before it is read
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 3))
+        capsys.readouterr()
+        assert cli_main(["eval", "--data", str(data), "--ckpt", str(tmp_path / "missing.npz"), "--folds", "-3"]) == 2
+        assert capsys.readouterr().err == "eqgen: error: --folds must be at least 0, got -3\n"
+
+    def test_rl_with_nothing_to_train_on_is_one_line_error(self, tmp_path, capsys):
+        _, ckpt = self.checkpoint(tmp_path)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        capsys.readouterr()
+        assert cli_main(["rl", "--data", str(empty), "--ckpt", str(ckpt), "--out", str(tmp_path / "rl.npz")]) == 2
+        assert capsys.readouterr().err == "eqgen: error: no instances with answers and a source to train on\n"
+        assert not (tmp_path / "rl.npz").exists()
+
     def test_solve_bad_number_is_one_line_error(self, capsys):
         for nums in ("1/0", "abc", "2,,3"):
             capsys.readouterr()

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -479,13 +480,14 @@ def _loss_logits_grads(params, build):
 
 class TestFusedOpsMatchUnfusedGraph:
     """Whole passes through ``numerics.linear`` / ``numerics.attention``
-    against the same passes with both ops rebuilt from small ops."""
+    against the same passes with both ops rebuilt from small ops, the
+    attention on the padded grid."""
 
     def compare(self, monkeypatch, params, build):
         fused = _loss_logits_grads(params, build)
         with monkeypatch.context() as m:
             m.setattr(M, "linear", unfused.linear)
-            m.setattr(M, "attention", unfused.attention)
+            m.setattr(M, "attention", functools.partial(padded.grid_attention, core=unfused.attention))
             ref = _loss_logits_grads(params, build)
         assert abs(fused[0] - ref[0]) < 1e-12
         assert len(fused[1]) == len(ref[1]) > 0
@@ -674,6 +676,131 @@ class TestLinearSeesOnlyRealRows:
         decoding.hypothesis_log_prob(params, np.array([5, 6, 7, 8, 9]), hyps, memory)
         # 4 real of 2 x 3 target positions: 8 per layer and the output projection
         assert sorted(set(rows)) == [4, 5] and rows.count(4) == 8 + 1
+
+
+class TestGroupedAttentionMatchesGrid:
+    """The model's attention over the real rows in length groups against
+    the padded grid, ``padded.grid_attention`` swapped in for
+    ``model.attention``: the model's previous attention path."""
+
+    def run(self, monkeypatch, params, build, grid):
+        """Loss, per-call logits, parameter gradients and the generator
+        ``build`` returns, and how many groups each attention call had
+        (0: no plan); on the padded grid when ``grid``."""
+        logits, groups = [], []
+
+        def spy(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            logits.append(out.data)
+            return out
+
+        def attention(q, k, v, heads, mask=None, plan=None):
+            groups.append(0 if plan is None else len(plan.groups))
+            return (padded.grid_attention if grid else nm.attention)(q, k, v, heads, mask, plan)
+
+        forward = M.decoder_forward
+        with monkeypatch.context() as m:
+            m.setattr(M, "attention", attention)
+            for module in (M, decoding):
+                m.setattr(module, "decoder_forward", spy)
+            params.zero_grad()
+            loss, rng = build()
+            backward(loss)
+        grads = {name: t.grad.copy() for name, t in params.named() if t.grad is not None}
+        return loss.item(), logits, grads, rng, groups
+
+    def compare(self, monkeypatch, params, build, tol=1e-12):
+        got = self.run(monkeypatch, params, build, grid=False)
+        want = self.run(monkeypatch, params, build, grid=True)
+        assert abs(got[0] - want[0]) <= tol * max(1.0, abs(want[0]))
+        assert len(got[1]) == len(want[1]) > 0
+        for a, b in zip(got[1], want[1]):
+            assert a.shape == b.shape and np.max(np.abs(a - b)) <= tol
+        assert got[2].keys() == want[2].keys() == {name for name, _ in params.named()}
+        for name, g in got[2].items():
+            assert np.max(np.abs(g - want[2][name])) <= tol, name
+        if want[3] is not None:
+            assert got[3].bit_generator.state == want[3].bit_generator.state
+        assert got[4] == want[4]
+        return got
+
+    # five rows of mixed source and target lengths: every attention kind gets two groups
+    SRC = [[5, 6, 7, 8, 9, 10, 11, 12], [6], [7, 8], [9, 10, 11, 12, 5, 6, 7], [8, 9, 10]]
+    TGT = [[6, 7], [8, 9, 10, 5, 6, 7, 8], [7], [9, 10, 6], [5, 6, 7, 8, 9, 10]]
+
+    def joint(self, params, batch, train=True):
+        def build():
+            rng = np.random.default_rng(5) if train else None
+            return joint_loss(params, batch, train=train, rng=rng).total, rng
+        return build
+
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_joint_loss_float64(self, monkeypatch, share, train):
+        params = init_params(tiny_config(layers=2, dropout=0.2, share_target_embedding=share), 40)
+        got = self.compare(monkeypatch, params, self.joint(params, make_batch(self.SRC, self.TGT), train))
+        # encoder, then per decoder and layer self- and cross-attention: each in two groups
+        assert got[4] == [2] * 10
+
+    def test_joint_loss_float32(self, monkeypatch):
+        # float32 rounds differently on the smaller grids: observed worst 2e-7 (logits), 2e-6 (gradients)
+        params = init_params(tiny_config(layers=2, dropout=0.2, dtype="float32"), 41)
+        got = self.compare(monkeypatch, params, self.joint(params, make_batch(self.SRC, self.TGT)), tol=1e-5)
+        assert all(g.dtype == np.float32 for g in got[2].values())
+
+    def test_parameters_after_three_epochs(self, monkeypatch):
+        from eqgen import training
+
+        batches = [make_batch(self.SRC[:3], self.TGT[:3]), make_batch(self.SRC[2:], self.TGT[2:])]
+
+        def train(grid):
+            params = init_params(tiny_config(layers=2, dropout=0.1), 42)
+            opt, rng = training.Adam(params, 1e-2), np.random.default_rng(6)
+            with monkeypatch.context() as m:
+                if grid:
+                    m.setattr(M, "attention", padded.grid_attention)
+                for _ in range(3):
+                    for batch in batches:
+                        training.mle_step(params, opt, batch, rng)
+            return params, rng
+
+        (got, rng_got), (want, rng_want) = train(grid=False), train(grid=True)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        for name, t in got.named():
+            assert np.max(np.abs(t.data - want[name].data)) < 1e-8, name
+
+    def test_decode_batch_of_padded_problems(self, monkeypatch):
+        params = init_params(tiny_config(layers=2, share_target_embedding=False), 43)
+        got = decoding.decode_batch(params, self.SRC, beam_size=3, max_len=6)
+        with monkeypatch.context() as m:
+            m.setattr(M, "attention", padded.grid_attention)
+            want = decoding.decode_batch(params, self.SRC, beam_size=3, max_len=6)
+        for pair, ref_pair in zip(got, want, strict=True):
+            for hyps, ref in zip(pair, ref_pair):
+                assert [(h.tokens, h.direction, h.finished) for h in hyps] == \
+                    [(h.tokens, h.direction, h.finished) for h in ref]
+                assert max(abs(h.score - r.score) for h, r in zip(hyps, ref)) < 1e-9
+
+    def test_lengths_without_source_padding(self):
+        params = init_params(tiny_config(layers=2), 45)
+        memory = encode(params, np.array([[5, 6, 7], [8, 9, 10]]))
+        tgt = np.array([[6, 7, 8], [9, 10, 6]])
+        got = decoder_forward(params, L2R, tgt, memory, lengths=[2, 3]).data
+        want = decoder_forward(params, L2R, tgt, memory, np.zeros((2, 3), bool), lengths=[2, 3]).data
+        assert np.array_equal(got, want) and not got[0, 2].any()
+
+    def test_calls_without_padding_stay_on_the_grid(self, monkeypatch):
+        plans = []
+        monkeypatch.setattr(M, "attention", lambda *a: plans.append(a[5]) or nm.attention(*a))
+        params = init_params(tiny_config(layers=2), 44)
+        joint_loss(params, make_batch([[5, 6], [7, 8]], [[6, 7], [8, 9]]))
+        decoding.decode_both(params, np.array([5, 6, 7]), beam_size=3, max_len=4)  # one-problem encoder, cached steps
+        assert len(plans) > 10 and all(p is None for p in plans)
+        # padded hypotheses over one folded memory: grouped self-attention, cross-attention on the grid
+        plans.clear()
+        hyps = [decoding.Hypothesis((6, 7, EOS_ID), -1.0, L2R, True), decoding.Hypothesis((8,), -2.0, L2R, False)]
+        decoding.hypothesis_log_prob(params, np.array([5, 6, 7]), hyps)
+        assert [p is None for p in plans] == [True, True] + [False, True] * 2
 
 
 class TestOpCount:

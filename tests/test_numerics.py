@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqgen import numerics as nm
 from eqgen.numerics import (
@@ -13,6 +15,7 @@ from eqgen.numerics import (
     dropout,
     embedding,
     attention,
+    attention_plan,
     gather_rows,
     layer_norm,
     linear,
@@ -20,6 +23,7 @@ from eqgen.numerics import (
     scatter_rows,
 )
 from fdcheck import check_op_grad, fd_grad, rel_err
+import padded
 import retained
 import unfused
 from unfused import matmul, reshape, softmax, swapaxes
@@ -205,6 +209,129 @@ class TestAttention:
         big = np.full((1, 2, 2), 1e200)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
             attention(T(big), T(big), T(np.ones((1, 2, 2))), 1)
+
+
+@st.composite
+def _lengths(draw, causal=False):
+    """Query and key lengths 1..t of 1 to 6 rows, sometimes all equal."""
+    rows, t = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+
+    def one_list():
+        return draw(st.one_of(st.lists(st.integers(1, t), min_size=rows, max_size=rows),
+                              st.integers(1, t).map(lambda n: [n] * rows)))
+
+    q_lengths = np.array(one_list())
+    return q_lengths, q_lengths if causal else np.array(one_list())
+
+
+def _grid_area(q_lengths, k_lengths):
+    return len(q_lengths) * q_lengths.max() * k_lengths.max()
+
+
+class TestAttentionPlan:
+    """``attention_plan`` places every real row once, in at most two groups
+    of the least score area, and grouped attention is the padded grid's."""
+
+    @staticmethod
+    def check_slots(plan, lengths, slots, pos, at, width):
+        """Each group row's real slots hold its batch row's stack rows in
+        order and its padded slots repeat the last; every stack row is at
+        exactly one real slot, which ``pos`` gives."""
+        starts = np.cumsum(lengths) - lengths
+        real = np.zeros(len(slots), bool)
+        for grp in plan.groups:
+            t = width(grp)
+            block = slots[at(grp) : at(grp) + len(grp.rows) * t].reshape(len(grp.rows), t)
+            for i, row in enumerate(grp.rows):
+                n = lengths[row]
+                assert block[i, :n].tolist() == list(range(starts[row], starts[row] + n))
+                assert (block[i, n:] == starts[row] + n - 1).all()
+                real[at(grp) + i * t : at(grp) + i * t + n] = True
+        assert at(plan.groups[-1]) + len(plan.groups[-1].rows) * width(plan.groups[-1]) == len(slots)
+        assert np.array_equal(np.sort(pos), np.flatnonzero(real))
+        assert np.array_equal(slots[pos], np.arange(lengths.sum()))
+        return real
+
+    @settings(deadline=None, max_examples=150)
+    @given(_lengths(), st.booleans())
+    @example((np.array([3]), np.array([3])), True)  # a single row
+    @example((np.array([2, 2, 2]), np.array([4, 4, 4])), False)  # all lengths equal
+    def test_every_real_position_placed_once(self, lengths, causal):
+        q_lengths, k_lengths = lengths
+        if causal:
+            k_lengths = q_lengths
+        plan = attention_plan(q_lengths, k_lengths, causal)
+        assert 1 <= len(plan.groups) <= 2
+        assert sorted(np.concatenate([grp.rows for grp in plan.groups]).tolist()) == list(range(len(q_lengths)))
+        q_real = self.check_slots(plan, q_lengths, plan.q_slots, plan.q_pos, lambda g: g.q_at, lambda g: g.t_q)
+        assert np.array_equal(plan.q_pad, np.flatnonzero(~q_real))
+        self.check_slots(plan, k_lengths, plan.k_slots, plan.k_pos, lambda g: g.k_at, lambda g: g.t_k)
+        for grp in plan.groups:
+            assert grp.t_q == q_lengths[grp.rows].max() and grp.t_k == k_lengths[grp.rows].max()
+
+    @settings(deadline=None, max_examples=150)
+    @given(_lengths())
+    def test_area_is_the_least_over_cuts_of_the_sorted_rows(self, lengths):
+        q_lengths, k_lengths = lengths
+        plan = attention_plan(q_lengths, k_lengths)
+        area = sum(len(grp.rows) * grp.t_q * grp.t_k for grp in plan.groups)
+        order = np.lexsort((q_lengths, k_lengths))
+        parts = [_grid_area(q_lengths[order], k_lengths[order])]
+        parts += [_grid_area(q_lengths[order[:c]], k_lengths[order[:c]])
+                  + _grid_area(q_lengths[order[c:]], k_lengths[order[c:]]) for c in range(1, len(order))]
+        assert area == min(parts) <= _grid_area(q_lengths, k_lengths)
+        assert len(plan.groups) == 1 or area < parts[0]  # a cut only when it pays
+
+    @settings(deadline=None, max_examples=100)
+    @given(_lengths(), st.booleans(), st.integers(0, 2**32 - 1))
+    @example((np.array([3]), np.array([3])), True, 0)
+    @example((np.array([2, 2, 2]), np.array([4, 4, 4])), False, 1)
+    def test_matches_the_padded_grid(self, lengths, causal, seed):
+        q_lengths, k_lengths = lengths
+        if causal:
+            k_lengths = q_lengths
+        plan = attention_plan(q_lengths, k_lengths, causal)
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(size=(q_lengths.sum(), 4)), rng.normal(size=(k_lengths.sum(), 4)),
+                  rng.normal(size=(k_lengths.sum(), 4)))
+        (y, gs), (y_ref, gs_ref) = _fused_vs_unfused(
+            lambda q, k, v: attention(q, k, v, 2, None, plan),
+            lambda q, k, v: padded.grid_attention(q, k, v, 2, None, plan),
+            arrays, rng.normal(size=(q_lengths.sum(), 4)))
+        assert np.max(np.abs(y - y_ref)) < 1e-12
+        for g, g_ref in zip(gs, gs_ref):
+            assert g.shape == g_ref.shape and np.max(np.abs(g - g_ref)) < 1e-12
+
+    def test_rows_may_arrive_as_a_grid(self):
+        # a batch without padding on one side hands that side over as its grid
+        rng = np.random.default_rng(40)
+        plan = attention_plan([3, 1], [4, 4])
+        q, kv = rng.normal(size=(4, 6)), rng.normal(size=(2, 4, 6))
+        out = attention(T(q), T(kv), T(kv), 2, None, plan).data
+        flat = attention(T(q), T(kv.reshape(8, 6)), T(kv.reshape(8, 6)), 2, None, plan).data
+        assert np.array_equal(out, flat)
+
+    @pytest.mark.parametrize("q_lengths, k_lengths, causal", [
+        ([], [], False),  # no rows
+        ([1, 2], [1], False),  # unequal row counts
+        ([0, 2], [1, 2], False),  # an empty row
+        ([1, 2], [2, 2], True),  # causal with unequal lengths
+        ([[1, 2]], [[1, 2]], False),  # not 1-d
+    ])
+    def test_bad_lengths(self, q_lengths, k_lengths, causal):
+        with pytest.raises(ShapeError):
+            attention_plan(q_lengths, k_lengths, causal)
+
+    @pytest.mark.parametrize("q, k, v, mask", [
+        ((4, 6), (5, 6), (5, 6), None),  # one key row too many
+        ((3, 6), (4, 6), (4, 6), None),  # one query row too few
+        ((4, 6), (4, 6), (4, 5), None),  # keys and values differ
+        ((4, 6), (4, 6), (4, 6), np.zeros((1, 1, 1, 4))),  # a mask beside the plan
+    ])
+    def test_shape_mismatch_with_a_plan(self, q, k, v, mask):
+        plan = attention_plan([3, 1], [2, 2])
+        with pytest.raises(ShapeError):
+            attention(T(np.zeros(q)), T(np.zeros(k)), T(np.zeros(v)), 2, mask, plan)
 
 
 class TestLayerNorm:
@@ -523,6 +650,23 @@ class TestFiniteDifferences:
             check_op_grad(lambda q: (attention(q, Tensor(k0), Tensor(v0), 2, mask) * c).sum(), q0),
             check_op_grad(lambda k: (attention(Tensor(q0), k, Tensor(v0), 2, mask) * c).sum(), k0),
             check_op_grad(lambda v: (attention(Tensor(q0), Tensor(k0), v, 2, mask) * c).sum(), v0),
+        ]
+        assert max(errs) < 1e-4
+
+    @pytest.mark.parametrize("q_lengths, k_lengths, causal", [
+        ([3, 1, 2], [2, 4, 1], False),  # two groups, padded keys
+        ([1, 3, 2, 3], [1, 3, 2, 3], True),  # two causal groups
+    ])
+    def test_grouped_attention_all_inputs(self, q_lengths, k_lengths, causal):
+        plan = attention_plan(q_lengths, k_lengths, causal)
+        assert len(plan.groups) == 2
+        rng = np.random.default_rng(27)
+        q0, k0, v0 = (rng.normal(size=(sum(n), 6)) for n in (q_lengths, k_lengths, k_lengths))
+        c = Tensor(rng.normal(size=q0.shape))
+        errs = [
+            check_op_grad(lambda q: (attention(q, Tensor(k0), Tensor(v0), 2, None, plan) * c).sum(), q0),
+            check_op_grad(lambda k: (attention(Tensor(q0), k, Tensor(v0), 2, None, plan) * c).sum(), k0),
+            check_op_grad(lambda v: (attention(Tensor(q0), Tensor(k0), v, 2, None, plan) * c).sum(), v0),
         ]
         assert max(errs) < 1e-4
 
