@@ -6,7 +6,7 @@ import pytest
 
 import padded
 import unfused
-from eqgen import decoding
+from eqgen import decoding, training
 from eqgen import model as M
 from eqgen import numerics as nm
 from eqgen.model import (
@@ -749,8 +749,6 @@ class TestGroupedAttentionMatchesGrid:
         assert all(g.dtype == np.float32 for g in got[2].values())
 
     def test_parameters_after_three_epochs(self, monkeypatch):
-        from eqgen import training
-
         batches = [make_batch(self.SRC[:3], self.TGT[:3]), make_batch(self.SRC[2:], self.TGT[2:])]
 
         def train(grid):
