@@ -8,10 +8,10 @@ a *group*: each step expands every live hypothesis of the group over the
 full vocabulary, keeps the top ``beam_size`` candidates by cumulative score,
 and retires the ones ending in the end sentinel into the group's result
 pool. A group is finished once its pool holds ``beam_size`` finished
-hypotheses or it has no live one; at ``max_len`` the leftover live
-hypotheses join the pool force-finished with ``finished=False``. The result
-is the pool in pure score order: a force-finished hypothesis can outrank a
-finished one.
+hypotheses or it has no live one; at ``max_len`` tokens, or at the model's
+``max_positions`` if that is fewer, the leftover live hypotheses join the
+pool force-finished with ``finished=False``. The result is the pool in pure
+score order: a force-finished hypothesis can outrank a finished one.
 
 Decoding is incremental, batched across problems and lockstep across
 directions. The encoder runs once over the right-padded sources, and its
@@ -46,12 +46,13 @@ from .model import (
     R2L,
     DecoderCache,
     ModelParams,
+    _teacher_forced_ce,
     as_batch,
     decoder_forward,
     encode,
     pad_right,
 )
-from .numerics import Tensor, cross_entropy, neg, no_grad
+from .numerics import Tensor, neg, no_grad
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def _search(
     memory = Tensor.from_checked(np.concatenate([memory.data] * n_dir))
     src_pad = np.concatenate([src_pad] * n_dir)
     dec_in = np.repeat([_begin_id(d) for d in directions], n)[:, None]
-    for _ in range(max_len):
+    for _ in range(min(max_len, params.config.max_positions)):
         logits = decoder_forward(params, directions, dec_in, memory, src_pad, cache=cache)
         logp = _log_softmax(logits.data[:, -1, :])
         vocab, width = logp.shape[-1], scores.shape[1]
@@ -233,9 +234,10 @@ def hypothesis_log_prob(
     direction's factorization; differentiable, used for policy gradients.
 
     ``hyps`` share one direction and are scored in one decoder pass over a
-    right-padded batch sharing the problem's one encoder memory. Padded targets
-    are -1, not ``PAD_ID``, which a hypothesis may contain. The result is the sum of the log-probabilities, each scaled by
-    its entry in ``weights`` when given. Pass a precomputed ``memory`` of
+    right-padded batch sharing the problem's one encoder memory; a hypothesis
+    may contain ``PAD_ID``, as only the targets past its length are masked.
+    The result is the sum of the log-probabilities, each scaled by its entry
+    in ``weights`` when given. Pass a precomputed ``memory`` of
     ``src_ids`` to share one encoder pass (and its gradient subgraph) with
     other calls; source padding is read off ``src_ids``."""
     direction = hyps[0].direction
@@ -244,15 +246,7 @@ def hypothesis_log_prob(
     src = as_batch(src_ids)
     if memory is None:
         memory = encode(params, src)
-    width = max(len(h.tokens) for h in hyps)
-    dec_in = np.full((len(hyps), width), PAD_ID, dtype=np.int64)
-    targets = np.full((len(hyps), width), -1, dtype=np.int64)
-    dec_in[:, 0] = _begin_id(direction)
-    for row, h in enumerate(hyps):
-        dec_in[row, 1 : len(h.tokens)] = h.tokens[:-1]
-        targets[row, : len(h.tokens)] = h.tokens
-    logits = decoder_forward(params, direction, dec_in, memory, src == PAD_ID,
-                             lengths=[len(h.tokens) for h in hyps])
+    seqs = pad_right([(_begin_id(direction), *h.tokens) for h in hyps])
+    lengths = np.array([len(h.tokens) for h in hyps])
     w = None if weights is None else np.asarray(weights)[:, None]
-    return neg(cross_entropy(logits, targets, ignore_index=-1, weights=w))
-
+    return neg(_teacher_forced_ce(params, direction, seqs, lengths, memory, src == PAD_ID, weights=w))

@@ -18,22 +18,25 @@ Reserved token ids (shared by source and target vocabularies):
 pad=0, bos=1, bos_r=2, eos=3, unk=4.
 
 Rows and grid. A batch is a right-padded (B, t) grid of ids, but only its
-real positions are computed. Every layer (embeddings, positions, linear
-maps, attention, feed-forward, dropout, residual adds and layer norm) runs
-on the (N, d) stack of the N real positions in row-major order. Attention
-takes the stacked query and key rows with each batch row's lengths: one
-``attention_plan`` per attention kind and pass, shared by all layers, cuts
-the batch rows into at most two groups of similar lengths, and each group
-attends on its own small grid (see ``numerics.attention``). Real source
+real positions are computed. Every position-wise layer (embeddings,
+positions, linear maps, feed-forward, dropout, residual adds and layer norm)
+runs on the (N, d) stack of the N real positions in row-major order; an
+unpadded batch keeps its grid, which holds the same rows. Real source
 positions are the non-PAD ids; ``encode`` returns its rows on the grid,
 with padding reading 0. The decoder's real positions are the first
 ``lengths[i]`` of each row i (all of them when ``lengths`` is not given),
-and positions after them read 0 in the logits. A grid without padding
-stays a grid throughout and attends as one, as do the cached decoding
-steps. Queries under a memory batch smaller than their row batch (folded
-key sets) are scattered onto their grid for cross-attention and gathered
-back. Dropout draws its mask over the whole grid, so the random stream and
-each real position's mask do not depend on the layout.
+and positions after them read 0 in the logits. Dropout draws its mask over
+the whole grid, so the random stream and each real position's mask do not
+depend on the layout.
+
+Attention has two regimes (see ``numerics.attention``). Per-row keys (the
+encoder, and every teacher-forced decoder pass but a cross-attention over
+one memory) attend under one ``attention_plan`` per attention kind and
+pass, shared by all layers, which cuts the batch rows into at most two
+groups of similar lengths. Shared key sets (one memory under many rows, and
+every cached step) are folded under their query rows, with an additive mask
+on padded keys. A cached step feeds one position per row, so it needs no
+causal mask.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .numerics import (
     Tensor,
     attention,
     attention_plan,
-    causal_mask,
     cross_entropy,
     dropout,
     embedding,
@@ -281,10 +283,6 @@ def _grid(x: Tensor, real: Optional[np.ndarray]) -> Tensor:
     return x if real is None else scatter_rows(x, real)
 
 
-def _rows(x: Tensor, real: Optional[np.ndarray]) -> Tensor:
-    return x if real is None else gather_rows(x, real)
-
-
 def _embed(params: ModelParams, table: Tensor, ids: np.ndarray, real, start: int = 0) -> tuple[Tensor, Tensor]:
     """Embedded ids of the real positions, and their sinusoidal positions
     counted from ``start``."""
@@ -295,29 +293,22 @@ def _embed(params: ModelParams, table: Tensor, ids: np.ndarray, real, start: int
     return embedding(table, ids[real]), Tensor(pe[start + np.nonzero(real)[1]])
 
 
-def _project_kv(p: dict, prefix: str, x_kv: Tensor, real=None) -> tuple[Tensor, Tensor]:
+def _project_kv(p: dict, prefix: str, x_kv: Tensor) -> tuple[Tensor, Tensor]:
     """Keys and values of ``x_kv`` for the attention at ``prefix`` of the
-    weights ``p``, in its layout; with ``real``, the rows ``x_kv`` are
-    scattered onto their (B, t_k, model_dim) grid."""
-    return (_grid(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), real),
-            _grid(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), real))
+    weights ``p``, in its layout."""
+    return linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
 
 
 def _attend(p: dict, heads: int, prefix: str, x_q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray],
-            plan, real=None) -> Tensor:
-    """Multi-head attention of the queries ``x_q`` over projected keys and
-    values, followed by the output projection; one output row per query.
-
-    With a ``plan``, ``x_q``, ``k`` and ``v`` are the real rows it places
-    (see ``numerics.attention``). Without one they are grids: ``x_q`` is
-    (B, t_q, d) and ``k``/``v`` are (kb, t_k, d), where with kb < B each key
-    set serves B / kb consecutive query rows and ``mask`` must broadcast to
-    kb as well. Only there are the query rows ``x_q`` of a grid with the real
-    positions ``real`` scattered onto it, and the output gathered back.
+            plan) -> Tensor:
+    """Multi-head attention of the query rows ``x_q`` over projected keys
+    and values, followed by the output projection; one output row per query.
+    With a ``plan``, ``k`` and ``v`` are the real key rows it places; without
+    one they are (kb, t_k, d) key sets folded under the query rows (see
+    ``numerics.attention``).
     """
-    q = _grid(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), real)
-    ctx = _rows(attention(q, k, v, heads, mask, plan), real)
-    return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    q = linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    return linear(attention(q, k, v, heads, mask, plan), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def _sublayer(p: dict, cfg: ModelConfig, prefix_ln: str, x: Tensor, out: Tensor, train: bool, rng,
@@ -353,7 +344,7 @@ def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tenso
         raise ConfigError(f"source length {src.shape[1]} exceeds max_positions {cfg.max_positions}")
     real = _real(~pad)
     lengths = (~pad).sum(axis=1)
-    plan = None if real is None else attention_plan(lengths, lengths)
+    plan = attention_plan(lengths, lengths)
     x, pos = _embed(params, params["src_embed"], src, real)
     x = linear(x, params["src_proj.w"], params["src_proj.b"]) * math.sqrt(cfg.model_dim)
     x = _maybe_dropout(x + pos, cfg, train, rng, real)
@@ -422,12 +413,12 @@ class DecoderCache:
     self-attention keys/values of the ``length`` positions fed so far, each
     a (rows, length, model_dim) array with one row per live hypothesis, and
     the cross-attention keys/values, each a (B, source length, model_dim)
-    tensor projected once from the B encoder memories. Rows and memories are
-    direction-major: with S directions, the first B / S memories and the
-    first rows / S rows are the first direction's, and so on. Within that
-    order the rows of one memory sit next to each other, the same number per
-    memory, so rows / B consecutive rows share one memory (see
-    ``numerics.attention``). Heads are split inside ``numerics.attention``,
+    tensor projected once from the grid of the B encoder memories. Rows and
+    memories are direction-major: with S directions, the first B / S
+    memories and the first rows / S rows are the first direction's, and so
+    on. Within that order the rows of one memory sit next to each other, the
+    same number per memory, so rows / B consecutive rows share one memory
+    (see ``numerics.attention``). Heads are split inside ``numerics.attention``,
     not in the cache. ``reorder`` reindexes the rows after the beam's top-k
     selection and drops the memories of problems that left the batch.
     """
@@ -447,7 +438,7 @@ class DecoderCache:
                               for k, v in self.memory_kv]
 
     def append(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append new positions' keys/values to ``layer``'s; returns all of them."""
+        """Append the new position's keys/values to ``layer``'s; returns all of them."""
         if layer == len(self.self_kv):
             self.self_kv.append((k.data, v.data))
             return k, v
@@ -474,27 +465,32 @@ def decoder_forward(
 
     ``tgt_ids`` must already be in that reading order (the R2L caller passes
     the reversed target behind its own begin sentinel); output position t
-    depends only on earlier prefix positions and on the encoder memory.
-    ``lengths`` (one per row) marks the first ``lengths[i]`` positions of
-    row i as real: the later ones are not computed and their logits read 0.
-    Without it every position is real.
+    depends only on earlier prefix positions and on the encoder ``memory``,
+    a (B, source length, model_dim) grid with padding ``src_pad``.
 
-    With a ``cache`` (decoding only), ``tgt_ids`` holds just the positions
-    after the ``cache.length`` already fed, one row per cached row; they
-    attend to the cached keys/values and are appended to them. A cached pass
-    records no autodiff graph. Its row count must be a multiple of the
-    memory batch B: the first rows / B rows read memory 0, the next ones
-    memory 1, and so on. A cached pass may also take a tuple of S distinct
-    directions, decoded in lockstep in one pass: the memory batch and the
-    rows then split into S equal groups in the tuple's order, and group s
-    runs through direction s's decoder and reads its memories.
+    Without a ``cache``, every position is fed at once, and ``lengths`` (one
+    per row) marks the first ``lengths[i]`` positions of row i as real: the
+    later ones are not computed and their logits read 0. Without it every
+    position is real. B must be the row count (the cross-attention then
+    takes a plan, as the self-attention always does) or 1 (the one memory is
+    folded under every query row).
+
+    With a ``cache`` (decoding only), ``tgt_ids`` holds one new position per
+    row, after the ``cache.length`` already fed; it attends to the cached
+    keys/values and is appended to them. A cached pass records no autodiff
+    graph. Its row count must be a multiple of B: the first rows / B rows
+    read memory 0, the next ones memory 1, and so on. A cached pass may also
+    take a tuple of S distinct directions, decoded in lockstep in one pass:
+    the memory batch and the rows then split into S equal groups in the
+    tuple's order, and group s runs through direction s's decoder and reads
+    its memories.
     """
     directions = (direction,) if isinstance(direction, str) else tuple(direction)
     if not directions or len(set(directions)) < len(directions) or not set(directions) <= set(DIRECTIONS):
         raise ConfigError(f"unknown direction or repeated directions {direction!r}")
     cfg = params.config
     tgt = as_batch(tgt_ids)
-    t = tgt.shape[1]
+    rows, t = tgt.shape
     start = cache.length if cache is not None else 0
     if t == 0:
         raise ConfigError("target prefix must be non-empty")
@@ -502,25 +498,37 @@ def decoder_forward(
         raise ConfigError(f"target length {start + t} exceeds max_positions {cfg.max_positions}")
     if memory.ndim != 3 or memory.shape[1] == 0:
         raise ConfigError("encoder memory must be (batch, len >= 1, model_dim)")
-    if src_pad is not None and np.shape(src_pad) != memory.shape[:2]:
+    src_pad = np.zeros(memory.shape[:2], bool) if src_pad is None else src_pad
+    if np.shape(src_pad) != memory.shape[:2]:
         raise ConfigError(f"source padding {np.shape(src_pad)} does not match memory {memory.shape[:2]}")
-    real = None
-    if lengths is not None:
-        lengths = np.asarray(lengths)
-        if lengths.shape != tgt.shape[:1] or lengths.min() < 1 or lengths.max() > t:
-            raise ConfigError(f"lengths must give each of the {tgt.shape[0]} rows 1 to {t} positions")
-        real = _real(np.arange(t) < lengths[:, None])
+    self_plan = cross_plan = real = None
+    mem_keys = memory
     if cache is None:
+        lengths = np.full(rows, t) if lengths is None else np.asarray(lengths)
+        if lengths.shape != (rows,) or lengths.min() < 1 or lengths.max() > t:
+            raise ConfigError(f"lengths must give each of the {rows} rows 1 to {t} positions")
         if len(directions) > 1:
             raise ConfigError("several directions decode in lockstep only with a decoder cache")
+        if memory.shape[0] not in (1, rows):
+            raise ConfigError(f"an uncached pass needs one memory or one per row, got {memory.shape[0]} "
+                              f"for {rows} rows")
+        real = _real(np.arange(t) < lengths[:, None])
         p = _decoder_weights(params, directions)
+        # one plan per attention kind, for all layers, where each row has its own keys; one memory
+        # under every row is folded under the query rows instead, as cached steps fold theirs
+        self_plan = attention_plan(lengths, lengths, causal=True)
+        if memory.shape[0] == rows:
+            cross_plan = attention_plan(lengths, (~src_pad).sum(axis=1))
+            mem_keys = gather_rows(memory, ~src_pad) if src_pad.any() else memory
     else:
         if train or lengths is not None:
             raise ConfigError("the decoder cache is for decoding only, not training or scoring")
-        if memory.shape[0] % len(directions) or tgt.shape[0] % memory.shape[0]:
+        if t != 1:
+            raise ConfigError(f"a cached pass feeds one new position per row, got {t}")
+        if memory.shape[0] % len(directions) or rows % memory.shape[0]:
             raise ConfigError(f"cached decoding of {len(directions)} direction(s) needs a memory batch "
                               f"{memory.shape[0]} divisible by that and a multiple of it as row count, "
-                              f"got {tgt.shape[0]} rows")
+                              f"got {rows} rows")
         if cache.memory_kv and cache.memory_kv[0][0].shape[0] != memory.shape[0]:
             raise ConfigError(f"the cache holds {cache.memory_kv[0][0].shape[0]} memories, "
                               f"not {memory.shape[0]}")
@@ -529,46 +537,32 @@ def decoder_forward(
         elif cache.directions != directions:
             raise ConfigError(f"the cache decodes {cache.directions}, not {directions}")
         p = cache.weights
+    mem_mask = _key_mask(src_pad) if cross_plan is None else None
     ids = tgt
     if len(directions) > 1:  # group s looks up its ids in the s-th table of p["embed"]
         offsets = np.arange(len(directions)) * cfg.vocab_tgt
-        ids = tgt + np.repeat(offsets, tgt.shape[0] // len(directions))[:, None]
-    mem_real = None if src_pad is None else _real(~src_pad)
-    # one attention plan per kind, for all layers; calls without padding, cached steps and key sets
-    # folded under several rows (memory batch < rows) attend on the grid
-    self_plan = None if real is None else attention_plan(lengths, lengths, causal=True)
-    causal = causal_mask(t, start) if self_plan is None else None
-    cross_plan = mem_mask = mem_grid = grid_real = None
-    if cache is None and memory.shape[0] == tgt.shape[0] and (real is not None or mem_real is not None):
-        rows = tgt.shape[0]
-        cross_plan = attention_plan(np.full(rows, t) if lengths is None else lengths,
-                                    np.full(rows, memory.shape[1]) if src_pad is None else (~src_pad).sum(axis=1))
-    else:  # on the grid: memory keys and values, and the query rows of folded key sets, go onto it
-        mem_mask = None if src_pad is None else _key_mask(src_pad)
-        mem_grid, grid_real = mem_real, real
+        ids = tgt + np.repeat(offsets, rows // len(directions))[:, None]
     with no_grad() if cache is not None else contextlib.nullcontext():
         x, pos = _embed(params, p["embed"], ids, real, start)
         x = _maybe_dropout(x * math.sqrt(cfg.model_dim) + pos, cfg, train, rng, real)
-        # a cache projects the memory on its first call only
-        mem_rows = _rows(memory, mem_real) if cache is None or not cache.memory_kv else None
         for i in range(cfg.layers):
             layer = f"dec.{i}"
             k, v = _project_kv(p, f"{layer}.attn", x)
             if cache is not None:
                 k, v = cache.append(i, k, v)
-            attn = _attend(p, cfg.heads, f"{layer}.attn", x, k, v, causal, self_plan)
+            attn = _attend(p, cfg.heads, f"{layer}.attn", x, k, v, None, self_plan)
             x = _sublayer(p, cfg, f"{layer}.ln1", x, attn, train, rng, real)
             if cache is None:
-                k, v = _project_kv(p, f"{layer}.xattn", mem_rows, mem_grid)
-            else:
+                k, v = _project_kv(p, f"{layer}.xattn", mem_keys)
+            else:  # a cache projects the memory on its first call only
                 if i == len(cache.memory_kv):
-                    cache.memory_kv.append(_project_kv(p, f"{layer}.xattn", mem_rows, mem_grid))
+                    cache.memory_kv.append(_project_kv(p, f"{layer}.xattn", mem_keys))
                 k, v = cache.memory_kv[i]
-            cross = _attend(p, cfg.heads, f"{layer}.xattn", x, k, v, mem_mask, cross_plan, grid_real)
+            cross = _attend(p, cfg.heads, f"{layer}.xattn", x, k, v, mem_mask, cross_plan)
             x = _sublayer(p, cfg, f"{layer}.ln2", x, cross, train, rng, real)
             x = _sublayer(p, cfg, f"{layer}.ln3", x, _ffn(p, f"{layer}.ff", x), train, rng, real)
         if cache is not None:
-            cache.length += t
+            cache.length += 1
         return _grid(linear(x, p["out.w"], p["out.b"]), real)
 
 
@@ -617,12 +611,14 @@ class LossParts:
     tokens_r2l: int
 
 
-def _direction_loss(params, direction, tgt, memory, src_pad, train, rng):
-    dec_in = tgt[:, :-1]
-    targets = tgt[:, 1:]
-    lengths = (targets != PAD_ID).sum(axis=1)
-    logits = decoder_forward(params, direction, dec_in, memory, src_pad, train, rng, lengths=lengths)
-    return cross_entropy(logits, targets, ignore_index=PAD_ID), int((targets != PAD_ID).sum())
+def _teacher_forced_ce(params, direction, seqs, lengths, memory, src_pad, train=False, rng=None, weights=None):
+    """Weighted cross entropy of one teacher-forced decoder pass. Row i of
+    ``seqs`` is a begin sentinel followed by targets, of which the first
+    ``lengths[i]`` are real; the later ones are masked to -1 and count for
+    nothing. ``weights`` scales each target's term as in ``cross_entropy``."""
+    targets = np.where(np.arange(seqs.shape[1] - 1) < lengths[:, None], seqs[:, 1:], -1)
+    logits = decoder_forward(params, direction, seqs[:, :-1], memory, src_pad, train, rng, lengths=lengths)
+    return cross_entropy(logits, targets, ignore_index=-1, weights=weights)
 
 
 def joint_loss(params: ModelParams, batch: Batch, train: bool = False, rng=None) -> LossParts:
@@ -630,9 +626,10 @@ def joint_loss(params: ModelParams, batch: Batch, train: bool = False, rng=None)
     exactly the sum of the two per-direction terms."""
     memory = encode(params, batch.src, train, rng)
     src_pad = batch.src == PAD_ID
-    ce_l2r, n_l2r = _direction_loss(params, L2R, batch.tgt_l2r, memory, src_pad, train, rng)
-    ce_r2l, n_r2l = _direction_loss(params, R2L, batch.tgt_r2l, memory, src_pad, train, rng)
-    return LossParts(ce_l2r + ce_r2l, ce_l2r, ce_r2l, n_l2r, n_r2l)
+    n_l2r, n_r2l = ((tgt[:, 1:] != PAD_ID).sum(axis=1) for tgt in (batch.tgt_l2r, batch.tgt_r2l))
+    ce_l2r = _teacher_forced_ce(params, L2R, batch.tgt_l2r, n_l2r, memory, src_pad, train, rng)
+    ce_r2l = _teacher_forced_ce(params, R2L, batch.tgt_r2l, n_r2l, memory, src_pad, train, rng)
+    return LossParts(ce_l2r + ce_r2l, ce_l2r, ce_r2l, int(n_l2r.sum()), int(n_r2l.sum()))
 
 
 # ---------------------------------------------------------------------------

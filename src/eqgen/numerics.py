@@ -13,12 +13,13 @@ Each op costs a fixed Python overhead, so the Transformer's two hot
 patterns are single fused ops with hand-written backward passes:
 ``linear`` is ``x @ w + b`` and ``attention`` is the whole multi-head core
 (head split, scaled scores, additive mask, softmax, context product and
-head merge) on ``(B, t, d)`` operands. For a padded batch, ``attention``
-takes the ``(N, d)`` stacks of its real query and key rows with an
-``attention_plan`` instead and gathers them onto at most two small grids
-of similar lengths itself. ``gather_rows`` and ``scatter_rows`` move rows
-between a ``(B, t, d)`` grid and the stack of its real positions where a
-grid is still needed.
+head merge). ``attention`` has two regimes, chosen by where the keys live.
+Key sets shared by runs of query rows are folded under those rows, so one
+product serves each set. Per-row keys come as the ``(N, d)`` stacks of a
+batch's real query and key rows with an ``attention_plan``, and the op
+gathers them onto at most two small grids of similar lengths itself.
+``gather_rows`` and ``scatter_rows`` move rows between a ``(B, t, d)`` grid
+and the stack of its real positions where a grid is still needed.
 """
 
 from __future__ import annotations
@@ -281,13 +282,12 @@ MASK_VALUE = -1e9  # additive attention mask; finite so the NaN guard stays mean
 
 
 @functools.lru_cache(maxsize=256)
-def causal_mask(t: int, offset: int = 0) -> Optional[np.ndarray]:
-    """Mask for t new positions behind ``offset`` cached ones: new position i
-    sees keys 0 .. offset + i. None for a single new position, which sees
-    every key."""
+def causal_mask(t: int) -> Optional[np.ndarray]:
+    """Additive mask of t positions under which position i sees keys
+    0 .. i; None for a single position, which sees its one key."""
     if t == 1:
         return None
-    mask = np.triu(np.full((t, offset + t), MASK_VALUE), k=offset + 1)[None, None]
+    mask = np.triu(np.full((t, t), MASK_VALUE), k=1)[None, None]
     mask.setflags(write=False)
     return mask
 
@@ -426,34 +426,35 @@ def _softmax_grads(gc, qh, kh, vh, p, scale: float, out=None) -> tuple[np.ndarra
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.ndarray] = None,
               plan: Optional[AttentionPlan] = None) -> Tensor:
-    """Multi-head scaled dot-product attention, softmax(q kᵀ / √hd + mask) v.
+    """Multi-head scaled dot-product attention, softmax(q kᵀ / √hd + mask) v,
+    in one of two regimes; the result has ``q``'s shape.
 
-    On the grid (no ``plan``), ``q`` is (B, t_q, d) and ``k``/``v`` are
-    (kb, t_k, d) with kb dividing B. Key set i serves the B / kb consecutive
-    query rows from i * B / kb on; each group of rows is folded into the
-    query axis, so one (kb, heads, B / kb * t_q, hd) product serves them all
-    and the keys are never broadcast. kb = B is plain batched attention, and
-    kb = 1 shares one key set with every row. ``mask`` is added to the folded
-    (kb, heads, B / kb * t_q, t_k) scores and must broadcast to them.
+    Shared key sets (no ``plan``): ``k``/``v`` are (kb, t_k, d) and ``q``
+    holds R query rows under any leading shape, flattened row-major, with kb
+    dividing R. Key set i serves the R / kb consecutive rows from i * R / kb
+    on, folded into its query axis, so one (kb, heads, R / kb, hd) product
+    serves them all and the keys are never broadcast. ``mask`` is added to
+    those (kb, heads, R / kb, t_k) scores and must broadcast to them.
 
-    With a ``plan`` (see ``attention_plan``), ``q`` holds the real query
-    rows and ``k``/``v`` the real key rows of a batch, each with its leading
-    axes flattened, and the result has ``q``'s shape. The rows are gathered
-    onto the plan's group grids, each grid runs through the same arithmetic
-    under the plan's masks, and the real output rows are gathered back; no
-    score outside the groups is computed. ``mask`` must then be None.
+    Per-row keys (a ``plan``, see ``attention_plan``): ``q`` holds the real
+    query rows and ``k``/``v`` the real key rows of a batch, each with its
+    leading axes flattened. The rows are gathered onto the plan's group
+    grids, each grid runs through the same arithmetic under the plan's
+    masks, and the real output rows are gathered back; no score outside
+    the groups is computed. ``mask`` must then be None.
     """
     qd, kd, vd = q.data, k.data, v.data
     d = qd.shape[-1]
+    rows = math.prod(qd.shape[:-1])
     if plan is None:
-        bad = (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or kd.shape[2] != d
-               or kd.shape[0] == 0 or qd.shape[0] % kd.shape[0])
+        bad = (qd.ndim < 2 or kd.ndim != 3 or kd.shape != vd.shape or kd.shape[2] != d
+               or kd.shape[0] == 0 or rows % kd.shape[0])
     else:
         bad = (mask is not None or kd.shape != vd.shape or kd.shape[-1] != d
-               or qd.size != d * len(plan.q_pos) or kd.size != d * len(plan.k_pos))
+               or rows != len(plan.q_pos) or kd.size != d * len(plan.k_pos))
     if bad or d % heads:
-        raise ShapeError(f"attention needs q (B, t, d), k = v (kb, t, d) with kb dividing B, or the rows "
-                         f"of a plan and no mask, and heads dividing d; got {qd.shape}, {kd.shape}, "
+        raise ShapeError(f"attention needs query rows (..., d) and k = v (kb, t, d) with kb dividing the rows, "
+                         f"or the rows of a plan and no mask, and heads dividing d; got {qd.shape}, {kd.shape}, "
                          f"{vd.shape}, {heads} heads")
     hd = d // heads
     scale = 1.0 / math.sqrt(hd)  # a Python float keeps float32 scores float32
@@ -462,21 +463,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.nda
         return x.reshape(n, m, heads, hd).transpose(0, 2, 1, 3)
 
     if plan is None:
-        bsz, t_q = qd.shape[:2]
         kb, t_k = kd.shape[:2]
-        t = bsz // kb * t_q
+        t = rows // kb
 
-        def merge(x, n):
-            return x.transpose(0, 2, 1, 3).reshape(n, -1, d)
+        def merge(x, like):
+            return x.transpose(0, 2, 1, 3).reshape(like.shape)
 
         qh, kh, vh = split(qd, kb, t), split(kd, kb, t_k), split(vd, kb, t_k)
         p = _softmax(qh, kh, scale, mask)
 
         def bw(g):
             gq, gk, gv = _softmax_grads(split(g, kb, t), qh, kh, vh, p, scale)
-            return merge(gq, bsz), merge(gk, kb), merge(gv, kb)
+            return merge(gq, qd), merge(gk, kd), merge(gv, vd)
 
-        return _result(merge(p @ vh, bsz), (q, k, v), bw)
+        return _result(merge(p @ vh, qd), (q, k, v), bw)
 
     def parts(grp, *slots):
         """The group's part of query-slot and key-slot arrays, head-split."""

@@ -352,13 +352,25 @@ class TestDecodeBatch:
 
         monkeypatch.setattr(decoding, "encode", lambda params, src: Tensor(src[:, :, None]))
         monkeypatch.setattr(decoding, "decoder_forward", stub)
-        alone_a = decode_batch(None, [[5]], beam, 5)
+        params = tiny_params(0, vocab_tgt=vocab)  # the stub ignores its weights
+        alone_a = decode_batch(params, [[5]], beam, 5)
         assert ((L2R, R2L), 3, 1, 2) in widths  # A alone: 2 live rows at step 3
         widths.clear()
-        both = decode_batch(None, [[5], [6]], beam, 5)
+        both = decode_batch(params, [[5], [6]], beam, 5)
         assert ((L2R, R2L), 3, 2, 12) in widths  # next to B: padded to 12 rows
-        assert both == alone_a + decode_batch(None, [[6]], beam, 5)
+        assert both == alone_a + decode_batch(params, [[6]], beam, 5)
         assert [len(hyps) for hyps in both[0]] == [beam, beam]
+
+    def test_search_stops_at_max_positions(self):
+        # an end sentinel that is never picked runs every hypothesis into max_positions before max_len
+        params = tiny_params(82, max_positions=8)
+        for stack in ("out_l2r", "out_r2l"):
+            params[f"{stack}.b"].data[EOS_ID] = -50.0
+        (l2r, r2l), = decode_batch(params, [[5, 6], [7, 8, 5]], 3, 20)[:1]
+        for hyps in (l2r, r2l):
+            assert len(hyps) == 3 and all(len(h.tokens) == 8 and not h.finished for h in hyps)
+            for h in hyps:  # a hypothesis as long as max_positions still scores
+                assert abs(hypothesis_log_prob(params, np.array([5, 6]), [h]).item() - h.score) < 1e-9
 
     def test_empty_batch_and_bad_arguments(self):
         params = tiny_params(81)

@@ -207,7 +207,7 @@ class TestDecoderForward:
 
 
 class TestDecoderCache:
-    """A cached pass fed positions a few at a time gives the logits of one
+    """A cached pass fed one position at a time gives the logits of one
     uncached pass over the whole prefix."""
 
     def setup(self, **kw):
@@ -216,29 +216,29 @@ class TestDecoderCache:
         memory = encode(params, src)
         return params, memory, src == PAD_ID
 
-    def test_chunked_feeding_matches_one_pass(self):
+    @staticmethod
+    def feed(params, direction, seq, memory, pad, cache):
+        """The logits of feeding the columns of ``seq`` one step at a time."""
+        return np.concatenate([decoder_forward(params, direction, seq[:, t : t + 1], memory, pad, cache=cache).data
+                               for t in range(seq.shape[1])], axis=1)
+
+    def test_stepwise_feeding_matches_one_pass(self):
         params, memory, pad = self.setup()
         rng = np.random.default_rng(0)
         for direction in (L2R, R2L):
             seq = np.concatenate([[[BOS_ID if direction == L2R else BOSR_ID]],
                                   rng.integers(5, 11, size=(1, 7))], axis=1)
             full = decoder_forward(params, direction, seq, memory, pad).data
-            # a prefill of k tokens then single steps, and uneven chunks
-            for chunks in ((1,) * 8, (3,) + (1,) * 5, (2, 3, 1, 2)):
-                cache = DecoderCache()
-                parts, start = [], 0
-                for n in chunks:
-                    chunk = seq[:, start : start + n]
-                    parts.append(decoder_forward(params, direction, chunk, memory, pad, cache=cache).data)
-                    start += n
-                assert cache.length == seq.shape[1]
-                assert np.max(np.abs(np.concatenate(parts, axis=1) - full)) < 1e-12
+            cache = DecoderCache()
+            got = self.feed(params, direction, seq, memory, pad, cache)
+            assert cache.length == seq.shape[1]
+            assert np.max(np.abs(got - full)) < 1e-12
 
     def test_reorder_follows_parent_rows(self):
         params, memory, pad = self.setup()
         prefixes = np.array([[BOS_ID, 5, 6], [BOS_ID, 7, 8], [BOS_ID, 9, 10]])
         cache = DecoderCache()  # all rows attend to the one batch-1 memory
-        decoder_forward(params, L2R, prefixes, memory, pad, cache=cache)
+        self.feed(params, L2R, prefixes, memory, pad, cache)
         parents = [2, 0, 2, 1]
         cache.reorder(parents)
         step = np.array([[5], [6], [7], [8]])
@@ -254,7 +254,7 @@ class TestDecoderCache:
         memory, pad = encode(params, src), src == PAD_ID
         prefixes = np.array([[BOS_ID, 5], [BOS_ID, 6], [BOS_ID, 7], [BOS_ID, 8]])  # two rows per problem
         cache = DecoderCache()
-        got = decoder_forward(params, L2R, prefixes, memory, pad, cache=cache).data
+        got = self.feed(params, L2R, prefixes, memory, pad, cache)
         for b in range(2):
             one = encode(params, src[b : b + 1, : 3 - b])  # the problem alone, unpadded
             want = decoder_forward(params, L2R, prefixes[2 * b : 2 * b + 2], one, None).data
@@ -272,11 +272,7 @@ class TestDecoderCache:
         assert memory.dtype == np.float32
         seq = np.array([[BOS_ID, 5, 9, 6, 10, 7]])
         full = decoder_forward(params, R2L, seq, memory, pad).data
-        cache = DecoderCache()
-        parts = [decoder_forward(params, R2L, seq[:, :2], memory, pad, cache=cache).data]
-        for t in range(2, seq.shape[1]):
-            parts.append(decoder_forward(params, R2L, seq[:, t : t + 1], memory, pad, cache=cache).data)
-        cached = np.concatenate(parts, axis=1)
+        cached = self.feed(params, R2L, seq, memory, pad, DecoderCache())
         assert cached.dtype == np.float32 and full.dtype == np.float32
         assert np.max(np.abs(cached - full)) < 1e-5
 
@@ -301,10 +297,20 @@ class TestDecoderCache:
             decoder_forward(params, L2R, np.array([[5], [5]]), memory, pad, cache=cache)
         with pytest.raises(ConfigError):  # padding of another batch than the memory
             decoder_forward(params, L2R, np.array([[BOS_ID]]), memory, np.concatenate([pad, pad]))
+        cache = DecoderCache()
+        self.feed(params, L2R, np.full((1, 16), 5), memory, pad, cache)
         with pytest.raises(ConfigError):  # cached length counts toward max_positions
-            cache = DecoderCache()
-            decoder_forward(params, L2R, np.full((1, 16), 5), memory, pad, cache=cache)
             decoder_forward(params, L2R, np.array([[5]]), memory, pad, cache=cache)
+        for n in (2, 3):  # a cached pass feeds one position per row
+            with pytest.raises(ConfigError, match="one new position"):
+                decoder_forward(params, L2R, np.full((1, n), BOS_ID), memory, pad, cache=DecoderCache())
+
+    @pytest.mark.parametrize("memories, rows", [(2, 3), (2, 4), (3, 2)])
+    def test_uncached_memory_batch_is_one_or_the_row_count(self, memories, rows):
+        params, memory, pad = self.setup()
+        many = Tensor(np.concatenate([memory.data] * memories))
+        with pytest.raises(ConfigError, match="one memory or one per row"):
+            decoder_forward(params, L2R, np.full((rows, 2), 5), many, np.concatenate([pad] * memories))
 
 
 class TestLockstepDirections:
@@ -318,13 +324,13 @@ class TestLockstepDirections:
         memory, pad = encode(params, src), src == PAD_ID
         tiled, tiled_pad = Tensor(np.concatenate([memory.data] * 2)), np.concatenate([pad] * 2)
         rng = np.random.default_rng(1)
-        # two rows per problem and direction; the last step reorders the rows
-        feeds = [rng.integers(5, 11, size=(8, n)) for n in (3, 1, 1)]
-        feeds[0][:4, 0], feeds[0][4:, 0] = BOS_ID, BOSR_ID
+        # two rows per problem and direction, one position per step; the last step reorders the rows
+        feeds = rng.integers(5, 11, size=(5, 8, 1))
+        feeds[0, :4], feeds[0, 4:] = BOS_ID, BOSR_ID
         parents = [1, 1, 2, 3, 4, 4, 7, 6]
         lockstep, alone = DecoderCache(), {L2R: DecoderCache(), R2L: DecoderCache()}
         for i, feed in enumerate(feeds):
-            if i == 2:
+            if i == 4:
                 lockstep.reorder(parents)
                 alone[L2R].reorder(parents[:4])
                 alone[R2L].reorder([p - 4 for p in parents[4:]])
@@ -628,7 +634,7 @@ class TestPackedRowsMatchPaddedGrid:
         params = init_params(tiny_config(), 24)
         joint_loss(params, make_batch([[5, 6], [7, 8]], [[6, 7], [8, 9]]))
         memory = encode(params, np.array([[5, 6, 7]]))
-        decoder_forward(params, L2R, np.full((3, 2), 6), memory, np.zeros((1, 3), bool), cache=DecoderCache())
+        decoder_forward(params, L2R, np.full((3, 1), 6), memory, np.zeros((1, 3), bool), cache=DecoderCache())
         assert calls == []
         joint_loss(params, make_batch([[5, 6], [7]], [[6, 7], [8, 9]]))
         assert calls
@@ -787,18 +793,25 @@ class TestGroupedAttentionMatchesGrid:
         want = decoder_forward(params, L2R, tgt, memory, np.zeros((2, 3), bool), lengths=[2, 3]).data
         assert np.array_equal(got, want) and not got[0, 2].any()
 
-    def test_calls_without_padding_stay_on_the_grid(self, monkeypatch):
-        plans = []
-        monkeypatch.setattr(M, "attention", lambda *a: plans.append(a[5]) or nm.attention(*a))
+    def test_per_row_keys_plan_and_shared_key_sets_fold(self, monkeypatch):
+        calls = []  # (query shape, key shape, plan) of every attention call
+        monkeypatch.setattr(M, "attention", lambda *a: calls.append((a[0].shape, a[1].shape, a[5]))
+                            or nm.attention(*a))
         params = init_params(tiny_config(layers=2), 44)
+        # an unpadded batch: the encoder and both decoders' self- and cross-attention take one-group plans
         joint_loss(params, make_batch([[5, 6], [7, 8]], [[6, 7], [8, 9]]))
-        decoding.decode_both(params, np.array([5, 6, 7]), beam_size=3, max_len=4)  # one-problem encoder, cached steps
-        assert len(plans) > 10 and all(p is None for p in plans)
-        # padded hypotheses over one folded memory: grouped self-attention, cross-attention on the grid
-        plans.clear()
-        hyps = [decoding.Hypothesis((6, 7, EOS_ID), -1.0, L2R, True), decoding.Hypothesis((8,), -2.0, L2R, False)]
+        assert len(calls) == 10 and all(plan is not None and len(plan.groups) == 1 for *_, plan in calls)
+        # a one-problem encoder takes a plan; cached steps never do
+        calls.clear()
+        decoding.decode_both(params, np.array([5, 6, 7]), beam_size=3, max_len=4)
+        assert len(calls) > 10 and [plan is None for *_, plan in calls] == [False] * 2 + [True] * (len(calls) - 2)
+        # padded hypotheses over one memory: planned self-attention, and the one memory's
+        # (1, 3, d) key set folded under the (5, d) real query rows
+        calls.clear()
+        hyps = [decoding.Hypothesis((6, 7, EOS_ID), -1.0, L2R, True), decoding.Hypothesis((8, 9), -2.0, L2R, False)]
         decoding.hypothesis_log_prob(params, np.array([5, 6, 7]), hyps)
-        assert [p is None for p in plans] == [True, True] + [False, True] * 2
+        assert [plan is None for *_, plan in calls] == [False, False] + [False, True] * 2
+        assert calls[3][:2] == calls[5][:2] == ((5, 8), (1, 3, 8))
 
 
 class TestOpCount:
@@ -809,7 +822,8 @@ class TestOpCount:
         src = np.array([[5, 6, 7, 8]])
         memory = encode(params, src)
         cache = DecoderCache()
-        decoder_forward(params, L2R, np.full((rows, 3), 5), memory, src == PAD_ID, cache=cache)
+        for _ in range(3):
+            decoder_forward(params, L2R, np.full((rows, 1), 5), memory, src == PAD_ID, cache=cache)
         calls, real = [], nm._result
 
         def counting(*args):

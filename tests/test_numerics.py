@@ -192,13 +192,51 @@ class TestAttention:
         for g, g_ref in zip(gs, gs_ref):
             assert g.shape == g_ref.shape and np.max(np.abs(g - g_ref)) < 1e-12
 
+    @staticmethod
+    def per_key_set(q, k, v, heads, mask):
+        """Plain attention of each key set over its run of the query rows,
+        head by head in numpy."""
+        kb, d = k.shape[0], q.shape[-1]
+        hd = d // heads
+        runs = q.reshape(kb, -1, d)
+        out = np.empty_like(runs)
+        for i in range(kb):
+            for h in range(heads):
+                cols = slice(h * hd, (h + 1) * hd)
+                s = runs[i][:, cols] @ k[i][:, cols].T / math.sqrt(hd)
+                if mask is not None:
+                    s = s + mask[i, 0]
+                w = np.exp(s - s.max(axis=-1, keepdims=True))
+                out[i][:, cols] = w / w.sum(axis=-1, keepdims=True) @ v[i][:, cols]
+        return out.reshape(q.shape)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_folded_key_sets_equal_attention_per_key_set(self, data):
+        # query rows as an (N, d) stack or a (B, t, d) grid, under any kb dividing the rows
+        lead = data.draw(st.one_of(st.tuples(st.integers(1, 12)), st.tuples(st.integers(1, 4), st.integers(1, 4))))
+        rows = math.prod(lead)
+        kb = data.draw(st.sampled_from([n for n in range(1, rows + 1) if rows % n == 0]))
+        t_k, masked = data.draw(st.integers(1, 5)), data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        q, k, v = rng.normal(size=lead + (6,)), rng.normal(size=(kb, t_k, 6)), rng.normal(size=(kb, t_k, 6))
+        mask = None
+        if masked:  # padded keys per key set; every set keeps its first key
+            mask = np.where(rng.random((kb, 1, 1, t_k)) < 0.4, nm.MASK_VALUE, 0.0)
+            mask[..., 0] = 0.0
+        out = attention(T(q), T(k), T(v), 2, mask).data
+        assert out.shape == q.shape
+        assert np.max(np.abs(out - self.per_key_set(q, k, v, 2, mask))) < 1e-12
+
     @pytest.mark.parametrize("q, k, v, heads", [
         ((2, 3, 6), (2, 4, 6), (2, 4, 6), 4),  # heads do not divide d
         ((2, 3, 6), (2, 4, 6), (2, 5, 6), 2),  # keys and values differ
         ((2, 3, 6), (2, 4, 8), (2, 4, 8), 2),  # key width is not d
         ((3, 3, 6), (2, 4, 6), (2, 4, 6), 2),  # key batch does not divide B
         ((3, 3, 6), (0, 4, 6), (0, 4, 6), 2),  # no key set
-        ((3, 6), (4, 6), (4, 6), 2),  # no batch axis
+        ((3, 6), (4, 6), (4, 6), 2),  # no batch axis on the keys
+        ((5, 6), (2, 4, 6), (2, 4, 6), 2),  # key batch does not divide the query rows
+        ((6,), (1, 4, 6), (1, 4, 6), 2),  # one row without a row axis
     ])
     def test_shape_mismatch(self, q, k, v, heads):
         with pytest.raises(ShapeError):
@@ -646,6 +684,22 @@ class TestFiniteDifferences:
         mask = np.zeros((kv_rows, 1, 1, 4))
         mask[-1, :, :, -1] = -1e9
         c = Tensor(rng.normal(size=(q_rows, 3, 6)))
+        errs = [
+            check_op_grad(lambda q: (attention(q, Tensor(k0), Tensor(v0), 2, mask) * c).sum(), q0),
+            check_op_grad(lambda k: (attention(Tensor(q0), k, Tensor(v0), 2, mask) * c).sum(), k0),
+            check_op_grad(lambda v: (attention(Tensor(q0), Tensor(k0), v, 2, mask) * c).sum(), v0),
+        ]
+        assert max(errs) < 1e-4
+
+    @pytest.mark.parametrize("q_shape", [(6, 6), (3, 2, 6)])
+    def test_attention_folded_over_query_rows_masked(self, q_shape):
+        # six query rows, three under each of two key sets (across the grid's rows for (3, 2, 6));
+        # the second key set has two padded keys
+        rng = np.random.default_rng(29)
+        q0, k0, v0 = rng.normal(size=q_shape), rng.normal(size=(2, 4, 6)), rng.normal(size=(2, 4, 6))
+        mask = np.zeros((2, 1, 1, 4))
+        mask[1, :, :, 2:] = -1e9
+        c = Tensor(rng.normal(size=q_shape))
         errs = [
             check_op_grad(lambda q: (attention(q, Tensor(k0), Tensor(v0), 2, mask) * c).sum(), q0),
             check_op_grad(lambda k: (attention(Tensor(q0), k, Tensor(v0), 2, mask) * c).sum(), k0),

@@ -73,15 +73,14 @@ def _heads(x: Tensor, heads: int) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
-    """The multi-head core op by op; kb key sets under B query rows fold
-    each group of B / kb consecutive rows into the query axis."""
-    bsz, t_q, d = q.shape
-    kb = k.shape[0]
-    if kb != bsz:
-        q = reshape(q, (kb, bsz // kb * t_q, d))
+    """The multi-head core op by op; the query rows, flattened from any
+    leading shape, are reshaped to (kb, rows / kb, d) under the kb key sets."""
+    kb, d = k.shape[0], q.shape[-1]
+    shape = q.shape
+    q = reshape(q, (kb, -1, d))
     scale = Tensor(np.asarray(1.0 / math.sqrt(d // heads), dtype=q.dtype))
     scores = mul(matmul(_heads(q, heads), swapaxes(_heads(k, heads), 2, 3)), scale)
     if mask is not None:
         scores = add(scores, Tensor(np.asarray(mask, dtype=scores.dtype)))
     ctx = matmul(softmax(scores, axis=-1), _heads(v, heads))
-    return reshape(swapaxes(ctx, 1, 2), (bsz, t_q, d))
+    return reshape(swapaxes(ctx, 1, 2), shape)
