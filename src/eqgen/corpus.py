@@ -435,10 +435,12 @@ def evaluate_each(
     """A report of n = 1 for each instance, in order: decode both
     directions, vote, substitute, solve, compare. Instances are decoded
     ``DECODE_CHUNK_SIZE`` at a time. Instances that cannot be interpreted at
-    any step count as wrong; the reports are a pure function of (params,
-    instances, flags)."""
+    any step count as wrong, among them those whose source is longer than
+    the model's ``max_positions``; the reports are a pure function of
+    (params, instances, flags)."""
     reports = [EvalReport(1, 0, 0, 0)] * len(instances)
-    todo = [i for i, inst in enumerate(instances) if inst.problem.answers and inst.source]
+    todo = [i for i, inst in enumerate(instances)
+            if inst.problem.answers and 0 < len(inst.source) <= params.config.max_positions]
     for start in range(0, len(todo), DECODE_CHUNK_SIZE):
         chunk = todo[start : start + DECODE_CHUNK_SIZE]
         srcs = [vocab.encode_source(instances[i].source) for i in chunk]

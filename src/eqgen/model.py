@@ -19,7 +19,8 @@ pad=0, bos=1, bos_r=2, eos=3, unk=4.
 
 Rows and grid. A batch is a right-padded (B, t) grid of ids, but only its
 real positions are computed. Every position-wise layer (embeddings,
-positions, linear maps, feed-forward, dropout, residual adds and layer norm)
+positions, linear maps, the fused feed-forward ``numerics.ffn``, dropout,
+and the residual add and layer norm fused as ``numerics.residual_norm``)
 runs on the (N, d) stack of the N real positions in row-major order; an
 unpadded batch keeps its grid, which holds the same rows. Real source
 positions are the non-PAD ids; ``encode`` returns its rows on the grid,
@@ -59,11 +60,11 @@ from .numerics import (
     cross_entropy,
     dropout,
     embedding,
+    ffn,
     gather_rows,
-    layer_norm,
     linear,
     no_grad,
-    relu,
+    residual_norm,
     scatter_rows,
 )
 
@@ -314,11 +315,11 @@ def _attend(p: dict, heads: int, prefix: str, x_q: Tensor, k: Tensor, v: Tensor,
 def _sublayer(p: dict, cfg: ModelConfig, prefix_ln: str, x: Tensor, out: Tensor, train: bool, rng,
               real) -> Tensor:
     out = _maybe_dropout(out, cfg, train, rng, real)
-    return layer_norm(x + out, p[f"{prefix_ln}.g"], p[f"{prefix_ln}.b"])
+    return residual_norm(x, out, p[f"{prefix_ln}.g"], p[f"{prefix_ln}.b"])
 
 
 def _ffn(p: dict, prefix: str, x: Tensor) -> Tensor:
-    return linear(relu(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])), p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+    return ffn(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"], p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def as_batch(ids) -> np.ndarray:
@@ -389,8 +390,8 @@ def _decoder_weights(params: ModelParams, directions: tuple[str, ...]) -> dict[s
     """The decoder tensors of ``directions`` under direction-free names
     ("dec.0.attn.wq", "out.w", "embed"). For one direction they are its own
     tensors. For S directions each weight or bias is their (S, ...) stack,
-    which ``linear`` and ``layer_norm`` apply group by group, and "embed" is
-    their target tables one after the other, (S * vocab, d)."""
+    which ``linear``, ``ffn`` and ``residual_norm`` apply group by group,
+    and "embed" is their target tables one after the other, (S * vocab, d)."""
     cfg = params.config
     if len(directions) == 1:
         weights = {key: params[name] for key, name in _decoder_names(cfg, directions[0])}

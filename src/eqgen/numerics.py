@@ -9,13 +9,19 @@ back-propagated once. Storage is row-major, float32 or float64.
 Any op that produces NaN/Inf raises immediately rather than letting it
 propagate through training.
 
-Each op costs a fixed Python overhead, so the Transformer's two hot
-patterns are single fused ops with hand-written backward passes:
-``linear`` is ``x @ w + b`` and ``attention`` is the whole multi-head core
-(head split, scaled scores, additive mask, softmax, context product and
-head merge). ``attention`` has two regimes, chosen by where the keys live.
-Key sets shared by runs of query rows are folded under those rows, so one
-product serves each set. Per-row keys come as the ``(N, d)`` stacks of a
+Each op costs a fixed Python overhead, so the Transformer's hot patterns
+are single fused ops with hand-written backward passes: ``linear`` is
+``x @ w + b``, ``ffn`` the feed-forward ``linear → relu → linear``,
+``residual_norm`` a post-norm block's residual sum and layer norm, and
+``attention`` the whole multi-head core (head split, scaled scores,
+additive mask, softmax, context product and head merge). Each op's
+backward keeps only the arrays it reads and no more: no residual sum, no
+pre-activation, no copy of the rows ``attention`` gathers, and a boolean
+dropout mask.
+
+``attention`` has two regimes, chosen by where the keys live. Key sets
+shared by runs of query rows are folded under those rows, so one product
+serves each set. Per-row keys come as the ``(N, d)`` stacks of a
 batch's real query and key rows with an ``attention_plan``, and the op
 gathers them onto at most two small grids of similar lengths itself.
 ``gather_rows`` and ``scatter_rows`` move rows between a ``(B, t, d)`` grid
@@ -253,6 +259,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), bw)
 
 
+def _fits(x_shape: tuple, w: np.ndarray, b: Tensor) -> bool:
+    """Whether (..., k) rows meet a (k, n) weight and an (n,) bias, or, in S
+    equal groups of the flattened rows, an (S, k, n) weight and (S, n) bias."""
+    return (w.ndim in (2, 3) and x_shape[-1:] == w.shape[-2:-1] and b.shape == w.shape[:-2] + w.shape[-1:]
+            and not (w.ndim == 3 and math.prod(x_shape[:-1]) % w.shape[0]))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for (..., k) inputs, a (k, n) weight and an (n,) bias.
 
@@ -263,8 +276,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     in one batched product.
     """
     xd, wd = x.data, w.data
-    if (wd.ndim not in (2, 3) or xd.shape[-1:] != wd.shape[-2:-1] or b.shape != wd.shape[:-2] + wd.shape[-1:]
-            or wd.ndim == 3 and xd.size // max(xd.shape[-1], 1) % wd.shape[0]):
+    if not _fits(xd.shape, wd, b):
         raise ShapeError(f"linear needs (..., k) @ (k, n) + (n,), or rows in S groups @ (S, k, n) + (S, n); "
                          f"got {xd.shape} @ {wd.shape} + {b.shape}")
     x2 = xd.reshape(wd.shape[:-2] + (-1, xd.shape[-1]))
@@ -276,6 +288,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return (g2 @ wd.swapaxes(-1, -2)).reshape(xd.shape), x2.swapaxes(-1, -2) @ g2, g2.sum(axis=-2)
 
     return _result(data.reshape(xd.shape[:-1] + wd.shape[-1:]), (x, w, b), bw)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The position-wise feed-forward layer ``linear(relu(linear(x, w1,
+    b1)), w2, b2)`` as one op, with (k, f), (f,), (f, n), (n,) weights and
+    biases, or stacked (S, ...) ones applied group by group as in ``linear``.
+
+    Backward reads the input and the post-ReLU activations h only, with the
+    ReLU's mask taken again as h > 0; the pre-activations are not kept. The
+    NaN/Inf guard scans h, which is non-finite wherever they are.
+    """
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    if not (_fits(xd.shape, w1d, b1) and w2d.ndim == w1d.ndim and _fits(xd.shape[:-1] + w1d.shape[-1:], w2d, b2)):
+        raise ShapeError(f"ffn needs (..., k) rows through (k, f) + (f,) and (f, n) + (n,), or (S, ...) stacks of "
+                         f"both; got {xd.shape} through {w1d.shape} + {b1.shape} and {w2d.shape} + {b2.shape}")
+    x2 = xd.reshape(w1d.shape[:-2] + (-1, xd.shape[-1]))
+    h = x2 @ w1d
+    h += b1.data[..., None, :]
+    h *= h > 0
+    if not np.isfinite(h).all():
+        raise NonFiniteError("op produced non-finite values")
+    data = h @ w2d
+    data += b2.data[..., None, :]
+
+    def bw(g):
+        g2 = g.reshape(h.shape[:-1] + g.shape[-1:])
+        gh = g2 @ w2d.swapaxes(-1, -2)
+        gh *= h > 0
+        return ((gh @ w1d.swapaxes(-1, -2)).reshape(xd.shape), x2.swapaxes(-1, -2) @ gh, gh.sum(axis=-2),
+                h.swapaxes(-1, -2) @ g2, g2.sum(axis=-2))
+
+    return _result(data.reshape(xd.shape[:-1] + w2d.shape[-1:]), (x, w1, b1, w2, b2), bw)
 
 
 MASK_VALUE = -1e9  # additive attention mask; finite so the NaN guard stays meaningful
@@ -359,11 +403,21 @@ def attention_plan(q_lengths, k_lengths, causal: bool = False) -> AttentionPlan:
     the summed score area n_g * t_q,g * t_k,g of the groups (n_g rows, t_q,g
     and t_k,g their longest query and key lengths). One group is kept when
     no cut lowers the area of the single grid.
+
+    Plans are memoized on the lengths and ``causal``, so equal batches share
+    one plan, whose arrays are read-only.
     """
     ql = np.asarray(q_lengths, dtype=np.int64)
     kl = np.asarray(k_lengths, dtype=np.int64)
-    if ql.ndim != 1 or ql.shape != kl.shape or not ql.size or min(ql.min(), kl.min()) < 1 or (
-            causal and not np.array_equal(ql, kl)):
+    if ql.ndim != 1 or ql.shape != kl.shape:
+        raise ShapeError(f"attention_plan needs equally many query and key lengths, got {ql} and {kl}")
+    return _plan(ql.tobytes(), kl.tobytes(), bool(causal))
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(q_bytes: bytes, k_bytes: bytes, causal: bool) -> AttentionPlan:
+    ql, kl = np.frombuffer(q_bytes, dtype=np.int64), np.frombuffer(k_bytes, dtype=np.int64)
+    if not ql.size or min(ql.min(), kl.min()) < 1 or (causal and not np.array_equal(ql, kl)):
         raise ShapeError(f"attention_plan needs equally many query and key lengths of at least 1 "
                          f"(equal ones when causal), got {ql} and {kl}")
     order = np.lexsort((ql, kl))
@@ -387,8 +441,11 @@ def attention_plan(q_lengths, k_lengths, causal: bool = False) -> AttentionPlan:
         k_parts.append((k_slots.ravel(), k_real.ravel()))
     q_slots, q_real = map(np.concatenate, zip(*q_parts))
     k_slots, k_real = map(np.concatenate, zip(*k_parts))
-    return AttentionPlan(ql, kl, causal, tuple(groups), q_slots, _positions(q_slots, q_real),
+    plan = AttentionPlan(ql, kl, causal, tuple(groups), q_slots, _positions(q_slots, q_real),
                          np.flatnonzero(~q_real), k_slots, _positions(k_slots, k_real))
+    for a in (*plan[4:], *(grp.rows for grp in groups), *(grp.keep for grp in groups if grp.keep is not None)):
+        a.setflags(write=False)
+    return plan
 
 
 def _softmax(qh: np.ndarray, kh: np.ndarray, scale: float, mask: Optional[np.ndarray] = None,
@@ -485,7 +542,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.nda
         n = len(grp.rows)
         return [split(x[a : a + n * m], n, m) for x, a, m in zip(slots, at, t)]
 
-    slots = qd.reshape(-1, d)[plan.q_slots], kd.reshape(-1, d)[plan.k_slots], vd.reshape(-1, d)[plan.k_slots]
+    # the rows on the slots of the plan's grids; backward gathers them again from the inputs,
+    # which the graph keeps anyway, rather than hold a copy
+    def gathered():
+        return qd.reshape(-1, d)[plan.q_slots], kd.reshape(-1, d)[plan.k_slots], vd.reshape(-1, d)[plan.k_slots]
+
+    slots = gathered()
     ctx = np.empty_like(slots[0])
     probs = []
     for grp in plan.groups:
@@ -494,6 +556,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.nda
         np.matmul(probs[-1], vh, out=parts(grp, ctx)[0])
 
     def bw_plan(g):
+        slots = gathered()
         gc = g.reshape(-1, d)[plan.q_slots]
         gc[plan.q_pad] = 0  # padded query slots pass no gradient
         grads = np.empty_like(gc), np.empty_like(slots[1]), np.empty_like(slots[2])
@@ -518,44 +581,45 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result(np.asarray(data), (a,), bw)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _result(a.data * mask, (a,), lambda g: (g * mask,))
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+def residual_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """The layer norm of the residual sum ``x + y`` of a post-norm block:
+    each row of the sum is normalized to zero mean and unit variance over
+    its last axis, then scaled by ``gain`` and shifted by ``bias``.
 
     A (d,) gain and bias serve every row; a stacked (S, d) pair applies
     slice s to the s-th of S equal groups of the rows (all axes but the last
-    flattened), as ``linear`` does with a stacked weight.
+    flattened), as ``linear`` does with a stacked weight. Backward reads the
+    normalized rows and their inverse standard deviations only; the sum is
+    not kept.
     """
     d = x.shape[-1]
     s = gain.shape[0] if gain.ndim == 2 else 1
-    if gain.shape[-1:] != (d,) or gain.ndim > 2 or bias.shape != gain.shape or x.data.size % (s * d):
-        raise ShapeError(f"layer_norm gain/bias must have shape ({d},) or (S, {d}) with S dividing the rows; "
-                         f"got {gain.shape} and {bias.shape} for {x.shape}")
-    xd = x.data.reshape(s, -1, d)
+    if (y.shape != x.shape or gain.shape[-1:] != (d,) or gain.ndim > 2 or bias.shape != gain.shape
+            or x.data.size % (s * d)):
+        raise ShapeError(f"residual_norm needs equal shapes and a gain/bias of shape ({d},) or (S, {d}) with S "
+                         f"dividing the rows; got {x.shape} + {y.shape}, {gain.shape} and {bias.shape}")
+    shape = x.shape
+    xc = (x.data + y.data).reshape(s, -1, d)
     gd = gain.data.reshape(s, 1, d)
     # np.add.reduce / d is what ndarray.mean computes, without its Python-level wrapper
-    mu = np.add.reduce(xd, axis=-1, keepdims=True) / d
-    xc = xd - mu
+    xc -= np.add.reduce(xc, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat = xc
+    xhat *= inv
     data = xhat * gd + bias.data.reshape(s, 1, d)
 
     def bw(g):
-        g = g.reshape(xd.shape)
+        g = g.reshape(xhat.shape)
         dgain = (g * xhat).sum(axis=1).reshape(gain.shape)
         dbias = g.sum(axis=1).reshape(gain.shape)
         dxhat = g * gd
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx.reshape(x.shape), dgain, dbias
+        dx = (inv * (dxhat - m1 - xhat * m2)).reshape(shape)
+        return dx, dx, dgain, dbias
 
-    return _result(data.reshape(x.shape), (x, gain, bias), bw)
+    return _result(data.reshape(shape), (x, y, gain, bias), bw)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -614,8 +678,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, real: Optional[np.
     keep = rng.random(x.shape if real is None else real.shape + x.shape[-1:]) >= rate
     if real is not None:
         keep = keep[real]
-    mask = (keep / (1.0 - rate)).astype(x.dtype)
-    return _result(x.data * mask, (x,), lambda g: (g * mask,))
+    # a boolean mask and one scale: x * keep * scale is x * (keep / (1 - rate)) bit for bit
+    scale = x.dtype.type(1.0 / (1.0 - rate))
+
+    def apply(a):
+        out = a * keep
+        out *= scale
+        return out
+
+    return _result(apply(x.data), (x,), lambda g: (apply(g),))
 
 
 def cross_entropy(logits: Tensor, targets, ignore_index: int = 0, weights=None) -> Tensor:

@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from eqgen.model import PAD_ID, _key_mask, _pe_table, _target_table, as_batch
-from eqgen.numerics import (Tensor, attention, causal_mask, dropout, embedding, gather_rows, layer_norm, linear, relu,
-                            scatter_rows)
+from eqgen.numerics import Tensor, attention, causal_mask, dropout, embedding, gather_rows, linear, scatter_rows
+from unfused import layer_norm, relu
 
 
 def grid_attention(q, k, v, heads, mask=None, plan=None, core=attention):

@@ -207,6 +207,23 @@ class TestEvaluate:
         report = corpus.evaluate(params, vocab, insts, beam_size=2, max_len=16)
         assert report.accuracy_vote <= 0.34  # random outputs are unparseable
 
+    def test_source_longer_than_max_positions_counts_wrong(self):
+        # source lengths 14 .. 26: one problem too long for 25 positions must not sink its chunk
+        insts, _ = prepare_all(synth_gen(3, 6))
+        assert max(len(i.source) for i in insts) == 26 and min(len(i.source) for i in insts) < 25
+        vocab = Vocabulary.build(insts)
+        cfg = ModelConfig(
+            vocab_src=vocab.src_size, vocab_tgt=vocab.tgt_size,
+            embed_dim=8, model_dim=16, layers=1, heads=2, ff_dim=16,
+            max_positions=25, dropout=0.0,
+        )
+        params = init_params(cfg, 2)
+        each = corpus.evaluate_each(params, vocab, insts, beam_size=2, max_len=8)
+        fits = [i for i, inst in enumerate(insts) if len(inst.source) <= 25]
+        assert len(each) == 6 and len(fits) == 5
+        assert [r for i, r in enumerate(each) if i not in fits] == [EvalReport(1, 0, 0, 0)]
+        assert [each[i] for i in fits] == corpus.evaluate_each(params, vocab, [insts[i] for i in fits], 2, 8)
+
     def test_report_arithmetic(self):
         r = EvalReport(n=4, correct_l2r=1, correct_r2l=2, correct_vote=3)
         assert r.accuracy_vote == 0.75

@@ -485,15 +485,18 @@ def _loss_logits_grads(params, build):
 
 
 class TestFusedOpsMatchUnfusedGraph:
-    """Whole passes through ``numerics.linear`` / ``numerics.attention``
-    against the same passes with both ops rebuilt from small ops, the
-    attention on the padded grid."""
+    """Whole passes through ``numerics.linear``, ``numerics.attention``,
+    ``numerics.ffn`` and ``numerics.residual_norm`` against the same passes
+    with all four ops rebuilt from small ops, the attention on the padded
+    grid."""
 
     def compare(self, monkeypatch, params, build):
         fused = _loss_logits_grads(params, build)
         with monkeypatch.context() as m:
             m.setattr(M, "linear", unfused.linear)
             m.setattr(M, "attention", functools.partial(padded.grid_attention, core=unfused.attention))
+            m.setattr(M, "ffn", functools.partial(unfused.ffn, linear=unfused.linear))
+            m.setattr(M, "residual_norm", unfused.residual_norm)
             ref = _loss_logits_grads(params, build)
         assert abs(fused[0] - ref[0]) < 1e-12
         assert len(fused[1]) == len(ref[1]) > 0
@@ -656,13 +659,22 @@ class TestPackedRowsMatchPaddedGrid:
 
 
 class TestLinearSeesOnlyRealRows:
+    """The rows every linear map sees, counted once per weight: each
+    ``linear`` call, and each ``ffn`` call twice, for its two weights."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        rows, linear, ffn = [], M.linear, M.ffn
+        monkeypatch.setattr(M, "linear", lambda x, w, b: rows.append(x.data.size // x.shape[-1]) or linear(x, w, b))
+        monkeypatch.setattr(M, "ffn", lambda x, *wb: rows.extend([x.data.size // x.shape[-1]] * 2) or ffn(x, *wb))
+        return rows
+
     def test_joint_loss_on_a_padded_batch(self, monkeypatch):
         # 6 real source positions of 2 x 5, and 2 + 6 real target positions of 2 x 6 per direction
         batch = make_batch([[5, 6, 7, 8, 9], [10]], [[6], [7, 8, 9, 10, 5]])
         n_src, n_tgt = int((batch.src != PAD_ID).sum()), int((batch.tgt_l2r[:, 1:] != PAD_ID).sum())
         assert (n_src, n_tgt) == (6, 8)
-        rows, real = [], M.linear
-        monkeypatch.setattr(M, "linear", lambda x, w, b: rows.append(x.data.size // x.shape[-1]) or real(x, w, b))
+        rows = self.counting(monkeypatch)
         params = init_params(tiny_config(layers=2), 27)
         joint_loss(params, batch, train=True, rng=np.random.default_rng(0))
         layers = 2
@@ -674,8 +686,7 @@ class TestLinearSeesOnlyRealRows:
 
     def test_hypothesis_log_prob(self, monkeypatch):
         hyps = [decoding.Hypothesis((6, 7, EOS_ID), -1.0, L2R, True), decoding.Hypothesis((8,), -2.0, L2R, False)]
-        rows, real = [], M.linear
-        monkeypatch.setattr(M, "linear", lambda x, w, b: rows.append(x.data.size // x.shape[-1]) or real(x, w, b))
+        rows = self.counting(monkeypatch)
         params = init_params(tiny_config(), 28)
         memory = encode(params, np.array([[5, 6, 7, 8, 9]]))
         rows.clear()
@@ -816,7 +827,7 @@ class TestGroupedAttentionMatchesGrid:
 
 class TestOpCount:
     @pytest.mark.parametrize("rows", [1, 10])
-    def test_cached_decoder_call_makes_at_most_45_ops(self, monkeypatch, rows):
+    def test_cached_decoder_call_makes_at_most_30_ops(self, monkeypatch, rows):
         # the default config: 2 layers, width 64, 4 heads
         params = init_params(ModelConfig(vocab_src=13, vocab_tgt=11), 16)
         src = np.array([[5, 6, 7, 8]])
@@ -832,7 +843,9 @@ class TestOpCount:
 
         monkeypatch.setattr(nm, "_result", counting)
         decoder_forward(params, L2R, np.full((rows, 1), 6), memory, src == PAD_ID, cache=cache)
-        assert 0 < len(calls) <= 45
+        # per layer: 6 linear, 2 attention, 1 ffn, 3 residual_norm; then the embedding, its scale, the
+        # positions' sum and the output projection: 28
+        assert 0 < len(calls) <= 30
 
 
 class TestCheckpoint:

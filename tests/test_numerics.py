@@ -16,17 +16,17 @@ from eqgen.numerics import (
     embedding,
     attention,
     attention_plan,
+    ffn,
     gather_rows,
-    layer_norm,
     linear,
-    relu,
+    residual_norm,
     scatter_rows,
 )
 from fdcheck import check_op_grad, fd_grad, rel_err
 import padded
 import retained
 import unfused
-from unfused import matmul, reshape, softmax, swapaxes
+from unfused import layer_norm, matmul, relu, reshape, softmax, swapaxes
 
 
 def T(data, grad=False):
@@ -100,14 +100,85 @@ def _attention_case(rng, q_rows=2, kv_rows=2, t_q=3, t_k=4, d=6):
 
 def _fused_vs_unfused(fused, ref, arrays, w):
     """Outputs and input gradients of ``(op(*inputs) * w).sum()`` through the
-    fused op and through the unfused reference graph."""
+    fused op and through the unfused reference graph, in the arrays' dtype."""
     out = []
     for op in (fused, ref):
-        leaves = [T(a, grad=True) for a in arrays]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
         y = op(*leaves)
-        backward((y * Tensor(w)).sum())
+        backward((y * Tensor(np.asarray(w, dtype=y.dtype))).sum())
         out.append((y.data, [leaf.grad for leaf in leaves]))
     return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bit_for_bit(fused, ref, arrays, w):
+    """``fused`` and ``ref`` give the same output and input gradients of
+    ``(op(*inputs) * w).sum()``, bit for bit, signed zeros included."""
+    (y, gs), (y_ref, gs_ref) = _fused_vs_unfused(fused, ref, arrays, w)
+    assert y.dtype == arrays[0].dtype and _same_bits(y, y_ref)
+    for g, g_ref in zip(gs, gs_ref, strict=True):
+        assert _same_bits(g, g_ref)
+
+
+def _own_arrays(y, inputs):
+    """The arrays ``y``'s backward closure holds, directly, in lists and
+    tuples or through the closures of the functions it calls, other than
+    views of the op's inputs, which the graph keeps anyway."""
+    arrays, todo = [], [y._backward]
+    while todo:
+        for a in (cell.cell_contents for cell in todo.pop().__closure__ or ()):
+            if callable(a) and hasattr(a, "__closure__"):
+                todo.append(a)
+            elif type(a) in (list, tuple):  # not an AttentionPlan, which the plan's callers hold
+                arrays += [x for x in a if isinstance(x, np.ndarray)]
+            elif isinstance(a, np.ndarray):
+                arrays.append(a)
+    return [a for a in arrays if not any(np.shares_memory(a, t.data) for t in inputs)]
+
+
+class TestFfn:
+    """``ffn`` against the graph the model built before it was fused:
+    ``linear``, ``relu``, ``linear``."""
+
+    CASES = [  # input rows, S (0: unstacked weights)
+        ((2, 3, 4), 0), ((5, 4), 0), ((6, 4), 2), ((3, 2, 4), 3), ((6, 1, 4), 2)]
+
+    @staticmethod
+    def arrays(rng, x_shape, s, dtype):
+        lead = (s,) if s else ()
+        x, w1, b1, w2, b2 = (rng.normal(size=shape).astype(dtype) for shape in (
+            x_shape, lead + (4, 6), lead + (6,), lead + (6, 5), lead + (5,)))
+        x.reshape(-1, 4)[0] = 0.0  # a row whose pre-activations are the bias alone
+        b1[..., :2] = 0.0  # ... and exactly zero in two units
+        return x, w1, b1, w2, b2
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape, s", CASES)
+    def test_bit_for_bit_the_unfused_graph(self, dtype, x_shape, s):
+        rng = np.random.default_rng(34)
+        arrays = self.arrays(rng, x_shape, s, dtype)
+        _bit_for_bit(ffn, unfused.ffn, arrays, rng.normal(size=x_shape[:-1] + (5,)))
+
+    @pytest.mark.parametrize("x, w1, b1, w2, b2", [
+        ((2, 4), (3, 6), (6,), (6, 5), (5,)),  # inner dimensions differ
+        ((2, 4), (4, 6), (5,), (6, 5), (5,)),  # first bias does not match the hidden width
+        ((2, 4), (4, 6), (6,), (5, 5), (5,)),  # second weight does not take the hidden width
+        ((2, 4), (4, 6), (6,), (6, 5), (6,)),  # second bias does not match the output width
+        ((4, 4), (2, 4, 6), (2, 6), (6, 5), (5,)),  # one weight stacked, the other not
+        ((4, 4), (2, 4, 6), (2, 6), (3, 6, 5), (3, 5)),  # 2 first weights, 3 second ones
+        ((3, 4), (2, 4, 6), (2, 6), (2, 6, 5), (2, 5)),  # 3 rows do not split into 2 groups
+    ])
+    def test_shape_mismatch(self, x, w1, b1, w2, b2):
+        with pytest.raises(ShapeError):
+            ffn(*(T(np.zeros(shape)) for shape in (x, w1, b1, w2, b2)))
+
+    def test_keeps_only_the_post_relu_activations(self):
+        # backward reads the inputs and h; the pre-activations and the ReLU mask are not kept
+        inputs = [T(a, grad=True) for a in self.arrays(np.random.default_rng(35), (7, 4), 0, np.float64)]
+        assert [a.shape for a in _own_arrays(ffn(*inputs), inputs)] == [(7, 6)]
 
 
 class TestLinear:
@@ -360,6 +431,31 @@ class TestAttentionPlan:
         with pytest.raises(ShapeError):
             attention_plan(q_lengths, k_lengths, causal)
 
+    def test_equal_lengths_share_one_read_only_plan(self):
+        plan = attention_plan([3, 1, 2, 2], [2, 3, 4, 4])
+        assert attention_plan(np.array([3, 1, 2, 2], dtype=np.int32), (2, 3, 4, 4)) is plan
+        assert attention_plan([3, 1, 2, 2], [2, 3, 4, 4], causal=False) is plan
+        assert attention_plan([3, 1, 2, 2], [2, 3, 4, 5]) is not plan
+        causal = attention_plan([3, 1, 2], [3, 1, 2], causal=True)
+        assert causal is not attention_plan([3, 1, 2], [3, 1, 2]) and causal.causal is True
+        # seven arrays, and the rows of both groups and the key mask of the second
+        arrays = [a for a in plan if isinstance(a, np.ndarray)]
+        arrays += [a for grp in plan.groups for a in (grp.rows, grp.keep) if a is not None]
+        assert len(arrays) == 7 + 3
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[0] = 0
+
+    def test_backward_keeps_no_copy_of_the_slots(self):
+        # only the attention weights of each group: the rows on the plan's grids are gathered
+        # again from the inputs in backward
+        plan = attention_plan([3, 1, 2], [2, 2, 4])
+        rng = np.random.default_rng(41)
+        inputs = [T(rng.normal(size=(n, 6)), grad=True) for n in (6, 8, 8)]
+        y = attention(*inputs, 2, None, plan)
+        assert [a.shape for a in _own_arrays(y, inputs)] == [(len(grp.rows), 2, grp.t_q, grp.t_k)
+                                                             for grp in plan.groups]
+
     @pytest.mark.parametrize("q, k, v, mask", [
         ((4, 6), (5, 6), (5, 6), None),  # one key row too many
         ((3, 6), (4, 6), (4, 6), None),  # one query row too few
@@ -373,6 +469,9 @@ class TestAttentionPlan:
 
 
 class TestLayerNorm:
+    """The plain layer norm of ``tests/unfused.py``, the reference that
+    ``residual_norm`` follows bit for bit."""
+
     def test_constant_row(self):
         x = T([[5.0, 5.0, 5.0, 5.0]])
         g = T(np.ones(4))
@@ -434,6 +533,60 @@ class TestLayerNorm:
         assert out.dtype == dtype and np.array_equal(out.data, xhat * gain + bias)
         backward((out * Tensor(g_out)).sum())
         assert np.array_equal(leaf.grad, dx)
+
+
+class TestResidualNorm:
+    """``residual_norm`` against the graph the model built before it was
+    fused: ``add``, then the plain ``layer_norm`` that ``TestLayerNorm``
+    checks."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape, s", [((2, 3, 8), 0), ((5, 8), 0), ((6, 8), 2), ((3, 2, 8), 3),
+                                            ((6, 1, 8), 2)])
+    def test_bit_for_bit_the_unfused_graph(self, dtype, x_shape, s):
+        rng = np.random.default_rng(36)
+        lead = (s,) if s else ()
+        arrays = [rng.normal(1.0, 2.0, size=shape).astype(dtype) for shape in (x_shape, x_shape, lead + (8,),
+                                                                               lead + (8,))]
+        _bit_for_bit(residual_norm, unfused.residual_norm, arrays, rng.normal(size=x_shape))
+
+    @pytest.mark.parametrize("x, y, gain, bias", [
+        ((2, 4), (2, 4), (3,), (4,)),  # gain width differs
+        ((2, 4), (1, 4), (4,), (4,)),  # the residual branch does not match the stream
+        ((4, 4), (4, 4), (2, 4), (4,)),  # stacked gain, unstacked bias
+        ((3, 4), (3, 4), (2, 4), (2, 4)),  # 3 rows do not split into 2 groups
+        ((4, 4), (4, 4), (1, 2, 4), (1, 2, 4)),  # gain is 3-d
+    ])
+    def test_shape_mismatch(self, x, y, gain, bias):
+        with pytest.raises(ShapeError):
+            residual_norm(*(T(np.ones(shape)) for shape in (x, y, gain, bias)))
+
+    def test_keeps_the_normalized_rows_not_the_sum(self):
+        rng = np.random.default_rng(37)
+        inputs = [T(rng.normal(size=shape), grad=True) for shape in ((7, 8), (7, 8), (8,), (8,))]
+        assert sorted(a.shape for a in _own_arrays(residual_norm(*inputs), inputs)) == [(1, 7, 1), (1, 7, 8)]
+
+
+class TestDropout:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rate", [0.1, 0.15, 0.5])
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_bit_for_bit_the_float_mask(self, dtype, rate, rows):
+        # x * keep * scale is x * (keep / (1 - rate)): values, signed zeros and the random stream;
+        # at 0.15 a float32 scale divided in float32 would round apart from the float64 quotient
+        real = np.array([[True, True, False], [True, False, False]]) if rows else None
+        x = np.random.default_rng(38).normal(size=(3, 5) if rows else (2, 3, 5)).astype(dtype)
+        x.reshape(-1)[:4] = [0.0, -0.0, -1.0, 2.0]
+        rngs = np.random.default_rng(9), np.random.default_rng(9)
+        w = np.random.default_rng(39).normal(size=x.shape)
+        _bit_for_bit(lambda t: dropout(t, rate, rngs[0], real), lambda t: unfused.dropout(t, rate, rngs[1], real),
+                     [x], w)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_keeps_a_boolean_mask(self):
+        x = T(np.random.default_rng(40).normal(size=(6, 8)), grad=True)
+        assert [(a.shape, a.dtype) for a in _own_arrays(dropout(x, 0.5, np.random.default_rng(0)), [x])] == \
+            [((6, 8), np.dtype(bool))]
 
 
 class TestRows:
@@ -601,8 +754,8 @@ class TestBackward:
         grads = []
         for bw in (backward, retained.backward):
             q, kv, w, b, gain = (T(a, grad=True) for a in arrays)
-            h = layer_norm(linear(attention(q, kv, kv, 2), w, b), gain, T(np.zeros(6)))
-            bw((relu(h) * h).sum())
+            h = residual_norm(q, linear(attention(q, kv, kv, 2), w, b), gain, T(np.zeros(6)))
+            bw((ffn(h, w, b, w, b) * h).sum())
             grads.append([t.grad for t in (q, kv, w, b, gain)])
         for got, want in zip(*grads):
             assert np.array_equal(got, want)
@@ -749,6 +902,29 @@ class TestFiniteDifferences:
         )
         assert max(err_x, err_g, err_b) < 1e-4
 
+    @pytest.mark.parametrize("x_shape, s", [((2, 3, 4), 0), ((3, 2, 4), 3)])
+    def test_ffn_all_inputs(self, x_shape, s):
+        # (3, 2, 4) rows under stacked weights: three groups of two rows
+        rng = np.random.default_rng(28)
+        lead = (s,) if s else ()
+        arrays = [rng.normal(size=shape) for shape in (x_shape, lead + (4, 6), lead + (6,), lead + (6, 5), lead + (5,))]
+        c = Tensor(rng.normal(size=x_shape[:-1] + (5,)))
+        for i, a in enumerate(arrays):
+            def build(leaf, i=i):
+                return (ffn(*(leaf if j == i else Tensor(b) for j, b in enumerate(arrays))) * c).sum()
+            assert check_op_grad(build, a) < 1e-4, i
+
+    @pytest.mark.parametrize("x_shape, s", [((3, 6), 0), ((3, 2, 6), 3)])
+    def test_residual_norm_all_inputs(self, x_shape, s):
+        rng = np.random.default_rng(36)
+        lead = (s,) if s else ()
+        arrays = [rng.normal(size=shape) for shape in (x_shape, x_shape, lead + (6,), lead + (6,))]
+        c = Tensor(rng.normal(size=x_shape))
+        for i, a in enumerate(arrays):
+            def build(leaf, i=i):
+                return (residual_norm(*(leaf if j == i else Tensor(b) for j, b in enumerate(arrays))) * c).sum()
+            assert check_op_grad(build, a) < 1e-4, i
+
     def test_relu(self):
         rng = np.random.default_rng(17)
         err = check_op_grad(lambda x: (relu(x) * relu(x)).sum(), rng.normal(size=(5, 5)))
@@ -812,6 +988,19 @@ class TestFiniteGuard:
     def test_nan_input_raises(self):
         with pytest.raises(NonFiniteError):
             Tensor(np.array([np.nan]))
+
+    def test_residual_sum_overflow_raises(self):
+        x = T([[1e308, 1.0], [1.0, 2.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            residual_norm(x, x, T(np.ones(2)), T(np.zeros(2)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ffn_pre_activation_overflow_raises(self, sign):
+        # +inf passes the ReLU as inf, -inf as NaN; a zero second weight cannot hide either
+        x = T([[1e308, 1e308], [1.0, 2.0]])
+        w1 = T(sign * np.array([[10.0, 0.0], [10.0, 1.0]]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            ffn(x, w1, T(np.zeros(2)), T(np.zeros((2, 3))), T(np.zeros(3)))
 
 
 class TestNoGrad:

@@ -2,12 +2,14 @@ import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from eqgen import corpus, decoding, training
+from eqgen import model as M
 from eqgen.corpus import Vocabulary, prepare_all, synth_gen
 from eqgen.model import (
     BOS_ID,
@@ -43,6 +45,7 @@ from eqgen.training import (
 from fdcheck import rel_err
 import per_direction
 import retained
+import unfused
 
 
 def small_setup(n=12, seed=5, **cfg_kw):
@@ -607,3 +610,75 @@ class TestLockstepSearchInReinforce:
         assert got_steps == want_steps and all(step.updated for step in got_steps)
         for name, data in want.items():
             assert np.array_equal(got[name], data), name
+
+
+class TestFusedOpsBitForBit:
+    """Training and decoding through ``numerics.ffn``, ``residual_norm`` and
+    the boolean-mask ``dropout`` against the graphs the model built before
+    (``tests/unfused.py``): the same parameters, losses and hypotheses, bit
+    for bit."""
+
+    def _run(self, monkeypatch, reference, dtype, share):
+        """Losses, the dropout stream and parameters after 40 MLE steps, the
+        hypotheses of one ``decode_batch`` and the step results and
+        parameters after 10 REINFORCE updates with mixed rewards."""
+        config, insts, vocab = small_setup(layers=2, dropout=0.1, dtype=dtype, share_target_embedding=share)
+        params = init_params(config, 33)
+        real_pool = training.sample_pool
+
+        def mixed_pool(*args):
+            pool = real_pool(*args)
+            for i, s in enumerate(pool):
+                s.reward = i % 2
+            return pool
+
+        with monkeypatch.context() as m:
+            if reference:
+                for name in ("ffn", "residual_norm", "dropout"):
+                    m.setattr(M, name, getattr(unfused, name))
+            m.setattr(training, "sample_pool", mixed_pool)
+            opt, rng = Adam(params, lr=1e-2), np.random.default_rng(4)
+            losses = [mle_step(params, opt, batch_of(vocab, insts[i % 3::3]), rng=rng).total.item()
+                      for i in range(40)]
+            after_mle = {name: t.data.copy() for name, t in params.named()}
+            srcs = [vocab.encode_source(inst.source) for inst in insts]
+            hyps = [[(h.tokens, h.direction, h.finished, h.score) for h in side]
+                    for pair in decoding.decode_batch(params, srcs, 3, 8) for side in pair]
+            rl_opt = Adam(params, lr=1e-3)
+            steps = [reinforce_step(params, rl_opt, vocab, insts[i], beam_size=3, max_len=8) for i in range(10)]
+        return (losses, rng.bit_generator.state, hyps, steps), after_mle, {n: t.data for n, t in params.named()}
+
+    @pytest.mark.parametrize("dtype, share", [("float64", True), ("float64", False), ("float32", True),
+                                              ("float32", False)])
+    def test_parameters_equal_the_unfused_graph(self, monkeypatch, dtype, share):
+        got = self._run(monkeypatch, False, dtype, share)
+        want = self._run(monkeypatch, True, dtype, share)
+        assert got[0] == want[0] and all(step.updated for step in got[0][3])
+        for name, data in want[1].items():
+            assert data.dtype == np.dtype(dtype) and np.array_equal(got[1][name], data), name
+            assert np.array_equal(got[2][name], want[2][name]), name
+
+
+class TestRetainedMemory:
+    # tracemalloc peak of the step below before the fused feed-forward and
+    # residual-norm ops, the boolean dropout mask and the re-gathered
+    # attention slots (numpy 2.4, 64-bit Linux)
+    PARENT_PEAK_MB = 29.73
+
+    def test_desk_config_mle_step_peak(self):
+        # the desk configuration, float64, dropout on, 16 padded problems
+        insts, _ = prepare_all(synth_gen(7, 16))
+        vocab = Vocabulary.build(insts)
+        config = ModelConfig(vocab_src=vocab.src_size, vocab_tgt=vocab.tgt_size, embed_dim=32, model_dim=64,
+                             layers=2, heads=4, ff_dim=128, max_positions=128, dropout=0.1)
+        params, batch = init_params(config, 0), batch_of(vocab, insts)
+        assert (batch.src == PAD_ID).any() and (batch.tgt_l2r == PAD_ID).any()
+        opt, rng = Adam(params, lr=1e-3), np.random.default_rng(0)
+        mle_step(params, opt, batch, rng)  # Adam's moments are allocated on the first step
+        tracemalloc.start()
+        try:
+            mle_step(params, opt, batch, rng)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * self.PARENT_PEAK_MB, peak

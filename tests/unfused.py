@@ -1,10 +1,14 @@
-"""The unfused reference graph of ``numerics.linear`` and ``numerics.attention``.
+"""The unfused reference graphs of eqgen's fused ops.
 
 Primitive ops that eqgen no longer needs (``matmul``, ``softmax``,
-``reshape``, ``swapaxes``) live here, and ``linear`` / ``attention`` are
-rebuilt from them op by op, each small op with its own backward pass. The
-tests compare the fused ops, and whole model passes with the fused ops
-swapped out for these, against this graph.
+``reshape``, ``swapaxes``, ``relu`` and the plain ``layer_norm``) live
+here, and ``linear`` / ``attention`` are rebuilt from them op by op, each
+small op with its own backward pass. ``ffn`` and ``residual_norm`` are the
+graphs the model built before those two ops were fused, and ``dropout``
+keeps a float mask as the op did before: with the fused ``linear`` they
+give the fused ops' results bit for bit. The tests compare the fused ops,
+and whole model passes with the fused ops swapped out for these, against
+these graphs.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 
 import numpy as np
 
+from eqgen import numerics
 from eqgen.numerics import ShapeError, Tensor, _result, add, mul
 
 
@@ -84,3 +89,65 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
         scores = add(scores, Tensor(np.asarray(mask, dtype=scores.dtype)))
     ctx = matmul(softmax(scores, axis=-1), _heads(v, heads))
     return reshape(swapaxes(ctx, 1, 2), shape)
+
+
+def relu(a: Tensor) -> Tensor:
+    mask = a.data > 0
+    return _result(a.data * mask, (a,), lambda g: (g * mask,))
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    A (d,) gain and bias serve every row; a stacked (S, d) pair applies
+    slice s to the s-th of S equal groups of the rows (all axes but the last
+    flattened), as ``linear`` does with a stacked weight.
+    """
+    d = x.shape[-1]
+    s = gain.shape[0] if gain.ndim == 2 else 1
+    if gain.shape[-1:] != (d,) or gain.ndim > 2 or bias.shape != gain.shape or x.data.size % (s * d):
+        raise ShapeError(f"layer_norm gain/bias must have shape ({d},) or (S, {d}) with S dividing the rows; "
+                         f"got {gain.shape} and {bias.shape} for {x.shape}")
+    xd = x.data.reshape(s, -1, d)
+    gd = gain.data.reshape(s, 1, d)
+    # np.add.reduce / d is what ndarray.mean computes, without its Python-level wrapper
+    mu = np.add.reduce(xd, axis=-1, keepdims=True) / d
+    xc = xd - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    data = xhat * gd + bias.data.reshape(s, 1, d)
+
+    def bw(g):
+        g = g.reshape(xd.shape)
+        dgain = (g * xhat).sum(axis=1).reshape(gain.shape)
+        dbias = g.sum(axis=1).reshape(gain.shape)
+        dxhat = g * gd
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+        dx = inv * (dxhat - m1 - xhat * m2)
+        return dx.reshape(x.shape), dgain, dbias
+
+    return _result(data.reshape(x.shape), (x, gain, bias), bw)
+
+
+def residual_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    return layer_norm(add(x, y), gain, bias)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, linear=numerics.linear) -> Tensor:
+    """``linear(relu(linear(x, w1, b1)), w2, b2)``, by default through the
+    fused ``numerics.linear``."""
+    return linear(relu(linear(x, w1, b1)), w2, b2)
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator, real=None) -> Tensor:
+    """Inverted dropout with a float mask of ``keep / (1 - rate)``, drawn as
+    ``numerics.dropout`` draws its boolean one."""
+    if rate <= 0.0:
+        return x
+    keep = rng.random(x.shape if real is None else real.shape + x.shape[-1:]) >= rate
+    if real is not None:
+        keep = keep[real]
+    mask = (keep / (1.0 - rate)).astype(x.dtype)
+    return _result(x.data * mask, (x,), lambda g: (g * mask,))
