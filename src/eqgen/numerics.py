@@ -1,11 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A small numpy-backed engine: every primitive op records a backward closure
-on its output, ``backward()`` replays the closures in reverse topological
-order and accumulates gradients on the leaves only. It consumes the graph
-as it goes: each closure and its links to its inputs are dropped once it
-has run, so activations are freed during the pass and a graph can be
-back-propagated once. Storage is row-major, float32 or float64.
+A small numpy-backed engine: every primitive op that records a graph
+gives its output a ``_Node`` holding the op's backward closure and its
+parents, which are the nodes of interior inputs or the leaf tensors
+themselves; ``backward()`` replays the closures in reverse topological
+order and accumulates gradients on the leaves only. The graph holds nodes,
+not arrays: an op output's array lives while a local variable or a
+backward closure that reads it holds it, so outputs that no backward reads
+are freed as soon as the forward pass moves on. ``backward`` consumes the
+graph as it goes: each closure and its links to its parents are dropped
+once it has run, so activations are freed during the pass and a graph can
+be back-propagated once. Storage is row-major, float32 or float64.
 Any op that produces NaN/Inf raises immediately rather than letting it
 propagate through training.
 
@@ -16,8 +21,8 @@ are single fused ops with hand-written backward passes: ``linear`` is
 ``attention`` the whole multi-head core (head split, scaled scores,
 additive mask, softmax, context product and head merge). Each op's
 backward keeps only the arrays it reads and no more: no residual sum, no
-pre-activation, no copy of the rows ``attention`` gathers, and a boolean
-dropout mask.
+pre-activation, no copy of the rows ``attention`` gathers, a boolean
+dropout mask, and no factor of a product whose gradient is not needed.
 
 ``attention`` has two regimes, chosen by where the keys live. Key sets
 shared by runs of query rows are folded under those rows, so one product
@@ -61,10 +66,30 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """A dense array plus an optional place in the autodiff graph."""
+class _Node:
+    """An op output's place in the autodiff graph: the op's backward
+    closure and its parents, one per input, each the input's node, the
+    input itself when it is a leaf that requires grad, or None when no
+    gradient flows to it. A node never refers to the tensor it belongs
+    to, so the graph keeps no op output's array alive."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward: Callable):
+        self.parents = parents
+        self.backward = backward
+
+
+class Tensor:
+    """A dense array plus, for an op output that needs a gradient, its
+    ``_Node`` in the autodiff graph.
+
+    The graph links nodes and leaves, never interior tensors, so an
+    interior array lives only while local variables or the backward
+    closures that read it hold it.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -75,8 +100,7 @@ class Tensor:
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward: Optional[Callable] = None
+        self._node: Optional[_Node] = None
 
     @property
     def shape(self) -> tuple:
@@ -101,8 +125,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+        out._node = None
         return out
 
     def __repr__(self) -> str:
@@ -135,19 +158,18 @@ def _wrap(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.dtype))
 
 
-def _result(data: np.ndarray, parents: tuple, backward: Optional[Callable]) -> Tensor:
+def _result(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     if not np.isfinite(data).all():
         raise NonFiniteError("op produced non-finite values")
     return _node(data, parents, backward)
 
 
-def _node(data: np.ndarray, parents: tuple, backward: Optional[Callable]) -> Tensor:
+def _node(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     """``_result`` without the NaN/Inf scan, for ops that only move finite values."""
     out = Tensor.from_checked(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._node = _Node(tuple((p._node or p) if p.requires_grad else None for p in parents), backward)
     return out
 
 
@@ -171,50 +193,54 @@ def _spent(g):
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf that
-    requires grad; interior nodes keep ``grad = None``.
+    requires grad; interior tensors keep ``grad = None``.
 
-    The graph is walked in reverse topological order; construction order of
-    the tensors is already a topological order, the DFS below recovers it
-    without recursion so deep graphs are safe. Each interior node gives up
-    its closure and its parents once the closure has run, so the graph is
-    spent afterwards: a second ``backward`` that reaches any of its nodes
-    raises ``RuntimeError`` before any gradient is written.
+    The graph's nodes are walked in reverse topological order; construction
+    order is already a topological order, the DFS below recovers it without
+    recursion so deep graphs are safe. Each node gives up its closure and
+    its parents once the closure has run, so the graph is spent afterwards:
+    a second ``backward`` that reaches any of its nodes raises
+    ``RuntimeError`` before any gradient is written.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
-    topo: list[Tensor] = []
+    root = loss._node or loss
+    topo: list = []  # nodes, and the leaf tensors among their parents
     seen: set[int] = set()
-    stack: list[tuple[Tensor, int]] = [(loss, 0)]
+    stack: list = [(root, 0)]
     while stack:
         node, i = stack.pop()
         if i == 0:
             if id(node) in seen:
                 continue
-            if node._backward is _spent:
-                _spent(None)
             seen.add(id(node))
-        if i < len(node._parents):
+            if type(node) is not _Node:
+                topo.append(node)
+                continue
+            if node.backward is _spent:
+                _spent(None)
+        if i < len(node.parents):
             stack.append((node, i + 1))
-            child = node._parents[i]
-            if id(child) not in seen:
+            child = node.parents[i]
+            if child is not None and id(child) not in seen:
                 stack.append((child, 0))
         else:
             topo.append(node)
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while topo:
         node = topo.pop()
         g = grads.pop(id(node), None)
-        if node._backward is None:
+        if type(node) is not _Node:
             if g is not None and node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
             continue
-        parents, bw = node._parents, node._backward
-        node._parents, node._backward = (), _spent
+        parents, bw = node.parents, node.backward
+        node.parents, node.backward = (), _spent
         if g is None:
             continue
         for parent, pg in zip(parents, bw(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None:
                 continue
             key = id(parent)
             grads[key] = pg if key not in grads else grads[key] + pg
@@ -251,10 +277,14 @@ def neg(a: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
-    ad, bd = a.data, b.data
+    ash, bsh = a.shape, b.shape
+    # each factor's gradient reads the other factor: keep a factor only if that gradient is needed
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bw(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (None if bd is None else _unbroadcast(g * bd, ash),
+                None if ad is None else _unbroadcast(g * ad, bsh))
 
     return _result(data, (a, b), bw)
 
@@ -543,7 +573,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.nda
         return [split(x[a : a + n * m], n, m) for x, a, m in zip(slots, at, t)]
 
     # the rows on the slots of the plan's grids; backward gathers them again from the inputs,
-    # which the graph keeps anyway, rather than hold a copy
+    # which it reads anyway, rather than hold a copy
     def gathered():
         return qd.reshape(-1, d)[plan.q_slots], kd.reshape(-1, d)[plan.k_slots], vd.reshape(-1, d)[plan.k_slots]
 
@@ -598,7 +628,7 @@ def residual_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float =
             or x.data.size % (s * d)):
         raise ShapeError(f"residual_norm needs equal shapes and a gain/bias of shape ({d},) or (S, {d}) with S "
                          f"dividing the rows; got {x.shape} + {y.shape}, {gain.shape} and {bias.shape}")
-    shape = x.shape
+    shape, gshape = x.shape, gain.shape
     xc = (x.data + y.data).reshape(s, -1, d)
     gd = gain.data.reshape(s, 1, d)
     # np.add.reduce / d is what ndarray.mean computes, without its Python-level wrapper
@@ -611,8 +641,8 @@ def residual_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float =
 
     def bw(g):
         g = g.reshape(xhat.shape)
-        dgain = (g * xhat).sum(axis=1).reshape(gain.shape)
-        dbias = g.sum(axis=1).reshape(gain.shape)
+        dgain = (g * xhat).sum(axis=1).reshape(gshape)
+        dbias = g.sum(axis=1).reshape(gshape)
         dxhat = g * gd
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d

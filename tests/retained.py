@@ -1,51 +1,39 @@
 """The graph-keeping reference of ``numerics.backward``.
 
-This pass stores a gradient on every reachable node, interior ones
-included, and leaves every closure and parent link in place, so the graph
-stays alive as long as its loss does and can be walked again. The tests
-swap it in for ``numerics.backward`` and check that the consuming pass
-gives the same leaf gradients, losses and parameters bit for bit.
+This pass computes a gradient for every reachable graph entry, interior
+nodes included, stores the leaves' on their ``.grad`` and returns them all,
+and leaves every closure and parent link in place, so the graph stays
+alive as long as its loss does and can be walked again. The tests swap it
+in for ``numerics.backward`` and check that the consuming pass gives the
+same leaf gradients, losses and parameters bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import graphwalk
 from eqgen.numerics import Tensor
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into .grad for every reachable node."""
+def backward(loss: Tensor) -> dict[int, np.ndarray]:
+    """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf;
+    return d(loss)/d(entry) for every reachable entry, keyed by ``id``."""
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, int]] = [(loss, 0)]
-    while stack:
-        node, i = stack.pop()
-        if i == 0:
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-        if i < len(node._parents):
-            stack.append((node, i + 1))
-            child = node._parents[i]
-            if id(child) not in seen:
-                stack.append((child, 0))
-        else:
-            topo.append(node)
-
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
+    grads: dict[int, np.ndarray] = {id(graphwalk.entry(loss)): np.ones_like(loss.data)}
+    for e in reversed(graphwalk.walk(loss)):
+        g = grads.get(id(e))
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._backward is None:
+        bw = graphwalk.closure(e)
+        if bw is None:
+            if e.requires_grad:
+                e.grad = g if e.grad is None else e.grad + g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(graphwalk.parents(e), bw(g)):
+            if pg is None or parent is None:
                 continue
             key = id(parent)
             grads[key] = pg if key not in grads else grads[key] + pg
+    return grads

@@ -23,6 +23,7 @@ from eqgen.numerics import (
     scatter_rows,
 )
 from fdcheck import check_op_grad, fd_grad, rel_err
+import graphwalk
 import padded
 import retained
 import unfused
@@ -123,22 +124,6 @@ def _bit_for_bit(fused, ref, arrays, w):
         assert _same_bits(g, g_ref)
 
 
-def _own_arrays(y, inputs):
-    """The arrays ``y``'s backward closure holds, directly, in lists and
-    tuples or through the closures of the functions it calls, other than
-    views of the op's inputs, which the graph keeps anyway."""
-    arrays, todo = [], [y._backward]
-    while todo:
-        for a in (cell.cell_contents for cell in todo.pop().__closure__ or ()):
-            if callable(a) and hasattr(a, "__closure__"):
-                todo.append(a)
-            elif type(a) in (list, tuple):  # not an AttentionPlan, which the plan's callers hold
-                arrays += [x for x in a if isinstance(x, np.ndarray)]
-            elif isinstance(a, np.ndarray):
-                arrays.append(a)
-    return [a for a in arrays if not any(np.shares_memory(a, t.data) for t in inputs)]
-
-
 class TestFfn:
     """``ffn`` against the graph the model built before it was fused:
     ``linear``, ``relu``, ``linear``."""
@@ -178,7 +163,17 @@ class TestFfn:
     def test_keeps_only_the_post_relu_activations(self):
         # backward reads the inputs and h; the pre-activations and the ReLU mask are not kept
         inputs = [T(a, grad=True) for a in self.arrays(np.random.default_rng(35), (7, 4), 0, np.float64)]
-        assert [a.shape for a in _own_arrays(ffn(*inputs), inputs)] == [(7, 6)]
+        assert [a.shape for a in graphwalk.own_arrays(ffn(*inputs), inputs)] == [(7, 6)]
+
+
+class TestMul:
+    def test_a_constant_factor_keeps_only_itself(self):
+        # x * c reads c for x's gradient and x only for c's, which a constant does not need
+        x = T(np.random.default_rng(42).normal(size=(5, 4)), grad=True)
+        for y in (x * math.sqrt(8.0), math.sqrt(8.0) * x):
+            arrays = graphwalk.closure_arrays(graphwalk.entry(y))
+            assert [a.tolist() for a in arrays] == [math.sqrt(8.0)]
+            assert not any(np.shares_memory(a, x.data) for a in arrays)
 
 
 class TestLinear:
@@ -453,7 +448,7 @@ class TestAttentionPlan:
         rng = np.random.default_rng(41)
         inputs = [T(rng.normal(size=(n, 6)), grad=True) for n in (6, 8, 8)]
         y = attention(*inputs, 2, None, plan)
-        assert [a.shape for a in _own_arrays(y, inputs)] == [(len(grp.rows), 2, grp.t_q, grp.t_k)
+        assert [a.shape for a in graphwalk.own_arrays(y, inputs)] == [(len(grp.rows), 2, grp.t_q, grp.t_k)
                                                              for grp in plan.groups]
 
     @pytest.mark.parametrize("q, k, v, mask", [
@@ -564,7 +559,7 @@ class TestResidualNorm:
     def test_keeps_the_normalized_rows_not_the_sum(self):
         rng = np.random.default_rng(37)
         inputs = [T(rng.normal(size=shape), grad=True) for shape in ((7, 8), (7, 8), (8,), (8,))]
-        assert sorted(a.shape for a in _own_arrays(residual_norm(*inputs), inputs)) == [(1, 7, 1), (1, 7, 8)]
+        assert sorted(a.shape for a in graphwalk.own_arrays(residual_norm(*inputs), inputs)) == [(1, 7, 1), (1, 7, 8)]
 
 
 class TestDropout:
@@ -585,7 +580,7 @@ class TestDropout:
 
     def test_keeps_a_boolean_mask(self):
         x = T(np.random.default_rng(40).normal(size=(6, 8)), grad=True)
-        assert [(a.shape, a.dtype) for a in _own_arrays(dropout(x, 0.5, np.random.default_rng(0)), [x])] == \
+        assert [(a.shape, a.dtype) for a in graphwalk.own_arrays(dropout(x, 0.5, np.random.default_rng(0)), [x])] == \
             [((6, 8), np.dtype(bool))]
 
 
@@ -723,7 +718,7 @@ class TestBackward:
         assert np.array_equal(w.grad, [2 * (3.0 + 4.0) * 1.0, 0.0])
         assert const.grad is None
         assert h.grad is None and loss.grad is None
-        assert h._parents == () and loss._parents == ()
+        assert all(graphwalk.parents(graphwalk.entry(t)) == () for t in (h, loss))
 
     def test_second_backward_raises_before_writing_a_gradient(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -1008,7 +1003,7 @@ class TestNoGrad:
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with nm.no_grad():
             y = (x * x).sum()
-        assert y._backward is None and not y.requires_grad
+        assert graphwalk.closure(graphwalk.entry(y)) is None and not y.requires_grad
 
     def test_reenabled_after(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

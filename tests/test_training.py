@@ -43,6 +43,7 @@ from eqgen.training import (
     train,
 )
 from fdcheck import rel_err
+import graphwalk
 import per_direction
 import retained
 import unfused
@@ -512,45 +513,10 @@ class TestGradClip:
 class TestConsumedGraph:
     """``backward`` consumes its graph; the steps match the retaining pass."""
 
-    def test_mle_step_frees_its_graph_by_refcount(self, monkeypatch):
-        config, insts, vocab = small_setup(layers=2, dropout=0.1)
-        params = init_params(config, 30)
-        closures, arrays = [], []
-        real = training.backward
-
-        def spy(loss):
-            # weakrefs to the closure and the array of every interior node of the step's graph
-            stack, seen = [loss], set()
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    if node._backward is not None:
-                        closures.append(weakref.ref(node._backward))
-                        if isinstance(node.data, np.ndarray):  # 0-d products can be numpy scalars
-                            arrays.append(weakref.ref(node.data))
-                    stack.extend(node._parents)
-            real(loss)
-
-        monkeypatch.setattr(training, "backward", spy)
-        gc.collect()
-        gc.disable()
-        try:
-            parts = mle_step(params, Adam(params, lr=1e-3), batch_of(vocab, insts), rng=np.random.default_rng(0))
-            dead_closures = all(r() is None for r in closures)
-            alive = [r() for r in arrays if r() is not None]
-        finally:
-            gc.enable()
-        assert len(closures) > 100 and dead_closures
-        kept = [parts.total.data, parts.l2r.data, parts.r2l.data]
-        assert all(any(a is k for k in kept) for a in alive), len(alive)
-        assert parts.total._parents == () and parts.l2r._parents == () and parts.total.grad is None
-
-    def _run(self, monkeypatch, backward_fn):
-        """Losses and parameters after three MLE steps with dropout and two
-        REINFORCE updates with mixed rewards, through ``backward_fn``."""
-        config, insts, vocab = small_setup(layers=2, dropout=0.1)
-        params = init_params(config, 31)
+    @staticmethod
+    def _mix_rewards(monkeypatch):
+        """Give every other sample of each REINFORCE pool reward 1, so that
+        every step updates."""
         real_pool = training.sample_pool
 
         def mixed_pool(*args):
@@ -559,8 +525,61 @@ class TestConsumedGraph:
                 s.reward = i % 2
             return pool
 
-        monkeypatch.setattr(training, "backward", backward_fn)
         monkeypatch.setattr(training, "sample_pool", mixed_pool)
+
+    def test_mle_step_frees_its_graph_by_refcount(self, monkeypatch):
+        config, insts, vocab = small_setup(layers=2, dropout=0.1)
+        params = init_params(config, 30)
+        closures, unread = [], []
+        outputs = graphwalk.record_outputs(monkeypatch)  # the arrays of every op output in the graph
+        self._mix_rewards(monkeypatch)
+        real = training.backward
+
+        def spy(loss):
+            # weakrefs to every closure of the step's graph, and to the op output arrays alive as backward
+            # starts although no closure holds them
+            entries = graphwalk.walk(loss)
+            closures.extend(weakref.ref(graphwalk.closure(e)) for e in entries if graphwalk.closure(e) is not None)
+            read = {id(graphwalk.owner(a)) for e in entries for a in graphwalk.closure_arrays(e)}
+            unread.extend(r for r in outputs if r() is not None and id(r()) not in read)
+            real(loss)
+
+        monkeypatch.setattr(training, "backward", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            parts = mle_step(params, Adam(params, lr=1e-3), batch_of(vocab, insts), rng=np.random.default_rng(0))
+            dead_closures = all(r() is None for r in closures)
+            alive = [r() for r in outputs if r() is not None]
+            unread_alive = [r() for r in unread]
+            # a copy of the parameters that took an MLE and a REINFORCE step is freed by refcount on deletion
+            copy = params.copy()
+            copy_arrays = [weakref.ref(t.data) for _, t in copy.named()]
+            mle_step(copy, Adam(copy, lr=1e-3), batch_of(vocab, insts), rng=np.random.default_rng(1))
+            copy_updated = reinforce_step(copy, Adam(copy, lr=1e-3), vocab, insts[0], beam_size=3, max_len=8).updated
+            del copy
+            copy_freed = all(r() is None for r in copy_arrays)
+        finally:
+            gc.enable()
+        assert len(closures) > 100 and dead_closures
+        kept = [parts.total.data, parts.l2r.data, parts.r2l.data]
+        assert all(any(a is k for k in kept) for a in alive), len(alive)
+        # what no closure reads was freed during the forward pass, but for the losses the caller holds
+        # (a sum of two 0-d arrays is a numpy scalar, which the recorder passes over)
+        kept_arrays = [k for k in kept if isinstance(k, np.ndarray)]
+        assert kept_arrays and sorted(map(id, unread_alive)) == sorted(map(id, kept_arrays)), \
+            [getattr(a, "shape", a) for a in unread_alive]
+        assert copy_updated and copy_freed
+        assert all(graphwalk.parents(graphwalk.entry(t)) == () for t in (parts.total, parts.l2r))
+        assert parts.total.grad is None
+
+    def _run(self, monkeypatch, backward_fn):
+        """Losses and parameters after three MLE steps with dropout and two
+        REINFORCE updates with mixed rewards, through ``backward_fn``."""
+        config, insts, vocab = small_setup(layers=2, dropout=0.1)
+        params = init_params(config, 31)
+        monkeypatch.setattr(training, "backward", backward_fn)
+        self._mix_rewards(monkeypatch)
         opt, rng = Adam(params, lr=1e-2), np.random.default_rng(3)
         losses = [mle_step(params, opt, batch_of(vocab, insts[i::3]), rng=rng).total.item() for i in range(3)]
         rl_opt = Adam(params, lr=1e-3)
@@ -664,6 +683,8 @@ class TestRetainedMemory:
     # residual-norm ops, the boolean dropout mask and the re-gathered
     # attention slots (numpy 2.4, 64-bit Linux)
     PARENT_PEAK_MB = 29.73
+    # ... and before op outputs that no backward reads were freed during the forward pass
+    NODE_PARENT_PEAK_MB = 20.07
 
     def test_desk_config_mle_step_peak(self):
         # the desk configuration, float64, dropout on, 16 padded problems
@@ -682,3 +703,4 @@ class TestRetainedMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.75 * self.PARENT_PEAK_MB, peak
+        assert peak <= 0.85 * self.NODE_PARENT_PEAK_MB, peak
