@@ -6,7 +6,7 @@ Subcommands:
     train       cross-entropy training, writes a checkpoint + metrics log
     rl          REINFORCE fine-tuning from a checkpoint
     eval        fold-wise answer accuracy of a checkpoint
-    solve       parse/substitute/solve one equation list (debugging)
+    solve       solve one equation list, its symbols read as --nums (debugging)
 
 BLAS runs one thread unless the environment says otherwise: importing this
 module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
@@ -177,7 +177,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    text = args.eq
+    symbols = None
     if args.nums:
         values = []
         for v in args.nums.split(","):
@@ -186,16 +186,14 @@ def cmd_solve(args) -> int:
             except (ValueError, ZeroDivisionError):
                 return _error(f"--nums: {v.strip()!r} is not a number")
         fake_text = " ".join(equations.format_value(v).strip("()") for v in values)
-        numbers = numbering.extract_numbers(fake_text)
-        mapping = NumberMapping(numbers)
-        tokens = [t.text for t in equations.tokenize(text)]
-        try:
-            text = numbering.substitute(tokens, mapping)
-        except numbering.UnknownSymbolError as e:
-            return _error(f"--eq: symbol {e.args[0]} is not defined by --nums")
-        print(f"substituted: {text}")
+        symbols = NumberMapping(numbering.extract_numbers(fake_text)).by_symbol
     try:
-        ast = equations.parse(text)
+        tokens = equations.tokenize(args.eq, symbols)
+        if symbols is not None:
+            print(f"substituted: {''.join(t.text for t in tokens)}")
+        ast = equations.parse(tokens)
+    except equations.UnknownSymbolError as e:
+        return _error(f"--eq: symbol {e.args[0]} is not defined by --nums")
     except equations.ParseError as e:
         print(f"ill-formed: {e}")
         return 1

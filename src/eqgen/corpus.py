@@ -220,7 +220,8 @@ def synth_gen(
     distractor_rate: float = 0.3,
 ) -> list[Problem]:
     """Deterministic synthetic corpus; each instance is checked against the
-    aligner and the solver before it is emitted."""
+    aligner and the solver before it is emitted. Distractors stop once a
+    text holds ``MAX_SYMBOL_INDEX`` numbers, the most ``prepare`` aligns."""
     names = list(templates) if templates else list(TEMPLATES)
     for name in names:
         if name not in TEMPLATES:
@@ -231,6 +232,8 @@ def synth_gen(
         name = rng.choice(names)
         text, eq = TEMPLATES[name](rng)
         while rng.random() < distractor_rate:
+            if len(extract_numbers(text)) >= MAX_SYMBOL_INDEX:
+                break  # one more number could not be aligned; draw nothing more
             sentence = rng.choice(_DISTRACTORS).format(k=rng.randint(2, 99))
             parts = text.split(" . ")
             pos = rng.randrange(len(parts))
@@ -433,7 +436,9 @@ def evaluate_each(
     max_len: int = 64,
 ) -> list[EvalReport]:
     """A report of n = 1 for each instance, in order: decode both
-    directions, vote, substitute, solve, compare. Instances are decoded
+    directions, reward each direction's top hypothesis (its tokens read
+    with the instance's symbol table, solved and compared with the answers),
+    and give the vote the reward of the top it picks. Instances are decoded
     ``DECODE_CHUNK_SIZE`` at a time. Instances that cannot be interpreted at
     any step count as wrong, among them those whose source is longer than
     the model's ``max_positions``; the reports are a pure function of
@@ -446,13 +451,12 @@ def evaluate_each(
         srcs = [vocab.encode_source(instances[i].source) for i in chunk]
         for i, (hyps_l, hyps_r) in zip(chunk, decoding.decode_batch(params, srcs, beam_size, max_len)):
             inst = instances[i]
-            top_l, top_r = hyps_l[0], hyps_r[0]
-            correct = [
-                equations.reward(vocab.decode_target(toks), inst.mapping, inst.problem.answers)
-                for toks in (decoding.canonical_tokens(top_l), decoding.canonical_tokens(top_r),
-                             decoding.vote(top_l, top_r))
-            ]
-            reports[i] = EvalReport(1, *correct)
+            tops = [decoding.canonical_tokens(hyps[0]) for hyps in (hyps_l, hyps_r)]
+            correct = [equations.reward(vocab.decode_target(toks), inst.mapping, inst.problem.answers)
+                       for toks in tops]
+            # the vote returns one of the two tops; equal tops score the same
+            voted = decoding.vote(hyps_l[0], hyps_r[0])
+            reports[i] = EvalReport(1, *correct, correct[tops.index(voted)])
     return reports
 
 

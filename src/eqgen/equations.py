@@ -15,6 +15,10 @@ Precedence is ^ > unary minus > * / > + -, so "-2^2" is -(2^2) and
 |exp| <= 3. Identifiers are the variables x, y, z or number-token
 symbols such as N_1 / M_2 / F_3.
 
+Given a problem's symbol table, the tokenizer reads each number symbol as
+that number, so ``reward`` parses a template's tokens as they are, with no
+text assembled in between; without one, symbols parse to ``Sym`` nodes.
+
 Solving is exact: linear systems in up to three variables go through
 rational Gaussian elimination, a single univariate equation of degree two
 through the quadratic formula (rational roots stay exact, irrational ones
@@ -29,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Mapping, Sequence, Union
 
 VARIABLES = ("x", "y", "z")
 _SYMBOL_RE = re.compile(r"^[NMF]_\d+$")
@@ -54,6 +58,10 @@ class ParseError(ValueError):
     """The input is not a well-formed equation list."""
 
 
+class UnknownSymbolError(KeyError):
+    """A template references a symbol that the symbol table does not define."""
+
+
 # ---------------------------------------------------------------------------
 # tokens
 # ---------------------------------------------------------------------------
@@ -66,13 +74,17 @@ class Token:
     value: Fraction | None = None
 
 
+# each group is named by the kind of token it reads
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^])|(?P<lp>\()|(?P<rp>\))|(?P<eq>=)|(?P<semi>;))"
+    r"\s*(?:(?P<NUM>\d+\.\d*|\.\d+|\d+)|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<OP>[-+*/^])|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<EQ>=)|(?P<SEMI>;))"
 )
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, symbols: Mapping[str, Fraction] | None = None) -> list[Token]:
+    """Whitespace-separated tokens. With ``symbols``, a number symbol reads
+    as a NUM token written by ``format_value`` (``N_1 N_2`` is two numbers),
+    and one the table does not define raises UnknownSymbolError."""
     tokens: list[Token] = []
     pos = 0
     while pos < len(text):
@@ -83,21 +95,17 @@ def tokenize(text: str) -> list[Token]:
                 break
             raise ParseError(f"unexpected character {stray[0]!r} at position {pos}")
         pos = m.end()
-        if m.group("num") is not None:
-            s = m.group("num")
-            tokens.append(Token("NUM", s, Fraction(s if s[0] != "." else "0" + s)))
-        elif m.group("ident") is not None:
-            tokens.append(Token("IDENT", m.group("ident")))
-        elif m.group("op") is not None:
-            tokens.append(Token("OP", m.group("op")))
-        elif m.group("lp") is not None:
-            tokens.append(Token("LPAREN", "("))
-        elif m.group("rp") is not None:
-            tokens.append(Token("RPAREN", ")"))
-        elif m.group("eq") is not None:
-            tokens.append(Token("EQ", "="))
+        kind = m.lastgroup
+        s = m.group(kind)
+        if kind == "NUM":
+            tokens.append(Token(kind, s, Fraction(s)))
+        elif kind == "IDENT" and symbols is not None and is_symbol(s):
+            value = symbols.get(s)
+            if value is None:
+                raise UnknownSymbolError(s)
+            tokens.append(Token("NUM", format_value(value), value))
         else:
-            tokens.append(Token("SEMI", ";"))
+            tokens.append(Token(kind, s))
     return tokens
 
 
@@ -244,9 +252,11 @@ def _validate(node: Expr) -> None:
         _validate(node.operand)
 
 
-def parse(text: str) -> EquationList:
-    """Parse a ';'-separated equation list; raises ParseError when ill-formed."""
-    tokens = tokenize(text)
+def parse(source: str | Sequence[Token], symbols: Mapping[str, Fraction] | None = None) -> EquationList:
+    """Parse a ';'-separated equation list from text, read by ``tokenize``
+    with ``symbols``, or from tokens already read; raises ParseError when
+    ill-formed and UnknownSymbolError as ``tokenize`` does."""
+    tokens = tokenize(source, symbols) if isinstance(source, str) else list(source)
     if not tokens:
         raise ParseError("empty input")
     parser = _Parser(tokens)
@@ -512,21 +522,17 @@ def check_answer(sol: SolutionSet, gold: list) -> bool:
 
 
 def reward(template_tokens, mapping, gold: list) -> int:
-    """1 iff substitute -> parse -> solve -> check_answer all succeed, else 0.
+    """1 iff the template tokens, each number symbol read as ``mapping``'s
+    number, parse, solve and match ``gold`` (``check_answer``), else 0.
 
+    Each token stays one token, so two numbers in a row are ill-formed.
     Total on every token sequence: ill-formed output, unknown symbols,
     unsupported systems, and wrong answers all map to 0.
     """
-    from .numbering import UnknownSymbolError, substitute
-
     if not gold:
         return 0
     try:
-        text = substitute(template_tokens, mapping)
-    except UnknownSymbolError:
-        return 0
-    try:
-        ast = parse(text)
-    except ParseError:
+        ast = parse(" ".join(template_tokens), mapping.by_symbol)
+    except (ParseError, UnknownSymbolError):
         return 0
     return 1 if check_answer(solve(ast), gold) else 0

@@ -23,10 +23,10 @@ import enum
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import equations
-from .equations import ParseError, Token, format_value, is_symbol
+from .equations import ParseError, Token, UnknownSymbolError  # the error is re-exported
 
 WHITELIST = frozenset(Fraction(c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100))
 WHITELIST_TOKENS = tuple(str(c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100))
@@ -34,10 +34,6 @@ WHITELIST_TOKENS = tuple(str(c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100)
 
 class UnalignableError(Exception):
     """Some equation literal matches no text-number variant and is not whitelisted."""
-
-
-class UnknownSymbolError(KeyError):
-    """A template references a symbol that the mapping does not define."""
 
 
 class Kind(enum.Enum):
@@ -191,22 +187,12 @@ class NumberMapping:
     def __post_init__(self):
         self.by_symbol = {n.symbol: n.value for n in self.numbers}
 
-    def value_of(self, symbol: str) -> Fraction:
-        try:
-            return self.by_symbol[symbol]
-        except KeyError:
-            raise UnknownSymbolError(symbol) from None
-
 
 @dataclass(frozen=True)
 class EquationTemplate:
     """Gold equations with literals replaced by number-token symbols."""
 
     tokens: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return "".join(self.tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +259,10 @@ def align(numbers: list[ExtractedNumber], gold_equations: str) -> EquationTempla
     Raises UnalignableError when no assignment covers every literal.
     """
     try:
-        equations.parse(gold_equations)
+        tokens = equations.tokenize(gold_equations)
+        equations.parse(tokens)
     except ParseError as e:
         raise UnalignableError(f"gold equations do not parse: {e}") from e
-    tokens = equations.tokenize(gold_equations)
     variant_sets = {n.index: variants(n) for n in numbers}
     by_index = {n.index: n for n in numbers}
 
@@ -338,16 +324,13 @@ def align(numbers: list[ExtractedNumber], gold_equations: str) -> EquationTempla
 
 
 def substitute(template_tokens: Sequence[str] | EquationTemplate, mapping: NumberMapping) -> str:
-    """Replace symbol tokens with their concrete values; inverse of align."""
+    """The template as concrete text, the inverse of align: the texts of
+    the tokens that ``equations.tokenize`` reads with the mapping's symbol
+    table, joined. Raises as ``tokenize`` does: UnknownSymbolError for a
+    symbol the mapping does not define, ParseError for an unreadable token."""
     if isinstance(template_tokens, EquationTemplate):
         template_tokens = template_tokens.tokens
-    out = []
-    for tok in template_tokens:
-        if is_symbol(tok):
-            out.append(format_value(mapping.value_of(tok)))
-        else:
-            out.append(tok)
-    return "".join(out)
+    return "".join(t.text for t in equations.tokenize(" ".join(template_tokens), mapping.by_symbol))
 
 
 _WORD_RE = re.compile(r"[a-z]+|[0-9]+|[^\sa-z0-9]")

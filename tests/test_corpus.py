@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -39,6 +40,20 @@ class TestSynthGen:
 
     def test_zero(self):
         assert synth_gen(0, 0) == []
+
+    @pytest.mark.parametrize("seed, n", [(90, 160), (90, 300), (183, 300)])
+    def test_distractors_stop_at_the_symbol_cap(self, seed, n):
+        # distractors took these corpora past 12 numbers in a text, which prepare does not align
+        problems = synth_gen(seed, n)
+        insts, unalignable = prepare_all(problems)
+        assert len(problems) == n and unalignable == 0
+        assert max(len(i.numbers) for i in insts) == corpus.MAX_SYMBOL_INDEX
+
+    def test_records_are_unchanged(self):
+        # seed 1 holds a text with 11 numbers, the most of any seed below 400 that never needed the cap
+        records = "\n".join(json.dumps(p.to_record()) for p in synth_gen(1, 300))
+        assert hashlib.sha256(records.encode()).hexdigest() == (
+            "fcb636aa39a0b0499e7c396051a6c14736818ef5f7668527a894be67da12b04c")
 
     def test_unknown_template(self):
         with pytest.raises(TemplateError):
@@ -224,6 +239,29 @@ class TestEvaluate:
         assert [r for i, r in enumerate(each) if i not in fits] == [EvalReport(1, 0, 0, 0)]
         assert [each[i] for i in fits] == corpus.evaluate_each(params, vocab, [insts[i] for i in fits], 2, 8)
 
+    def test_rewards_each_top_once_and_the_vote_reuses_one(self, monkeypatch):
+        insts, _ = prepare_all(synth_gen(4, 3))
+        vocab = Vocabulary.build(insts)
+        params = init_params(ModelConfig(vocab_src=vocab.src_size, vocab_tgt=vocab.tgt_size, embed_dim=8,
+                                         model_dim=16, layers=1, heads=2, ff_dim=16, dropout=0.0), 0)
+        right = [vocab.encode_target(list(i.template.tokens)) for i in insts]
+        wrong = vocab.encode_target(["x", "=", "x"])
+
+        def hyp(ids, score, direction):
+            reading = ids if direction == model.L2R else ids[::-1]
+            return decoding.Hypothesis((*reading, model.EOS_ID), score, direction, True)
+
+        # per problem: (L2R ids, L2R score, R2L ids, R2L score)
+        tops = [(right[0], -1.0, wrong, -2.0), (right[1], -2.0, wrong, -1.0), (wrong, -2.0, right[2], -1.0)]
+        monkeypatch.setattr(decoding, "decode_batch", lambda p, srcs, b, m: [
+            ([hyp(l, sl, model.L2R)], [hyp(r, sr, model.R2L)]) for l, sl, r, sr in tops])
+        calls = []
+        real = equations.reward
+        monkeypatch.setattr(equations, "reward", lambda *a: calls.append(a) or real(*a))
+        each = corpus.evaluate_each(params, vocab, insts, beam_size=2, max_len=8)
+        assert len(calls) == 2 * len(insts)
+        assert each == [EvalReport(1, 1, 0, 1), EvalReport(1, 1, 0, 0), EvalReport(1, 0, 1, 1)]
+
     def test_report_arithmetic(self):
         r = EvalReport(n=4, correct_l2r=1, correct_r2l=2, correct_vote=3)
         assert r.accuracy_vote == 0.75
@@ -276,6 +314,13 @@ class TestCli:
 
     def test_solve_ill_formed_exit_code(self, capsys):
         assert cli_main(["solve", "--eq", "x+=3"]) == 1
+
+    def test_solve_reads_numbers_in_a_row_as_ill_formed(self, capsys):
+        capsys.readouterr()
+        assert cli_main(["solve", "--eq", "x=5 7", "--nums", "1"]) == 1
+        assert capsys.readouterr().out.endswith("ill-formed: unexpected token '7' after equation\n")
+        assert cli_main(["solve", "--eq", "x=N_1 N_2", "--nums", "5,7"]) == 1
+        assert "ill-formed" in capsys.readouterr().out
 
     def test_bad_input_is_one_line_error(self, tmp_path, capsys):
         data = tmp_path / "three.jsonl"

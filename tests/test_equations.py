@@ -15,14 +15,17 @@ from eqgen.equations import (
     ParseError,
     SolutionSet,
     Sym,
+    UnknownSymbolError,
     Var,
     check_answer,
+    format_value,
     parse,
     reward,
     solve,
     to_string,
+    tokenize,
 )
-from eqgen.numbering import NumberMapping, extract_numbers
+from eqgen.numbering import WHITELIST_TOKENS, NumberMapping, extract_numbers
 
 F = Fraction
 
@@ -334,3 +337,39 @@ class TestReward:
         mapping = self.make_mapping("just 4 words")
         for tokens in ([], ["("], ["x"], ["<unk>"], [";"], ["x", "=", "x"]):
             assert reward(tokens, mapping, [F(1)]) in (0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_numbers_in_a_row_are_ill_formed(self, data):
+        """Each symbol or constant is one token: ``x = N_1 N_2`` with 5 and 7
+        is ill-formed, not ``x = 57``, whose answer is the gold here."""
+        values = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=4))
+        mapping = self.make_mapping(" ".join(map(str, values)))
+        run = data.draw(st.lists(st.sampled_from([*mapping.by_symbol, *WHITELIST_TOKENS]), min_size=2, max_size=3))
+        glued = F("".join(str(mapping.by_symbol.get(t, t)) for t in run))
+        tokens = ["x", "=", *run] if data.draw(st.booleans()) else [*run, "=", "x"]
+        assert reward(tokens, mapping, [glued]) == 0
+
+
+class TestSymbolTable:
+    """``tokenize`` and ``parse`` read number symbols through a symbol table."""
+
+    TABLE = {"N_1": F(5), "M_2": F(-3), "F_3": F(1, 4)}
+
+    def test_a_symbol_reads_as_its_number(self):
+        tokens = tokenize("N_1*x+M_2=F_3", self.TABLE)
+        assert [(t.kind, t.text, t.value) for t in tokens if t.kind == "NUM"] == [
+            ("NUM", format_value(v), v) for v in self.TABLE.values()
+        ]
+        assert [t.kind for t in tokenize("x = 5 ; y", self.TABLE)] == ["IDENT", "EQ", "NUM", "SEMI", "IDENT"]
+
+    def test_an_undefined_symbol_raises(self):
+        with pytest.raises(UnknownSymbolError) as e:
+            parse("x = N_1 + N_9", self.TABLE)
+        assert e.value.args == ("N_9",)
+
+    def test_parses_as_the_substituted_text(self):
+        text = "N_1*x^2-M_2*x=F_3/N_1;-M_2^2=y"
+        concrete = "".join(t.text for t in tokenize(text, self.TABLE))
+        assert concrete == "5*x^2-(-3)*x=(1/4)/5;-(-3)^2=y"
+        assert parse(text, self.TABLE) == parse(concrete) == parse(tokenize(text, self.TABLE))

@@ -182,7 +182,7 @@ class TestAlign:
     def test_template_parses(self):
         nums, _ = self.map_of("sum 27 diff 3")
         t = align(nums, "x+y=27;x-y=3")
-        equations.parse(t.text)  # must not raise
+        equations.parse(" ".join(t.tokens))  # must not raise
 
 
 def brute_force_align(nums, gold):
