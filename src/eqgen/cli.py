@@ -190,14 +190,14 @@ def cmd_solve(args) -> int:
     try:
         tokens = equations.tokenize(args.eq, symbols)
         if symbols is not None:
-            print(f"substituted: {''.join(t.text for t in tokens)}")
-        ast = equations.parse(tokens)
+            print(f"substituted: {numbering.join_tokens(tokens)}")
+        parsed = equations.parse(tokens)
     except equations.UnknownSymbolError as e:
         return _error(f"--eq: symbol {e.args[0]} is not defined by --nums")
     except equations.ParseError as e:
         print(f"ill-formed: {e}")
         return 1
-    sol = equations.solve(ast)
+    sol = equations.solve(parsed)
     out = {"status": sol.status}
     if sol.status == "solved":
         out["solutions"] = [{k: str(v) for k, v in s.items()} for s in sol.solutions]

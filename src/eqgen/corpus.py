@@ -265,33 +265,36 @@ def save(path, problems: Iterable[Problem]) -> None:
 
 
 def load(path) -> list[Problem]:
-    """Line-delimited records {id, text, equations, answers}; answers parse
-    as decimals or p/q rationals, exactly."""
+    """Line-delimited UTF-8 JSON objects {id, text, equations, answers}:
+    ``text`` and ``equations`` are strings, ``answers`` a list of decimals
+    or p/q rationals, parsed exactly. Raises DatasetError naming the line
+    of the first record that breaks this."""
     problems: list[Problem] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DatasetError(f"line {lineno}: not UTF-8 ({e})") from e
             if not line:
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetError(f"line {lineno}: invalid json ({e})") from e
+            if not isinstance(rec, dict):
+                raise DatasetError(f"line {lineno}: a record must be a JSON object")
             for key in ("id", "text", "equations", "answers"):
                 if key not in rec:
                     raise DatasetError(f"line {lineno}: missing field {key!r}")
+            for key, kind in (("text", str), ("equations", str), ("answers", list)):
+                if not isinstance(rec[key], kind):
+                    raise DatasetError(f"line {lineno}: field {key!r} must be a {kind.__name__}")
             try:
                 answers = [Fraction(str(a)) for a in rec["answers"]]
             except (ValueError, ZeroDivisionError) as e:
                 raise DatasetError(f"line {lineno}: bad answer value ({e})") from e
-            problems.append(
-                Problem(
-                    id=str(rec["id"]),
-                    text=str(rec["text"]),
-                    equations=str(rec["equations"]),
-                    answers=answers,
-                )
-            )
+            problems.append(Problem(id=str(rec["id"]), text=rec["text"], equations=rec["equations"], answers=answers))
     return problems
 
 

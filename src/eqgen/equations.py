@@ -11,13 +11,22 @@ Grammar (';' separates equations, each equation has exactly one '='):
     atom     = NUMBER | IDENT | '(' expr ')'
 
 Precedence is ^ > unary minus > * / > + -, so "-2^2" is -(2^2) and
-"-2*3" is (-2)*3. Exponents must reduce to integer literals with
-|exp| <= 3. Identifiers are the variables x, y, z or number-token
+"-2*3" is (-2)*3. Identifiers are the variables x, y, z or number-token
 symbols such as N_1 / M_2 / F_3.
+
+Parsing evaluates as it reads: each equation becomes the polynomial
+lhs - rhs in x, y, z with exact rational coefficients, or None once it
+leaves the solver's fragment (division by zero or by an expression with
+variables, a negative power of zero or of a variable expression). An
+exponent must be an integer literal with |exp| <= 3, checked when the '^'
+is read. A literal is a number, or literals combined only by parentheses,
+unary minus or division by a non-zero literal: "x^(4/2)" is x^2, while
+"x^(1+1)", "x^y" and "x^(4/0)" are ill-formed.
 
 Given a problem's symbol table, the tokenizer reads each number symbol as
 that number, so ``reward`` parses a template's tokens as they are, with no
-text assembled in between; without one, symbols parse to ``Sym`` nodes.
+text assembled in between. A symbol read without a table still parses,
+and its equation solves to unsupported.
 
 Solving is exact: linear systems in up to three variables go through
 rational Gaussian elimination, a single univariate equation of degree two
@@ -110,54 +119,92 @@ def tokenize(text: str, symbols: Mapping[str, Fraction] | None = None) -> list[T
 
 
 # ---------------------------------------------------------------------------
-# ast
+# parsing to polynomials
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+# a polynomial is {(ex, ey, ez): Fraction}
+_Poly = dict[tuple[int, int, int], Fraction]
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_VAR_KEYS = {v: tuple(int(i == j) for j in range(3)) for i, v in enumerate(VARIABLES)}
 
 
-@dataclass(frozen=True)
-class Sym:
-    """A number-token placeholder (N_i / M_i / F_i) left in a template."""
-
-    name: str
+def _pconst(c: Fraction) -> _Poly:
+    return {(0, 0, 0): c} if c else {}
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+def _padd(a: _Poly, b: _Poly) -> _Poly:
+    out = dict(a)
+    for k, v in b.items():
+        s = out[k] + v if k in out else v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
+def _pneg(a: _Poly) -> _Poly:
+    return {k: -v for k, v in a.items()}
 
 
-Expr = Union[Lit, Var, Sym, Neg, BinOp]
+def _pmul(a: _Poly, b: _Poly) -> _Poly:
+    out: _Poly = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
+            s = out[k] + va * vb if k in out else va * vb
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Expr
-    rhs: Expr
+def _as_const(p: _Poly) -> Fraction | None:
+    return p.get((0, 0, 0), _ZERO) if p.keys() <= {(0, 0, 0)} else None
+
+
+# what a rule read: its polynomial, None outside the solver's fragment, and
+# whether it is a literal
+_Read = tuple[_Poly | None, bool]
+
+
+def _apply(op: str, a: _Poly | None, a_lit: bool, b: _Poly | None, b_lit: bool) -> _Read:
+    """``a op b``; raises ParseError for an exponent that is not an integer
+    literal with |e| <= 3, whatever the base."""
+    if op == "^":
+        e = _as_const(b) if b_lit else None
+        if e is None:
+            raise ParseError("exponent must be an integer literal")
+        if e.denominator != 1 or abs(e) > 3:
+            raise ParseError(f"exponent {e} outside the supported range |e| <= 3")
+        if a is None:
+            return None, False
+        if e < 0:
+            c = _as_const(a)  # None for a variable expression, and 0 has no inverse
+            return (_pconst(c ** int(e)) if c else None), False
+        out = _pconst(_ONE)
+        for _ in range(int(e)):
+            out = _pmul(out, a)
+        return out, False
+    if op == "/":
+        d = None if b is None else _as_const(b)
+        if not d:  # division by zero or by an expression with variables
+            return None, False
+        if a_lit and b_lit:
+            return _pconst(_as_const(a) / d), True
+        return (None if a is None else _pmul(a, _pconst(1 / d))), False
+    if a is None or b is None:
+        return None, False
+    return (_pmul(a, b) if op == "*" else _padd(a, b if op == "+" else _pneg(b))), False
 
 
 @dataclass(frozen=True)
 class EquationList:
-    equations: tuple[Equation, ...]
+    """Each equation as the polynomial lhs - rhs, or None where it leaves
+    the solver's fragment."""
 
-    def __len__(self) -> int:
-        return len(self.equations)
+    equations: tuple[_Poly | None, ...]
 
 
 _ADD_PREC = 1
@@ -167,6 +214,9 @@ _POW_PREC = 4
 
 
 class _Parser:
+    """Recursive descent over the grammar; each rule returns a ``_Read``,
+    literals as the module docstring defines them."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -181,42 +231,37 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self, min_prec: int = _ADD_PREC) -> Expr:
-        lhs = self.unary()
+    def expr(self, min_prec: int = _ADD_PREC) -> _Read:
+        lhs, lit = self.unary()
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "OP":
-                return lhs
+                return lhs, lit
             op = tok.text
             prec = _POW_PREC if op == "^" else _MUL_PREC if op in "*/" else _ADD_PREC
             if prec < min_prec:
-                return lhs
+                return lhs, lit
             self.pos += 1
             next_min = prec if op == "^" else prec + 1  # ^ is right associative
-            rhs = self.expr(next_min)
-            # fold literal fractions so that "(1/3)" parses back to one literal
-            if op == "/" and isinstance(lhs, Lit) and isinstance(rhs, Lit) and rhs.value != 0:
-                lhs = Lit(lhs.value / rhs.value)
-            else:
-                lhs = BinOp(op, lhs, rhs)
+            lhs, lit = _apply(op, lhs, lit, *self.expr(next_min))
 
-    def unary(self) -> Expr:
+    def unary(self) -> _Read:
         tok = self.peek()
         if tok is not None and tok.kind == "OP" and tok.text == "-":
             self.pos += 1
-            operand = self.expr(_UNARY_PREC)
-            return Lit(-operand.value) if isinstance(operand, Lit) else Neg(operand)
+            operand, lit = self.expr(_UNARY_PREC)
+            return (None if operand is None else _pneg(operand)), lit
         return self.atom()
 
-    def atom(self) -> Expr:
+    def atom(self) -> _Read:
         tok = self.next()
         if tok.kind == "NUM":
-            return Lit(tok.value)
+            return _pconst(tok.value), True
         if tok.kind == "IDENT":
-            if tok.text in VARIABLES:
-                return Var(tok.text)
+            if tok.text in _VAR_KEYS:
+                return {_VAR_KEYS[tok.text]: _ONE}, False
             if is_symbol(tok.text):
-                return Sym(tok.text)
+                return None, False  # a number symbol read without a table
             raise ParseError(f"unknown identifier {tok.text!r}")
         if tok.kind == "LPAREN":
             inner = self.expr()
@@ -227,70 +272,31 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}")
 
 
-def _exponent_value(node: Expr) -> Fraction:
-    """Unwrap a (possibly negated) literal exponent; anything else is ill-formed."""
-    neg = False
-    while isinstance(node, Neg):
-        neg = not neg
-        node = node.operand
-    if not isinstance(node, Lit):
-        raise ParseError("exponent must be an integer literal")
-    return -node.value if neg else node.value
-
-
-def _validate(node: Expr) -> None:
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            e = _exponent_value(node.right)
-            if e.denominator != 1 or abs(e) > 3:
-                raise ParseError(f"exponent {e} outside the supported range |e| <= 3")
-            _validate(node.left)
-        else:
-            _validate(node.left)
-            _validate(node.right)
-    elif isinstance(node, Neg):
-        _validate(node.operand)
-
-
 def parse(source: str | Sequence[Token], symbols: Mapping[str, Fraction] | None = None) -> EquationList:
     """Parse a ';'-separated equation list from text, read by ``tokenize``
-    with ``symbols``, or from tokens already read; raises ParseError when
-    ill-formed and UnknownSymbolError as ``tokenize`` does."""
+    with ``symbols``, or from tokens already read, into one polynomial
+    lhs - rhs per equation (None outside the solver's fragment). Raises
+    ParseError when ill-formed, a bad exponent included, and
+    UnknownSymbolError as ``tokenize`` does."""
     tokens = tokenize(source, symbols) if isinstance(source, str) else list(source)
     if not tokens:
         raise ParseError("empty input")
     parser = _Parser(tokens)
-    equations: list[Equation] = []
+    polys: list[_Poly | None] = []
     while True:
-        lhs = parser.expr()
+        lhs, _ = parser.expr()
         tok = parser.next()
         if tok.kind != "EQ":
             raise ParseError(f"expected '=' but found {tok.text!r}")
-        rhs = parser.expr()
-        equations.append(Equation(lhs, rhs))
+        rhs, _ = parser.expr()
+        polys.append(None if lhs is None or rhs is None else _padd(lhs, _pneg(rhs)))
         tok = parser.peek()
         if tok is None:
             break
         if tok.kind != "SEMI":
             raise ParseError(f"unexpected token {tok.text!r} after equation")
         parser.pos += 1
-    for eq in equations:
-        _validate(eq.lhs)
-        _validate(eq.rhs)
-    return EquationList(tuple(equations))
-
-
-def to_string(ast: EquationList | Expr) -> str:
-    """Render with full parenthesization: parse(to_string(a)) == a."""
-    if isinstance(ast, EquationList):
-        return ";".join(f"{to_string(eq.lhs)}={to_string(eq.rhs)}" for eq in ast.equations)
-    if isinstance(ast, Lit):
-        return format_value(ast.value)
-    if isinstance(ast, (Var, Sym)):
-        return ast.name
-    if isinstance(ast, Neg):
-        return f"(-{to_string(ast.operand)})"
-    return f"({to_string(ast.left)}{ast.op}{to_string(ast.right)})"
+    return EquationList(tuple(polys))
 
 
 # ---------------------------------------------------------------------------
@@ -316,96 +322,6 @@ class SolutionSet:
 NO_SOLUTION = SolutionSet("no_solution")
 INFINITE = SolutionSet("infinite")
 UNSUPPORTED = SolutionSet("unsupported")
-
-
-class _NonPolynomial(Exception):
-    pass
-
-
-# a polynomial is {(ex, ey, ez): Fraction}
-_Poly = dict[tuple[int, int, int], Fraction]
-
-
-def _pconst(c: Fraction) -> _Poly:
-    return {(0, 0, 0): c} if c else {}
-
-
-def _padd(a: _Poly, b: _Poly) -> _Poly:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _pneg(a: _Poly) -> _Poly:
-    return {k: -v for k, v in a.items()}
-
-
-def _pmul(a: _Poly, b: _Poly) -> _Poly:
-    out: _Poly = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-            s = out.get(k, Fraction(0)) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _as_const(p: _Poly) -> Fraction | None:
-    if not p:
-        return Fraction(0)
-    if len(p) == 1 and (0, 0, 0) in p:
-        return p[(0, 0, 0)]
-    return None
-
-
-def _to_poly(node: Expr) -> _Poly:
-    if isinstance(node, Lit):
-        return _pconst(node.value)
-    if isinstance(node, Var):
-        key = [0, 0, 0]
-        key[VARIABLES.index(node.name)] = 1
-        return {tuple(key): Fraction(1)}
-    if isinstance(node, Sym):
-        raise _NonPolynomial("unresolved number-token symbol")
-    if isinstance(node, Neg):
-        return _pneg(_to_poly(node.operand))
-    if isinstance(node, BinOp):
-        if node.op == "+":
-            return _padd(_to_poly(node.left), _to_poly(node.right))
-        if node.op == "-":
-            return _padd(_to_poly(node.left), _pneg(_to_poly(node.right)))
-        if node.op == "*":
-            return _pmul(_to_poly(node.left), _to_poly(node.right))
-        if node.op == "/":
-            denom = _as_const(_to_poly(node.right))
-            if denom is None:
-                raise _NonPolynomial("division by an expression with variables")
-            if denom == 0:
-                raise _NonPolynomial("division by zero")
-            return _pmul(_to_poly(node.left), _pconst(Fraction(1) / denom))
-        if node.op == "^":
-            e = int(_exponent_value(node.right))
-            base = _to_poly(node.left)
-            if e < 0:
-                c = _as_const(base)
-                if c is None:
-                    raise _NonPolynomial("negative exponent on a variable expression")
-                if c == 0:
-                    raise _NonPolynomial("zero raised to a negative power")
-                return _pconst(c**e)
-            out = _pconst(Fraction(1))
-            for _ in range(e):
-                out = _pmul(out, base)
-            return out
-    raise _NonPolynomial(f"unsupported node {node!r}")
 
 
 def _degree(p: _Poly) -> int:
@@ -479,10 +395,10 @@ def _solve_quadratic(p: _Poly, name: str) -> SolutionSet:
 
 
 def solve(ast: EquationList) -> SolutionSet:
-    """Solve exactly where possible; see module docstring for the fragment."""
-    try:
-        polys = [_padd(_to_poly(eq.lhs), _pneg(_to_poly(eq.rhs))) for eq in ast.equations]
-    except _NonPolynomial:
+    """Solve the parsed polynomials exactly where possible, ``UNSUPPORTED``
+    when any equation left the fragment; see the module docstring."""
+    polys = ast.equations
+    if any(p is None for p in polys):
         return UNSUPPORTED
     names = sorted(
         {VARIABLES[i] for p in polys for k in p for i in range(3) if k[i]},
@@ -532,7 +448,7 @@ def reward(template_tokens, mapping, gold: list) -> int:
     if not gold:
         return 0
     try:
-        ast = parse(" ".join(template_tokens), mapping.by_symbol)
+        parsed = parse(" ".join(template_tokens), mapping.by_symbol)
     except (ParseError, UnknownSymbolError):
         return 0
-    return 1 if check_answer(solve(ast), gold) else 0
+    return 1 if check_answer(solve(parsed), gold) else 0

@@ -323,14 +323,31 @@ def align(numbers: list[ExtractedNumber], gold_equations: str) -> EquationTempla
     return EquationTemplate(tuple(out))
 
 
+_OPERAND_ENDS = frozenset({"NUM", "IDENT", "RPAREN"})
+_OPERAND_STARTS = frozenset({"NUM", "IDENT", "LPAREN"})
+
+
+def join_tokens(tokens: Sequence[Token]) -> str:
+    """The tokens' texts joined, with a space only where one operand's end
+    (a number, a name or ')') meets the next one's start (a number, a name
+    or '('), so two operands in a row read back as two tokens. Well-formed
+    equations have no such place and join with no space at all."""
+    parts: list[str] = []
+    for i, tok in enumerate(tokens):
+        if i and tokens[i - 1].kind in _OPERAND_ENDS and tok.kind in _OPERAND_STARTS:
+            parts.append(" ")
+        parts.append(tok.text)
+    return "".join(parts)
+
+
 def substitute(template_tokens: Sequence[str] | EquationTemplate, mapping: NumberMapping) -> str:
-    """The template as concrete text, the inverse of align: the texts of
-    the tokens that ``equations.tokenize`` reads with the mapping's symbol
-    table, joined. Raises as ``tokenize`` does: UnknownSymbolError for a
+    """The template as concrete text, the inverse of align: the tokens that
+    ``equations.tokenize`` reads with the mapping's symbol table, joined by
+    ``join_tokens``. Raises as ``tokenize`` does: UnknownSymbolError for a
     symbol the mapping does not define, ParseError for an unreadable token."""
     if isinstance(template_tokens, EquationTemplate):
         template_tokens = template_tokens.tokens
-    return "".join(t.text for t in equations.tokenize(" ".join(template_tokens), mapping.by_symbol))
+    return join_tokens(equations.tokenize(" ".join(template_tokens), mapping.by_symbol))
 
 
 _WORD_RE = re.compile(r"[a-z]+|[0-9]+|[^\sa-z0-9]")

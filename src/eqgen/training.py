@@ -316,11 +316,12 @@ def run_rl(
     """REINFORCE phase: one ``reinforce_step`` per usable instance and
     epoch, logging one ``"rl-train"`` record per epoch. Its ``"grad_norm"``
     is the mean pre-clip gradient norm of the epoch's updates, ``None`` when
-    no step updated. Instances with no answers or an empty source cannot be
-    rewarded or encoded; they are left out, and each record's ``"skipped"``
-    counts them. Raises ``DatasetError`` when no instance is left."""
+    no step updated. Instances with no answers, or a source that is empty
+    or longer than ``max_positions``, cannot be rewarded or encoded; they
+    are left out, and each record's ``"skipped"`` counts them. Raises
+    ``DatasetError`` when no instance is left."""
     metrics = metrics if metrics is not None else []
-    usable = [i for i in train_insts if i.problem.answers and i.source]
+    usable = [i for i in train_insts if i.problem.answers and 0 < len(i.source) <= params.config.max_positions]
     if not usable:
         raise DatasetError("no instances with answers and a source to train on")
     skipped = len(train_insts) - len(usable)

@@ -425,6 +425,33 @@ class TestCli:
         assert capsys.readouterr().err == "eqgen: error: no instances with answers and a source to train on\n"
         assert not (tmp_path / "rl.npz").exists()
 
+    def test_solve_keeps_operands_in_a_row_apart(self, capsys):
+        capsys.readouterr()
+        assert cli_main(["solve", "--eq", "x=5 7", "--nums", "1"]) == 1
+        assert capsys.readouterr().out.startswith("substituted: x=5 7\n")
+        assert cli_main(["solve", "--eq", "N_1*x+N_2=N_3", "--nums", "2,3,7"]) == 0
+        assert capsys.readouterr().out == 'substituted: 2*x+3=7\n{"status": "solved", "solutions": [{"x": "2"}], "values": ["2"]}\n'
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"3", "a record must be a JSON object"),
+            (b"null", "a record must be a JSON object"),
+            (b'{"id": 1, "text": "t", "equations": "x=1", "answers": 5}', "field 'answers' must be a list"),
+            (b'{"id": 1, "text": "t", "equations": null, "answers": ["1"]}', "field 'equations' must be a str"),
+            (b'{"id": 1, "text": ["t"], "equations": "x=1", "answers": ["1"]}', "field 'text' must be a str"),
+            ('{"id": 1, "text": "caf\u00e9", "equations": "x=1", "answers": ["1"]}'.encode("latin-1"), "not UTF-8"),
+        ],
+    )
+    def test_malformed_record_is_one_line_error(self, tmp_path, capsys, line, message):
+        data = tmp_path / "data.jsonl"
+        good = json.dumps({"id": 0, "text": "x is 1", "equations": "x=1", "answers": ["1"]}).encode()
+        data.write_bytes(good + b"\n" + line + b"\n")
+        capsys.readouterr()
+        assert cli_main(["preprocess", "--in", str(data), "--out", str(tmp_path / "prep.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"eqgen: error: line 2: {message}") and err.count("\n") == 1
+
     def test_solve_bad_number_is_one_line_error(self, capsys):
         for nums in ("1/0", "abc", "2,,3"):
             capsys.readouterr()

@@ -1,85 +1,95 @@
+import ast
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqgen import equations
 from eqgen.equations import (
     ANSWER_REL_TOL,
-    BinOp,
-    Equation,
-    EquationList,
-    Lit,
-    Neg,
     ParseError,
     SolutionSet,
-    Sym,
     UnknownSymbolError,
-    Var,
     check_answer,
     format_value,
     parse,
     reward,
     solve,
-    to_string,
     tokenize,
 )
 from eqgen.numbering import WHITELIST_TOKENS, NumberMapping, extract_numbers
 
 F = Fraction
 
+# A test-side expression tree, independent of the parser:
+# ("num", Fraction) | ("var", name) | ("neg", node) | (op, left, right)
+
+
+def show(node):
+    """Fully parenthesized text of a tree."""
+    if node[0] == "num":
+        return format_value(node[1])
+    if node[0] == "var":
+        return node[1]
+    if node[0] == "neg":
+        return f"(-{show(node[1])})"
+    return f"({show(node[1])}{node[0]}{show(node[2])})"
+
 
 def eval_expr(node, env=None):
-    """Independent AST evaluator used as the precedence oracle."""
-    env = env or {}
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -eval_expr(node.operand, env)
-    if isinstance(node, BinOp):
-        a, b = eval_expr(node.left, env), eval_expr(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return a ** int(b)
-    raise AssertionError(node)
+    """Exact value of a tree; raises ZeroDivisionError on division by zero
+    and on zero raised to a negative power."""
+    if node[0] == "num":
+        return node[1]
+    if node[0] == "var":
+        return env[node[1]]
+    if node[0] == "neg":
+        return -eval_expr(node[1], env)
+    op, a, b = node[0], eval_expr(node[1], env), eval_expr(node[2], env)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a / b
+    return a ** int(b)
 
 
-def expr_of(text):
-    return parse(f"{text}=0").equations[0].lhs
+def value_of(text):
+    """The value ``x=<text>`` solves to."""
+    sol = solve(parse(f"x={text}"))
+    assert sol.status == "solved", (text, sol)
+    return sol.solutions[0]["x"]
 
 
 class TestParse:
     def test_two_equations(self):
-        ast = parse("2*x+3=7 ; x+y=10")
-        assert len(ast) == 2
+        assert len(parse("2*x+3=7 ; x+y=10").equations) == 2
 
     def test_precedence_mul_before_add(self):
-        assert eval_expr(expr_of("2+3*4")) == 14
+        assert value_of("2+3*4") == 14
 
     def test_power_right_assoc(self):
         # 2^3^... is limited by |exp| <= 3, so use nesting via parens instead
-        assert eval_expr(expr_of("2^3")) == 8
-        assert eval_expr(expr_of("(2^2)^3")) == 64
+        assert value_of("2^3") == 8
+        assert value_of("(2^2)^3") == 64
 
     def test_unary_minus_between_pow_and_mul(self):
-        assert eval_expr(expr_of("-2^2")) == -4
-        assert eval_expr(expr_of("-2*3")) == -6
+        assert value_of("-2^2") == -4
+        assert value_of("-2*3") == -6
 
     def test_left_assoc_sub_div(self):
-        assert eval_expr(expr_of("10-4-3")) == 3
-        assert eval_expr(expr_of("12/3/2")) == 2
+        assert value_of("10-4-3") == 3
+        assert value_of("12/3/2") == 2
 
     def test_parens(self):
-        assert eval_expr(expr_of("(2+3)*4")) == 20
+        assert value_of("(2+3)*4") == 20
 
     def test_ill_formed(self):
         for bad in ("x+=3", "x+", "=5", "x=(2", "x=2)", "x==2", "x 2=3", "x=2;;y=3", "", "x*+2=1"):
@@ -95,9 +105,8 @@ class TestParse:
             parse("w+1=2")
 
     def test_symbols_parse(self):
-        ast = parse("N_1*x+M_2=F_3")
-        lhs = ast.equations[0].lhs
-        assert isinstance(lhs, BinOp) and isinstance(ast.equations[0].rhs, Sym)
+        # without a table a number symbol parses but leaves the solver's fragment
+        assert solve(parse("N_1*x+M_2=F_3")).status == "unsupported"
 
     def test_exponent_limits(self):
         parse("x^3=8")
@@ -109,72 +118,56 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x^(1/2)=2")
 
+    def test_exponent_may_be_a_literal_quotient(self):
+        assert solve(parse("x^(4/2)=4")).values() == [F(-2), F(2)]
+        assert value_of("2^(-(6/3))") == F(1, 4)
+
+    def test_exponent_must_be_a_literal(self):
+        for bad in ("x^(1+1)=4", "x^(4/0)=1", "x^(2*1)=4", "x^N_1=4", "x^2^1=4"):
+            with pytest.raises(ParseError, match="exponent must be an integer literal"):
+                parse(bad)
+
+    def test_a_bad_exponent_is_reported_before_a_later_syntax_error(self):
+        with pytest.raises(ParseError, match="exponent"):
+            parse("x^y=1+")
+
+    def test_outside_the_fragment_still_parses_to_the_end(self):
+        for text in ("x/0=1", "1/x=2", "x^(-1)=2", "0^(-1)=x", "(x-x)^(-2)=1", "N_1=x"):
+            assert solve(parse(text)).status == "unsupported", text
+            with pytest.raises(ParseError):
+                parse(text + "+")
+
     def test_decimal_literals(self):
-        ast = parse("x=0.25")
-        assert ast.equations[0].rhs == Lit(F(1, 4))
-
-
-def random_expr(rng, depth=0):
-    roll = rng.random()
-    if depth > 3 or roll < 0.3:
-        if rng.random() < 0.5:
-            return Lit(F(rng.randint(-9, 9), rng.randint(1, 5)))
-        return Var(rng.choice("xyz"))
-    if roll < 0.4:
-        return Neg(random_expr(rng, depth + 1))
-    if roll < 0.5:
-        return BinOp("^", random_expr(rng, depth + 1), Lit(F(rng.randint(0, 3))))
-    op = rng.choice("+-*/")
-    return BinOp(op, random_expr(rng, depth + 1), random_expr(rng, depth + 1))
-
-
-def _folds(op, left, right):
-    """The parser folds a literal divided by a non-zero literal into one literal."""
-    return op == "/" and isinstance(left, Lit) and isinstance(right, Lit) and right.value != 0
+        assert value_of("0.25") == F(1, 4)
 
 
 def _compound(children):
-    # only trees the parser can return: no negated literal (it parses as a
-    # negative literal), no foldable literal division, integer exponents |e| <= 3
-    neg = children.filter(lambda e: not isinstance(e, Lit)).map(Neg)
-    binop = st.builds(BinOp, st.sampled_from("+-*/"), children, children).filter(
-        lambda b: not _folds(b.op, b.left, b.right)
-    )
-    power = st.builds(BinOp, st.just("^"), children, st.integers(-3, 3).map(lambda e: Lit(F(e))))
+    neg = children.map(lambda e: ("neg", e))
+    binop = st.tuples(st.sampled_from("+-*/"), children, children)
+    power = st.tuples(st.just("^"), children, st.integers(-3, 3).map(lambda e: ("num", F(e))))
     return st.one_of(neg, binop, power)
 
 
-_leaves = st.one_of(
-    st.fractions(max_denominator=12).map(Lit),
-    st.sampled_from("xyz").map(Var),
-    st.builds(lambda kind, i: Sym(f"{kind}_{i}"), st.sampled_from("NMF"), st.integers(1, 20)),
-)
-_exprs = st.recursive(_leaves, _compound, max_leaves=12)
-_programs = st.lists(st.builds(Equation, _exprs, _exprs), min_size=1, max_size=3).map(
-    lambda eqs: EquationList(tuple(eqs))
+_constants = st.recursive(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6).map(lambda v: ("num", v)),
+    _compound,
+    max_leaves=10,
 )
 
 
-class TestPrintParseRoundTrip:
-    @settings(deadline=None, max_examples=200)
-    @given(_programs)
-    def test_parse_inverts_to_string(self, ast):
-        assert parse(to_string(ast)) == ast
-
-    def test_random_asts(self):
-        # identity on the parser's image: one print/parse round canonicalizes
-        # (literal negation and literal fractions fold), after which
-        # parse(to_string(.)) is exactly the identity
-        rng = random.Random(7)
-        for _ in range(200):
-            raw = EquationList((Equation(random_expr(rng), random_expr(rng)),))
-            ast = parse(to_string(raw))
-            assert parse(to_string(ast)) == ast
-
-    def test_corpus_style(self):
-        for text in ("2*x+3=7;x+y=10", "x^2=9", "x=(-15)+70", "x=0.25*80"):
-            ast = parse(text)
-            assert parse(to_string(ast)) == ast
+class TestConstantExpressions:
+    @settings(deadline=None, max_examples=300)
+    @given(_constants)
+    def test_solves_to_the_evaluators_value(self, tree):
+        # unsupported exactly where the evaluator divides by zero or raises
+        # zero to a negative power
+        sol = solve(parse(f"x={show(tree)}"))
+        try:
+            value = eval_expr(tree)
+        except ZeroDivisionError:
+            assert sol.status == "unsupported"
+        else:
+            assert sol.status == "solved" and sol.solutions == ({"x": value},)
 
 
 class TestSolve:
@@ -189,19 +182,19 @@ class TestSolve:
             n = rng.randint(1, 3)
             names = ["x", "y", "z"][:n]
             target = [F(rng.randint(-9, 9)) for _ in names]
-            rows = []
+            rows, texts = [], []
             for _ in range(n):
                 coeffs = [rng.randint(-9, 9) for _ in names]
                 rhs = sum(c * t for c, t in zip(coeffs, target))
-                lhs = "+".join(f"({c})*{v}" for c, v in zip(coeffs, names))
-                rows.append(f"{lhs}={rhs}")
-            sol = solve(parse(";".join(rows)))
+                rows.append((coeffs, rhs))
+                texts.append("+".join(f"({c})*{v}" for c, v in zip(coeffs, names)) + f"={rhs}")
+            sol = solve(parse(";".join(texts)))
             if sol.status != "solved":
                 assert sol.status == "infinite"  # singular draw
                 continue
             got = sol.solutions[0]
-            for eq in parse(";".join(rows)).equations:
-                assert eval_expr(eq.lhs, got) == eval_expr(eq.rhs, got)
+            for coeffs, rhs in rows:
+                assert sum(c * got[v] for c, v in zip(coeffs, names)) == rhs
 
     def test_factorable_quadratic(self):
         sol = solve(parse("x^2-5*x+6=0"))
@@ -249,9 +242,9 @@ class TestSolve:
 
 
 _solvable_leaves = st.one_of(
-    st.integers(-9, 9).map(lambda n: Lit(F(n))),
-    st.fractions(min_value=-9, max_value=9, max_denominator=6).map(Lit),
-    st.sampled_from("xyz").map(Var),
+    st.integers(-9, 9).map(lambda n: ("num", F(n))),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6).map(lambda v: ("num", v)),
+    st.sampled_from("xyz").map(lambda v: ("var", v)),
 )
 _solvable_exprs = st.recursive(_solvable_leaves, _compound, max_leaves=8)
 _coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -259,14 +252,13 @@ _coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 def _quadratic(a, b, c, rhs):
     """a*x^2 + b*x + c = rhs, mostly with irrational roots."""
-    square = BinOp("*", Lit(a), BinOp("^", Var("x"), Lit(F(2))))
-    return EquationList((Equation(BinOp("+", BinOp("+", square, BinOp("*", Lit(b), Var("x"))), Lit(c)), rhs),))
+    x = ("var", "x")
+    square = ("*", ("num", a), ("^", x, ("num", F(2))))
+    return [(("+", ("+", square, ("*", ("num", b), x)), ("num", c)), rhs)]
 
 
 _solvable_programs = st.one_of(
-    st.lists(st.builds(Equation, _solvable_exprs, _solvable_exprs), min_size=1, max_size=3).map(
-        lambda eqs: EquationList(tuple(eqs))
-    ),
+    st.lists(st.tuples(_solvable_exprs, _solvable_exprs), min_size=1, max_size=3),
     st.builds(_quadratic, _coeffs.filter(bool), _coeffs, _coeffs, _solvable_leaves),
 )
 
@@ -274,21 +266,22 @@ _solvable_programs = st.one_of(
 class TestSolveProperty:
     @settings(deadline=None, max_examples=300)
     @given(_solvable_programs)
-    def test_every_solution_satisfies_every_equation(self, ast):
+    def test_every_solution_satisfies_every_equation(self, program):
         # rational solutions exactly; irrational quadratic roots (floats)
         # within the answer tolerance, as check_answer compares them. A
         # variable that cancels out (x = x) is free, so any value will do.
-        sol = solve(ast)
+        text = ";".join(f"{show(lhs)}={show(rhs)}" for lhs, rhs in program)
+        sol = solve(parse(text))
         if sol.status != "solved":
             return
         for assignment in sol.solutions:
             env = {"x": F(3), "y": F(3), "z": F(3), **assignment}
-            for eq in ast.equations:
-                lhs, rhs = eval_expr(eq.lhs, env), eval_expr(eq.rhs, env)
+            for eq_lhs, eq_rhs in program:
+                lhs, rhs = eval_expr(eq_lhs, env), eval_expr(eq_rhs, env)
                 if all(isinstance(v, Fraction) for v in assignment.values()):
-                    assert lhs == rhs, (to_string(ast), assignment)
+                    assert lhs == rhs, (text, assignment)
                 else:
-                    assert abs(lhs - rhs) <= ANSWER_REL_TOL * max(1.0, abs(rhs)), (to_string(ast), assignment)
+                    assert abs(lhs - rhs) <= ANSWER_REL_TOL * max(1.0, abs(rhs)), (text, assignment)
 
 
 class TestCheckAnswer:
@@ -373,3 +366,16 @@ class TestSymbolTable:
         concrete = "".join(t.text for t in tokenize(text, self.TABLE))
         assert concrete == "5*x^2-(-3)*x=(1/4)/5;-(-3)^2=y"
         assert parse(text, self.TABLE) == parse(concrete) == parse(tokenize(text, self.TABLE))
+
+
+def test_imports_only_the_standard_library():
+    tree = ast.parse(Path(equations.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        assert all(root in sys.stdlib_module_names for root in roots), roots

@@ -276,6 +276,11 @@ class TestSubstitute:
         t = EquationTemplate(("x", "=", "N_1"))
         assert substitute(t, mapping) == "x=4"
 
+    def test_operands_in_a_row_stay_apart(self):
+        mapping = NumberMapping(extract_numbers("from -15 to 70 or 2/3"))
+        template = ["x", "=", "N_2", "M_1", "x", "(", "F_3", ")", "(", "x", ")", "^", "2"]
+        assert substitute(template, mapping) == "x=70 (-15) x ((2/3)) (x)^2"
+
 
 class TestRoundTrip:
     def test_align_substitute_solve(self):

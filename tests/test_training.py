@@ -495,6 +495,16 @@ class TestTrainDriver:
         metrics = training.run_rl(params, vocab, [unanswered, *insts[1:]], s)
         assert [(rec["split"], rec["skipped"]) for rec in metrics] == [("rl-train", 1)] * 2
 
+    def test_rl_leaves_out_a_source_longer_than_max_positions(self):
+        config, insts, vocab = small_setup(n=3)
+        params = init_params(config, 16)
+        first = insts[0]
+        too_long = dataclasses.replace(first, source=first.source * (config.max_positions // len(first.source) + 1))
+        assert len(too_long.source) > config.max_positions
+        s = TrainSettings(seed=16, rl_epochs=2, rl_beam=2)
+        metrics = training.run_rl(params, vocab, [too_long, *insts[1:]], s)
+        assert [(rec["split"], rec["skipped"]) for rec in metrics] == [("rl-train", 1)] * 2
+
 
 class TestGradClip:
     def test_clip_scales_to_max_norm(self):
