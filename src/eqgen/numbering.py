@@ -11,10 +11,10 @@ global index counter running over text positions:
 Alignment rewrites a concrete gold equation list into a template over these
 symbols. Because surface forms vary ("3 1/3" in text may appear as 3.33 or
 10/3 in the equation), each extracted number carries a set of value
-variants and the aligner searches over all of them, assigning symbols to
-equal values in order of occurrence. A small whitelist of constants
-(0..10 and 100) may stay literal, covering derivation constants that never
-appear in the text.
+variants, and each literal takes the best-ranked number whose variants hold
+its value and after which the rest can still be read, in one pass with no
+search. A small whitelist of constants (0..10 and 100) may stay literal,
+covering derivation constants that never appear in the text.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import equations
-from .equations import ParseError, Token, UnknownSymbolError  # the error is re-exported
+from .equations import ParseError, Token
 
 WHITELIST = frozenset(Fraction(c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100))
 WHITELIST_TOKENS = tuple(str(c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100))
@@ -199,14 +199,6 @@ class EquationTemplate:
 # alignment
 # ---------------------------------------------------------------------------
 
-# candidate priorities: lower wins
-_P_CANONICAL = 0
-_P_VARIANT = 1
-_P_WHITELIST = 2
-_P_REUSE_CANONICAL = 3
-_P_REUSE_VARIANT = 4
-
-
 @dataclass(frozen=True)
 class _Reading:
     """One way to interpret a literal occurrence in the token stream."""
@@ -214,7 +206,6 @@ class _Reading:
     value: Fraction
     first: int  # first token index covered (minus sign when absorbed)
     last: int  # last token index covered (fraction denominator when composite)
-    anchor: int  # index of the NUMBER token that triggered the reading
 
 
 def _is_unary_minus(tokens: list[Token], i: int) -> bool:
@@ -229,7 +220,7 @@ def _is_unary_minus(tokens: list[Token], i: int) -> bool:
 def _readings(tokens: list[Token], t: int) -> list[_Reading]:
     """Plain value, sign-absorbed, literal fraction a/b, and signed fraction."""
     v = tokens[t].value
-    out = [_Reading(v, t, t, t)]
+    out = [_Reading(v, t, t)]
     composite = None
     if (
         t + 2 < len(tokens)
@@ -241,85 +232,73 @@ def _readings(tokens: list[Token], t: int) -> list[_Reading]:
         and not (t > 0 and tokens[t - 1].kind == "OP" and tokens[t - 1].text == "^")
     ):
         composite = v / tokens[t + 2].value
-        out.append(_Reading(composite, t, t + 2, t))
+        out.append(_Reading(composite, t, t + 2))
     if _is_unary_minus(tokens, t - 1):
-        out.append(_Reading(-v, t - 1, t, t))
+        out.append(_Reading(-v, t - 1, t))
         if composite is not None:
-            out.append(_Reading(-composite, t - 1, t + 2, t))
+            out.append(_Reading(-composite, t - 1, t + 2))
     return out
 
 
 def align(numbers: list[ExtractedNumber], gold_equations: str) -> EquationTemplate:
     """Rewrite concrete gold equations into a symbol template.
 
-    Exact backtracking over (equation literal -> text number variant)
-    assignments: canonical values are preferred over variants, ties break
-    toward the lowest unused text index, whitelisted constants may stay
-    literal, and re-using an already bound number is a last resort.
-    Raises UnalignableError when no assignment covers every literal.
+    A literal's options pair each of its readings (``_readings``) with each
+    text number that has the reading's value among its variants; a plain
+    whitelisted constant may also stay literal. Each literal takes the
+    first option after which the rest can still be read, in the order:
+    unbound number at its canonical value, unbound number at a variant,
+    literal constant, bound number at its canonical value, bound number at
+    a variant, ties to the lowest text index. Binding a number reorders
+    options but adds or removes none, so readability from each position on
+    is fixed by one backward pass, and one forward pass makes the choices
+    a depth-first search in that order would make. Raises UnalignableError
+    when the gold equations do not parse or cannot all be read.
     """
     try:
         tokens = equations.tokenize(gold_equations)
         equations.parse(tokens)
     except ParseError as e:
         raise UnalignableError(f"gold equations do not parse: {e}") from e
-    variant_sets = {n.index: variants(n) for n in numbers}
-    by_index = {n.index: n for n in numbers}
-
-    def candidates(t: int, used: set[int]) -> list[tuple[tuple, _Reading, int | None]]:
-        found: list[tuple[tuple, _Reading, int | None]] = []
+    variant_sets = [(n, variants(n)) for n in numbers]
+    # readable[p]: the tokens from p on can all be read. options[t]: the
+    # options of the literal at t with a readable continuation, ranked as if
+    # no number were bound: canonical value, variant, constant, text index
+    readable = [True] * (len(tokens) + 1)
+    options: dict[int, list[tuple[_Reading, ExtractedNumber | None]]] = {}
+    for t in reversed(range(len(tokens))):
+        if tokens[t].kind != "NUM":
+            readable[t] = readable[t + 1]
+            continue
+        found = []
         for reading in _readings(tokens, t):
-            for idx, vset in variant_sets.items():
-                if reading.value not in vset:
-                    continue
-                canonical = reading.value == by_index[idx].value
-                if idx not in used:
-                    prio = _P_CANONICAL if canonical else _P_VARIANT
-                else:
-                    prio = _P_REUSE_CANONICAL if canonical else _P_REUSE_VARIANT
-                found.append(((prio, idx), reading, idx))
-            if reading.first == reading.last and reading.value in WHITELIST:
-                found.append(((_P_WHITELIST, 0), reading, None))
-        found.sort(key=lambda c: c[0])
-        return found
-
-    replacements: dict[int, tuple[_Reading, int | None]] = {}
-
-    def search(t: int, used: set[int]) -> bool:
-        while t < len(tokens) and tokens[t].kind != "NUM":
-            t += 1
-        if t >= len(tokens):
-            return True
-        for _, reading, idx in candidates(t, used):
-            replacements[reading.anchor] = (reading, idx)
-            if idx is not None and idx not in used:
-                used.add(idx)
-                if search(reading.last + 1, used):
-                    return True
-                used.discard(idx)
-            else:
-                if search(reading.last + 1, used):
-                    return True
-            del replacements[reading.anchor]
-        return False
-
-    if not search(0, set()):
+            if readable[reading.last + 1]:
+                found += [(reading, n) for n, vset in variant_sets if reading.value in vset]
+                if reading.first == reading.last and reading.value in WHITELIST:
+                    found.append((reading, None))
+        found.sort(key=lambda o: (2, 0) if o[1] is None else (o[0].value != o[1].value, o[1].index))
+        options[t] = found
+        readable[t] = bool(found)
+    if not readable[0]:
         raise UnalignableError("no consistent literal-to-number assignment")
-
-    spans = {r.first: (r, idx) for r, idx in replacements.values()}
+    used: set[int] = set()
     out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if i in spans:
-            reading, idx = spans[i]
-            if idx is None:
-                out.append(str(reading.value))
-            else:
-                out.append(by_index[idx].symbol)
-            i = reading.last + 1
+    t = 0
+    while t < len(tokens):
+        if tokens[t].kind != "NUM":
+            out.append(tokens[t].text)
+            t += 1
+            continue
+        # a bound number comes last, after the literal constant
+        reading, n = next((o for o in options[t] if o[1] is None or o[1].index not in used), options[t][0])
+        if reading.first < t:
+            out.pop()  # the unary minus the reading absorbs
+        if n is None:
+            out.append(str(reading.value))
         else:
-            out.append(tokens[i].text)
-            i += 1
+            out.append(n.symbol)
+            used.add(n.index)
+        t = reading.last + 1
     return EquationTemplate(tuple(out))
 
 
@@ -338,16 +317,6 @@ def join_tokens(tokens: Sequence[Token]) -> str:
             parts.append(" ")
         parts.append(tok.text)
     return "".join(parts)
-
-
-def substitute(template_tokens: Sequence[str] | EquationTemplate, mapping: NumberMapping) -> str:
-    """The template as concrete text, the inverse of align: the tokens that
-    ``equations.tokenize`` reads with the mapping's symbol table, joined by
-    ``join_tokens``. Raises as ``tokenize`` does: UnknownSymbolError for a
-    symbol the mapping does not define, ParseError for an unreadable token."""
-    if isinstance(template_tokens, EquationTemplate):
-        template_tokens = template_tokens.tokens
-    return join_tokens(equations.tokenize(" ".join(template_tokens), mapping.by_symbol))
 
 
 _WORD_RE = re.compile(r"[a-z]+|[0-9]+|[^\sa-z0-9]")

@@ -271,15 +271,17 @@ def run_mle(
     settings: TrainSettings,
     metrics: Optional[list[dict]] = None,
 ) -> list[dict]:
-    """Cross-entropy phase over the alignable training instances.
-
-    Logs one ``"train"`` record per epoch; the last epoch's record also
-    carries the answer accuracies of beam-decoding every one of
-    ``train_insts``. Raises ``DatasetError`` when no instance is alignable.
+    """Cross-entropy phase over the alignable training instances that fit
+    the model: a source, and a template after the begin sentinel, no longer
+    than ``max_positions``. Logs one ``"train"`` record per epoch, whose
+    ``"skipped"`` counts the instances left out; the last epoch's record
+    also carries the answer accuracies of beam-decoding every one of
+    ``train_insts``. Raises ``DatasetError`` when no instance is left.
     """
-    usable = [i for i in train_insts if corpus.encodable(vocab, i)]
+    usable = [i for i in train_insts if corpus.encodable(vocab, i)
+              and max(len(i.source), len(i.template.tokens) + 1) <= params.config.max_positions]
     if not usable:
-        raise DatasetError("no alignable training instances")
+        raise DatasetError("no alignable training instances that fit max_positions")
     metrics = metrics if metrics is not None else []
     opt = Adam(params, settings.lr)
     rng = np.random.default_rng(settings.seed)
@@ -297,6 +299,7 @@ def run_mle(
         record = _metric_record(epoch, "train")
         record["loss_l2r"] = tot_l / max(n_l, 1)
         record["loss_r2l"] = tot_r / max(n_r, 1)
+        record["skipped"] = len(train_insts) - len(usable)
         if epoch == settings.epochs - 1:
             report = corpus.evaluate(params, vocab, train_insts)
             record["answer_accuracy_l2r"] = report.accuracy_l2r

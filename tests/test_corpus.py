@@ -27,7 +27,7 @@ from eqgen.corpus import (
     target_token_list,
 )
 from eqgen.model import ModelConfig, init_params
-from eqgen.numbering import substitute
+from eqgen.numbering import join_tokens
 
 F = Fraction
 
@@ -55,6 +55,16 @@ class TestSynthGen:
         assert hashlib.sha256(records.encode()).hexdigest() == (
             "fcb636aa39a0b0499e7c396051a6c14736818ef5f7668527a894be67da12b04c")
 
+    def test_benchmark_inputs_are_unchanged(self):
+        # every benchmark workload trains or decodes on synth_gen's problems as
+        # prepare_all reads them; a change to extraction or alignment shows here
+        pairs = []
+        for seed in range(10):
+            insts, _ = prepare_all(synth_gen(seed, 200))
+            pairs += [(i.source, list(i.template.tokens)) for i in insts]
+        assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == (
+            "f56d977536e444231a45edfcd738d45f0b64cae142d79099fe8bc795d3defd10")
+
     def test_unknown_template(self):
         with pytest.raises(TemplateError):
             synth_gen(0, 1, templates=["nope"])
@@ -69,7 +79,7 @@ class TestSynthGen:
         for p in problems:
             inst = prepare(p)
             assert inst.alignable, p.text
-            concrete = substitute(inst.template, inst.mapping)
+            concrete = join_tokens(equations.tokenize(" ".join(inst.template.tokens), inst.mapping.by_symbol))
             sol = equations.solve(equations.parse(concrete))
             assert equations.check_answer(sol, p.answers), (p.text, concrete)
 
@@ -591,6 +601,32 @@ class TestCli:
         assert "excluding" not in out
         assert err == "excluding 1 unalignable instances from training\n"
         assert json.loads(out.splitlines()[-1])["split"] == "train"
+
+    def test_preprocess_reports_an_unalignable_long_gold(self, tmp_path, capsys):
+        # 29 literals match a text number or a constant and the last matches
+        # nothing, which a backtracking aligner takes exponential time to find
+        data = tmp_path / "data.jsonl"
+        text = " ".join(f"take {v}." for v in range(1, 13))
+        gold = "x=" + "+".join(map(str, [*range(1, 13), *range(1, 13), *range(1, 6), 999]))
+        save(data, [Problem("long", text, gold, [F(1188)])])
+        capsys.readouterr()
+        assert cli_main(["preprocess", "--in", str(data), "--out", str(tmp_path / "prep.jsonl")]) == 0
+        assert capsys.readouterr().out == "prepared 1 instances, 1 unalignable\n"
+
+    def test_train_leaves_out_problems_longer_than_max_positions(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        assert cli_main(["gen", "--n", "30", "--seed", "1", "--out", str(data)]) == 0
+        insts, _ = prepare_all(load(data))
+        too_long = sum(max(len(i.source), len(i.template.tokens) + 1) > 20 for i in insts)
+        assert 0 < too_long < len(insts) and max(len(i.source) for i in insts) > 20
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"embed_dim": 8, "model_dim": 16, "layers": 1, "heads": 2, "ff_dim": 16,
+                                   "max_positions": 20}))
+        capsys.readouterr()
+        assert cli_main(["train", "--data", str(data), "--config", str(cfg), "--epochs", "2",
+                         "--out", str(tmp_path / "m.npz")]) == 0
+        records = [json.loads(line) for line in (tmp_path / "m.npz.metrics.jsonl").read_text().splitlines()]
+        assert [(r["split"], r["skipped"]) for r in records] == [("train", too_long)] * 2
 
     def test_unknown_template_is_one_line_error(self, tmp_path, capsys):
         out = tmp_path / "gen.jsonl"

@@ -7,22 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqgen import equations
+from backtracking import reference_align
+from eqgen import equations, numbering
+from eqgen.equations import UnknownSymbolError
 from eqgen.numbering import (
     EquationTemplate,
     Kind,
     NumberMapping,
     UnalignableError,
-    UnknownSymbolError,
     WHITELIST,
     align,
     extract_numbers,
+    join_tokens,
     source_tokens,
-    substitute,
     variants,
 )
 
 F = Fraction
+
+
+def substituted(tokens, mapping):
+    """The template tokens as concrete text: what ``tokenize`` reads with the
+    mapping's symbol table, joined back by ``join_tokens``."""
+    return join_tokens(equations.tokenize(" ".join(tokens), mapping.by_symbol))
 
 
 class TestExtraction:
@@ -250,18 +257,18 @@ class TestSubstitute:
     def test_direct(self):
         mapping = NumberMapping(extract_numbers("2 by 3 is 7"))
         t = ["N_1", "*", "x", "+", "N_2", "=", "N_3"]
-        assert substitute(t, mapping) == "2*x+3=7"
+        assert substituted(t, mapping) == "2*x+3=7"
 
     def test_negative_parenthesized(self):
         mapping = NumberMapping(extract_numbers("from -15 to 70"))
-        assert substitute(["x", "+", "M_1", "=", "N_2"], mapping) == "x+(-15)=70"
+        assert substituted(["x", "+", "M_1", "=", "N_2"], mapping) == "x+(-15)=70"
         # parser round trip confirms the parenthesization rule
         sol = equations.solve(equations.parse("x+(-15)=70"))
         assert sol.solutions[0]["x"] == F(85)
 
     def test_fraction_parenthesized(self):
         mapping = NumberMapping(extract_numbers("eats 2/3 of 9"))
-        text = substitute(["x", "=", "N_2", "/", "F_1"], mapping)
+        text = substituted(["x", "=", "N_2", "/", "F_1"], mapping)
         assert text == "x=9/(2/3)"
         sol = equations.solve(equations.parse(text))
         assert sol.solutions[0]["x"] == F(27, 2)
@@ -269,17 +276,17 @@ class TestSubstitute:
     def test_unknown_symbol(self):
         mapping = NumberMapping(extract_numbers("2 and 3"))
         with pytest.raises(UnknownSymbolError):
-            substitute(["N_1", "+", "N_9", "=", "x"], mapping)
+            substituted(["N_1", "+", "N_9", "=", "x"], mapping)
 
     def test_template_object_accepted(self):
         mapping = NumberMapping(extract_numbers("only 4"))
         t = EquationTemplate(("x", "=", "N_1"))
-        assert substitute(t, mapping) == "x=4"
+        assert substituted(t.tokens, mapping) == "x=4"
 
     def test_operands_in_a_row_stay_apart(self):
         mapping = NumberMapping(extract_numbers("from -15 to 70 or 2/3"))
         template = ["x", "=", "N_2", "M_1", "x", "(", "F_3", ")", "(", "x", ")", "^", "2"]
-        assert substitute(template, mapping) == "x=70 (-15) x ((2/3)) (x)^2"
+        assert substituted(template, mapping) == "x=70 (-15) x ((2/3)) (x)^2"
 
 
 class TestRoundTrip:
@@ -295,7 +302,7 @@ class TestRoundTrip:
             nums = extract_numbers(text)
             mapping = NumberMapping(nums)
             template = align(nums, gold)
-            concrete = substitute(template, mapping)
+            concrete = substituted(template.tokens, mapping)
             sol = equations.solve(equations.parse(concrete))
             assert equations.check_answer(sol, answers), (text, concrete)
 
@@ -353,8 +360,9 @@ _numbers = st.builds(
 
 
 class TestAlignSubstituteProperty:
-    """``substitute(align(...))`` gives the gold answers for random surface
-    forms: mixed numbers, percents, thousands separators, signed numbers."""
+    """``align``'s template, substituted, gives the gold answers for random
+    surface forms: mixed numbers, percents, thousands separators, signed
+    numbers."""
 
     @settings(deadline=None, max_examples=300)
     @given(st.lists(_numbers, min_size=1, max_size=4, unique_by=lambda nv: nv[1]),
@@ -367,8 +375,70 @@ class TestAlignSubstituteProperty:
         answers = equations.solve(equations.parse(gold)).values()
         nums = extract_numbers(text)
         assert [n.value for n in nums] == [value for _, value in numbers]
-        concrete = substitute(align(nums, gold), NumberMapping(nums))
+        concrete = substituted(align(nums, gold).tokens, NumberMapping(nums))
         assert equations.check_answer(equations.solve(equations.parse(concrete)), answers), (text, gold, concrete)
+
+
+def _outcome(aligner, nums, gold):
+    try:
+        return aligner(nums, gold).tokens
+    except UnalignableError as e:
+        return str(e)
+
+
+def _gold_literal(value: F, plain_sign: bool, as_fraction: bool) -> str:
+    """The value as a gold literal: ``_literal``'s form, or ``a/b``; a
+    negative one either parenthesized or after a bare unary minus."""
+    mag = abs(value)
+    text = f"{mag.numerator}/{mag.denominator}" if as_fraction and mag.denominator != 1 else _literal(mag)
+    if value >= 0:
+        return text
+    return f"-{text}" if plain_sign else f"(-{text})"
+
+
+_text_numbers = st.one_of(
+    st.builds(_surface, st.sampled_from(["mixed", "percent", "spaced percent", "decimal", "integer"]),
+              st.integers(1, 30), st.integers(1, 9), st.integers(2, 6), st.booleans()).map(lambda nv: nv[0]),
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), st.integers(1, 12), st.integers(1, 12)),
+)
+
+
+class TestAlignAgainstBacktracking:
+    """The one-pass aligner gives the backtracking search's template, or
+    its error message, on random texts and golds (``tests/backtracking.py``)."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.lists(_text_numbers, max_size=6), st.data())
+    def test_same_template_or_error(self, surfaces, data):
+        text = "we have " + " and then ".join(f"{surface} items" for surface in surfaces)
+        nums = extract_numbers(text)
+        values = sorted({v for n in nums for v in variants(n)} | {F(2), F(7), F(100), F(999), F(-3, 4)})
+        literal = st.builds(_gold_literal, st.sampled_from(values), st.booleans(), st.booleans())
+        literals = data.draw(st.lists(literal, min_size=1, max_size=8))
+        ops = data.draw(st.lists(st.sampled_from(["+", "-", "*", "/", ")*(", "^2*"]),
+                                 min_size=len(literals) - 1, max_size=len(literals) - 1))
+        gold = "x=" + literals[0] + "".join(op + lit for op, lit in zip(ops, literals[1:]))
+        assert _outcome(align, nums, gold) == _outcome(reference_align, nums, gold), (text, gold)
+
+
+class TestAlignReadsEachLiteralOnce:
+    def test_unmatched_literal_after_many_matches(self, monkeypatch):
+        # every literal but the last matches a text number or a constant, so a
+        # search that backs out of choices tries 2^25 combinations (25 literals have two options)
+        nums = extract_numbers(" ".join(f"take {v}." for v in range(1, 13)))
+        literals = [*range(1, 13), *range(1, 13), *range(1, 6), 999]
+        readings, calls = numbering._readings, []
+
+        def counted(tokens, t):
+            calls.append(t)
+            if len(calls) > 4 * len(literals):
+                raise RuntimeError(f"_readings called {len(calls)} times for {len(literals)} literals")
+            return readings(tokens, t)
+
+        monkeypatch.setattr(numbering, "_readings", counted)
+        with pytest.raises(UnalignableError, match="no consistent literal-to-number assignment"):
+            align(nums, "x=" + "+".join(map(str, literals)))
+        assert len(calls) <= len(literals)
 
 
 class TestSourceTokens:
