@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import decoding, equations, numbering
-from .model import ModelParams, NUM_RESERVED, UNK_ID
+from .model import ModelConfig, ModelParams, NUM_RESERVED, UNK_ID
 from .numbering import (
     EquationTemplate,
     NumberMapping,
@@ -378,6 +378,11 @@ class Vocabulary:
         return len(self.tgt_tokens)
 
 
+def fits(config: ModelConfig, source: Sequence) -> bool:
+    """Whether the model can read ``source``: 1 to ``config.max_positions`` tokens."""
+    return 0 < len(source) <= config.max_positions
+
+
 def encodable(vocab: Vocabulary, inst: PreparedInstance) -> bool:
     """Training usability: a non-empty source, alignable, and every template
     token in-vocab."""
@@ -447,8 +452,7 @@ def evaluate_each(
     the model's ``max_positions``; the reports are a pure function of
     (params, instances, flags)."""
     reports = [EvalReport(1, 0, 0, 0)] * len(instances)
-    todo = [i for i, inst in enumerate(instances)
-            if inst.problem.answers and 0 < len(inst.source) <= params.config.max_positions]
+    todo = [i for i, inst in enumerate(instances) if inst.problem.answers and fits(params.config, inst.source)]
     for start in range(0, len(todo), DECODE_CHUNK_SIZE):
         chunk = todo[start : start + DECODE_CHUNK_SIZE]
         srcs = [vocab.encode_source(instances[i].source) for i in chunk]

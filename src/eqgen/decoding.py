@@ -52,7 +52,7 @@ from .model import (
     encode,
     pad_right,
 )
-from .numerics import Tensor, neg, no_grad
+from .numerics import Tensor, no_grad
 
 
 @dataclass(frozen=True)
@@ -248,5 +248,5 @@ def hypothesis_log_prob(
         memory = encode(params, src)
     seqs = pad_right([(_begin_id(direction), *h.tokens) for h in hyps])
     lengths = np.array([len(h.tokens) for h in hyps])
-    w = None if weights is None else np.asarray(weights)[:, None]
-    return neg(_teacher_forced_ce(params, direction, seqs, lengths, memory, src == PAD_ID, weights=w))
+    w = -1 if weights is None else -np.asarray(weights)[:, None]  # log p is minus the cross entropy
+    return _teacher_forced_ce(params, direction, seqs, lengths, memory, src == PAD_ID, weights=w)

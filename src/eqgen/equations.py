@@ -17,11 +17,12 @@ symbols such as N_1 / M_2 / F_3.
 Parsing evaluates as it reads: each equation becomes the polynomial
 lhs - rhs in x, y, z with exact rational coefficients, or None once it
 leaves the solver's fragment (division by zero or by an expression with
-variables, a negative power of zero or of a variable expression). An
-exponent must be an integer literal with |exp| <= 3, checked when the '^'
-is read. A literal is a number, or literals combined only by parentheses,
-unary minus or division by a non-zero literal: "x^(4/2)" is x^2, while
-"x^(1+1)", "x^y" and "x^(4/0)" are ill-formed.
+variables, a negative power of zero or of a variable expression, a power
+whose result would hold more than about 4096 bits). An exponent must be an
+integer literal with |exp| <= 3, checked when the '^' is read. A literal
+is a number, or literals combined only by parentheses, unary minus or
+division by a non-zero literal: "x^(4/2)" is x^2, while "x^(1+1)", "x^y"
+and "x^(4/0)" are ill-formed.
 
 Given a problem's symbol table, the tokenizer reads each number symbol as
 that number, so ``reward`` parses a template's tokens as they are, with no
@@ -48,6 +49,9 @@ VARIABLES = ("x", "y", "z")
 _SYMBOL_RE = re.compile(r"^[NMF]_\d+$")
 
 ANSWER_REL_TOL = 1e-4
+# a power leaves the fragment when its exponent times the bits of its base's
+# coefficients passes this, which stops nested powers tripling them per level
+_MAX_POWER_BITS = 4096
 
 
 def is_symbol(token: str) -> bool:
@@ -178,7 +182,8 @@ def _apply(op: str, a: _Poly | None, a_lit: bool, b: _Poly | None, b_lit: bool) 
             raise ParseError("exponent must be an integer literal")
         if e.denominator != 1 or abs(e) > 3:
             raise ParseError(f"exponent {e} outside the supported range |e| <= 3")
-        if a is None:
+        if a is None or abs(e) * sum(c.numerator.bit_length() + c.denominator.bit_length()
+                                     for c in a.values()) > _MAX_POWER_BITS:
             return None, False
         if e < 0:
             c = _as_const(a)  # None for a variable expression, and 0 has no inverse
@@ -387,9 +392,12 @@ def _solve_quadratic(p: _Poly, name: str) -> SolutionSet:
         r1 = (-b - root) / (2 * a)
         r2 = (-b + root) / (2 * a)
     else:
-        s = math.sqrt(float(disc))
-        r1 = (float(-b) - s) / float(2 * a)
-        r2 = (float(-b) + s) / float(2 * a)
+        try:
+            s = math.sqrt(float(disc))
+            r1 = (float(-b) - s) / float(2 * a)
+            r2 = (float(-b) + s) / float(2 * a)
+        except OverflowError:  # irrational roots of coefficients past the float range
+            return UNSUPPORTED
     lo, hi = sorted((r1, r2))
     return SolutionSet("solved", ({name: lo}, {name: hi}))
 
@@ -420,7 +428,11 @@ def solve(ast: EquationList) -> SolutionSet:
 
 
 def _close(a: NumberLike, b: NumberLike) -> bool:
-    return abs(float(a) - float(b)) <= ANSWER_REL_TOL * max(1.0, abs(float(b)))
+    try:  # in floats; exactly past the float range, where an infinite root is close to nothing
+        return abs(float(a) - float(b)) <= ANSWER_REL_TOL * max(1.0, abs(float(b)))
+    except OverflowError:
+        return a not in (math.inf, -math.inf) and (
+            abs(Fraction(a) - Fraction(b)) <= Fraction(ANSWER_REL_TOL) * max(1, abs(Fraction(b))))
 
 
 def check_answer(sol: SolutionSet, gold: list) -> bool:

@@ -55,6 +55,7 @@ import numpy as np
 from .numerics import (
     MASK_VALUE,
     Tensor,
+    add,
     attention,
     attention_plan,
     cross_entropy,
@@ -65,6 +66,7 @@ from .numerics import (
     linear,
     no_grad,
     residual_norm,
+    scale_shift,
     scatter_rows,
 )
 
@@ -284,14 +286,14 @@ def _grid(x: Tensor, real: Optional[np.ndarray]) -> Tensor:
     return x if real is None else scatter_rows(x, real)
 
 
-def _embed(params: ModelParams, table: Tensor, ids: np.ndarray, real, start: int = 0) -> tuple[Tensor, Tensor]:
-    """Embedded ids of the real positions, and their sinusoidal positions
-    counted from ``start``."""
+def _embed(params: ModelParams, table: Tensor, ids: np.ndarray, real, start: int = 0) -> tuple[Tensor, np.ndarray]:
+    """Embedded ids of the real positions, and the rows of their sinusoidal
+    positions counted from ``start``."""
     cfg = params.config
     pe = _pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)
     if real is None:
-        return embedding(table, ids), Tensor(pe[start : start + ids.shape[1]])
-    return embedding(table, ids[real]), Tensor(pe[start + np.nonzero(real)[1]])
+        return embedding(table, ids), pe[start : start + ids.shape[1]]
+    return embedding(table, ids[real]), pe[start + np.nonzero(real)[1]]
 
 
 def _project_kv(p: dict, prefix: str, x_kv: Tensor) -> tuple[Tensor, Tensor]:
@@ -347,8 +349,8 @@ def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tenso
     lengths = (~pad).sum(axis=1)
     plan = attention_plan(lengths, lengths)
     x, pos = _embed(params, params["src_embed"], src, real)
-    x = linear(x, params["src_proj.w"], params["src_proj.b"]) * math.sqrt(cfg.model_dim)
-    x = _maybe_dropout(x + pos, cfg, train, rng, real)
+    x = scale_shift(linear(x, params["src_proj.w"], params["src_proj.b"]), math.sqrt(cfg.model_dim), pos)
+    x = _maybe_dropout(x, cfg, train, rng, real)
     p = params.tensors
     for i in range(cfg.layers):
         k, v = _project_kv(p, f"enc.{i}.attn", x)
@@ -545,7 +547,7 @@ def decoder_forward(
         ids = tgt + np.repeat(offsets, rows // len(directions))[:, None]
     with no_grad() if cache is not None else contextlib.nullcontext():
         x, pos = _embed(params, p["embed"], ids, real, start)
-        x = _maybe_dropout(x * math.sqrt(cfg.model_dim) + pos, cfg, train, rng, real)
+        x = _maybe_dropout(scale_shift(x, math.sqrt(cfg.model_dim), pos), cfg, train, rng, real)
         for i in range(cfg.layers):
             layer = f"dec.{i}"
             k, v = _project_kv(p, f"{layer}.attn", x)
@@ -619,7 +621,7 @@ def _teacher_forced_ce(params, direction, seqs, lengths, memory, src_pad, train=
     nothing. ``weights`` scales each target's term as in ``cross_entropy``."""
     targets = np.where(np.arange(seqs.shape[1] - 1) < lengths[:, None], seqs[:, 1:], -1)
     logits = decoder_forward(params, direction, seqs[:, :-1], memory, src_pad, train, rng, lengths=lengths)
-    return cross_entropy(logits, targets, ignore_index=-1, weights=weights)
+    return cross_entropy(logits, targets, weights)
 
 
 def joint_loss(params: ModelParams, batch: Batch, train: bool = False, rng=None) -> LossParts:
@@ -630,7 +632,7 @@ def joint_loss(params: ModelParams, batch: Batch, train: bool = False, rng=None)
     n_l2r, n_r2l = ((tgt[:, 1:] != PAD_ID).sum(axis=1) for tgt in (batch.tgt_l2r, batch.tgt_r2l))
     ce_l2r = _teacher_forced_ce(params, L2R, batch.tgt_l2r, n_l2r, memory, src_pad, train, rng)
     ce_r2l = _teacher_forced_ce(params, R2L, batch.tgt_r2l, n_r2l, memory, src_pad, train, rng)
-    return LossParts(ce_l2r + ce_r2l, ce_l2r, ce_r2l, int(n_l2r.sum()), int(n_r2l.sum()))
+    return LossParts(add(ce_l2r, ce_r2l), ce_l2r, ce_r2l, int(n_l2r.sum()), int(n_r2l.sum()))
 
 
 # ---------------------------------------------------------------------------

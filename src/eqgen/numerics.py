@@ -14,15 +14,18 @@ be back-propagated once. Storage is row-major, float32 or float64.
 Any op that produces NaN/Inf raises immediately rather than letting it
 propagate through training.
 
-Each op costs a fixed Python overhead, so the Transformer's hot patterns
-are single fused ops with hand-written backward passes: ``linear`` is
-``x @ w + b``, ``ffn`` the feed-forward ``linear → relu → linear``,
-``residual_norm`` a post-norm block's residual sum and layer norm, and
-``attention`` the whole multi-head core (head split, scaled scores,
-additive mask, softmax, context product and head merge). Each op's
-backward keeps only the arrays it reads and no more: no residual sum, no
-pre-activation, no copy of the rows ``attention`` gathers, a boolean
-dropout mask, and no factor of a product whose gradient is not needed.
+Each op costs a fixed Python overhead, so the engine holds only the fused
+ops the model calls, each with a hand-written backward pass; tensors have
+no arithmetic operators. ``scale_shift`` scales embeddings and adds their
+positions, ``linear`` is ``x @ w + b``, ``ffn`` the feed-forward ``linear
+→ relu → linear``, ``residual_norm`` a post-norm block's residual sum and
+layer norm, ``attention`` the whole multi-head core (head split, scaled
+scores, additive mask, softmax, context product and head merge) and
+``cross_entropy`` a weighted sum of token losses. ``add`` of two tensors
+of one shape, which sums losses, is the only plain arithmetic op. Each
+op's backward keeps only the arrays it reads: no residual sum, no
+pre-activation, no copy of the rows ``attention`` gathers, and a boolean
+dropout mask.
 
 ``attention`` has two regimes, chosen by where the keys live. Key sets
 shared by runs of query rows are folded under those rows, so one product
@@ -131,32 +134,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; everything routes through the module-level ops
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-
-def _wrap(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
 
 def _result(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     if not np.isfinite(data).all():
@@ -171,19 +148,6 @@ def _node(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
         out.requires_grad = True
         out._node = _Node(tuple((p._node or p) if p.requires_grad else None for p in parents), backward)
     return out
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to the shape of a broadcast operand."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def _spent(g):
@@ -252,41 +216,22 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-    ash, bsh = a.shape, b.shape
-
-    def bw(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
-
-    return _result(data, (a, b), bw)
+    """The elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs operands of one shape, got {a.shape} + {b.shape}")
+    return _result(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    ash, bsh = a.shape, b.shape
-
-    def bw(g):
-        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
-
-    return _result(data, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-    ash, bsh = a.shape, b.shape
-    # each factor's gradient reads the other factor: keep a factor only if that gradient is needed
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
-
-    def bw(g):
-        return (None if bd is None else _unbroadcast(g * bd, ash),
-                None if ad is None else _unbroadcast(g * ad, bsh))
-
-    return _result(data, (a, b), bw)
+def scale_shift(x: Tensor, scale: float, shift: np.ndarray) -> Tensor:
+    """``x * scale + shift`` for a constant ``scale``, cast to ``x``'s dtype,
+    and a constant array ``shift`` that broadcasts to ``x``, such as the
+    position rows added to scaled embeddings."""
+    if np.ndim(shift) > x.ndim or any(n not in (1, m) for n, m in zip(np.shape(shift)[::-1], x.shape[::-1])):
+        raise ShapeError(f"scale_shift needs a shift that broadcasts to {x.shape}, got {np.shape(shift)}")
+    s = x.dtype.type(scale)
+    data = x.data * s
+    data += shift
+    return _result(data, (x,), lambda g: (g * s,))
 
 
 def _fits(x_shape: tuple, w: np.ndarray, b: Tensor) -> bool:
@@ -598,19 +543,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Optional[np.nda
     return _result(ctx[plan.q_pos].reshape(qd.shape), (q, k, v), bw_plan)
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    shape = a.shape
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy() if np.ndim(g) == 0 else np.full(shape, g),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
-
-    return _result(np.asarray(data), (a,), bw)
-
-
 def residual_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """The layer norm of the residual sum ``x + y`` of a post-norm block:
     each row of the sum is normalized to zero mean and unit variance over
@@ -719,14 +651,14 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, real: Optional[np.
     return _result(apply(x.data), (x,), lambda g: (apply(g),))
 
 
-def cross_entropy(logits: Tensor, targets, ignore_index: int = 0, weights=None) -> Tensor:
-    """Sum of per-token negative log-likelihoods over non-ignored positions.
+def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
+    """Sum of per-token negative log-likelihoods, with no mean taken.
 
     ``logits`` is (..., V); ``targets`` holds integer ids with the same
-    leading shape. Positions equal to ``ignore_index`` contribute nothing.
-    No mean is taken: the result is the plain sum. ``weights``, broadcast to
-    the targets' shape, scales each position's term in the sum and in the
-    gradient; without it every term counts once.
+    leading shape, and -1 at a position with no target, which counts for
+    nothing. ``weights``, broadcast to the targets' shape, scales each
+    position's term in the sum and in the gradient; without it every term
+    counts once.
     """
     ld = logits.data
     if ld.ndim < 2:
@@ -736,7 +668,7 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = 0, weights=None) 
     tgt = np.asarray(targets, dtype=np.int64).reshape(-1)
     if tgt.shape[0] != flat.shape[0]:
         raise ShapeError("cross_entropy targets do not match logits leading shape")
-    keep = tgt != ignore_index
+    keep = tgt != -1
     if np.any(keep & ((tgt < 0) | (tgt >= v))):
         raise IndexError(f"cross_entropy target id out of range [0, {v})")
     m = flat.max(axis=-1, keepdims=True)
@@ -748,12 +680,11 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = 0, weights=None) 
         scale = keep * np.broadcast_to(np.asarray(weights, dtype=ld.dtype), ld.shape[:-1]).reshape(-1)
     nll = (lse - flat[rows, idx]) * scale
     data = np.asarray(nll.sum(), dtype=ld.dtype)
-    shape = ld.shape
 
     def bw(g):
         p = np.exp(flat - lse[:, None])
         p[rows, idx] -= 1.0
         p *= scale[:, None]
-        return ((g * p).reshape(shape),)
+        return ((g * p).reshape(ld.shape),)
 
     return _result(data, (logits,), bw)

@@ -44,7 +44,7 @@ from .model import (
     make_batch,
 )
 from .numbering import NumberMapping
-from .numerics import NonFiniteError, Tensor, backward, neg
+from .numerics import NonFiniteError, Tensor, add, backward
 
 
 class TrainingDiverged(RuntimeError):
@@ -176,19 +176,15 @@ def sample_pool(
 
 
 def policy_loss(params: ModelParams, src: np.ndarray, pool: Sequence[RewardSample]) -> Tensor:
-    """``(1/N) * sum_n (r_n - r_b) * CE(sample_n)`` over the pool, from one
-    encoder pass and one teacher-forced decoder pass per direction."""
+    """The REINFORCE loss ``-(1/N) * sum_n (r_n - r_b) * log p(sample_n)`` over
+    the pool: one encoder pass, and per direction one teacher-forced pass of
+    log-probabilities weighted by ``(r_b - r_n) / N``; the two terms added."""
     r_b = baseline([s.reward for s in pool])
     memory = encode(params, src)
-    loss = None
-    for direction in DIRECTIONS:
-        picked = [s for s in pool if s.hypothesis.direction == direction]
-        if not picked:
-            continue
-        coeffs = [(s.reward - r_b) / len(pool) for s in picked]
-        lp = decoding.hypothesis_log_prob(params, src, [s.hypothesis for s in picked], memory, coeffs)
-        loss = neg(lp) if loss is None else loss - lp
-    return loss
+    groups = [[s for s in pool if s.hypothesis.direction == direction] for direction in DIRECTIONS]
+    terms = [decoding.hypothesis_log_prob(params, src, [s.hypothesis for s in group], memory,
+                                          [(r_b - s.reward) / len(pool) for s in group]) for group in groups if group]
+    return terms[0] if len(terms) == 1 else add(*terms)
 
 
 def reinforce_step(
@@ -278,8 +274,8 @@ def run_mle(
     also carries the answer accuracies of beam-decoding every one of
     ``train_insts``. Raises ``DatasetError`` when no instance is left.
     """
-    usable = [i for i in train_insts if corpus.encodable(vocab, i)
-              and max(len(i.source), len(i.template.tokens) + 1) <= params.config.max_positions]
+    usable = [i for i in train_insts if corpus.encodable(vocab, i) and corpus.fits(params.config, i.source)
+              and len(i.template.tokens) < params.config.max_positions]
     if not usable:
         raise DatasetError("no alignable training instances that fit max_positions")
     metrics = metrics if metrics is not None else []
@@ -324,7 +320,7 @@ def run_rl(
     are left out, and each record's ``"skipped"`` counts them. Raises
     ``DatasetError`` when no instance is left."""
     metrics = metrics if metrics is not None else []
-    usable = [i for i in train_insts if i.problem.answers and 0 < len(i.source) <= params.config.max_positions]
+    usable = [i for i in train_insts if i.problem.answers and corpus.fits(params.config, i.source)]
     if not usable:
         raise DatasetError("no instances with answers and a source to train on")
     skipped = len(train_insts) - len(usable)

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from eqgen.numerics import Tensor, backward
+from eqgen.numerics import Tensor, _result, backward
+
+
+def weighted_sum(x: Tensor, w) -> Tensor:
+    """The scalar ``sum(x * w)`` for a constant ``w`` that broadcasts to
+    ``x``, cast to ``x``'s dtype; its gradient is ``w``. The loss the
+    gradient checks build on an op's output."""
+    w = np.broadcast_to(np.asarray(w, dtype=x.dtype), x.shape)
+    return _result(np.asarray((x.data * w).sum()), (x,), lambda g: (g * w,))
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from eqgen.model import PAD_ID, _key_mask, _pe_table, _target_table, as_batch
-from eqgen.numerics import Tensor, attention, causal_mask, dropout, embedding, gather_rows, linear, scatter_rows
-from unfused import layer_norm, relu
+from eqgen.numerics import attention, causal_mask, dropout, embedding, gather_rows, linear, scatter_rows
+from unfused import relu, residual_norm, scale_shift
 
 
 def grid_attention(q, k, v, heads, mask=None, plan=None, core=attention):
@@ -58,7 +58,7 @@ def _attend(p, prefix, heads, x_q, x_kv, mask):
 
 
 def _sublayer(p, prefix_ln, cfg, x, out, train, rng):
-    return layer_norm(x + _dropout(out, cfg, train, rng), p[f"{prefix_ln}.g"], p[f"{prefix_ln}.b"])
+    return residual_norm(x, _dropout(out, cfg, train, rng), p[f"{prefix_ln}.g"], p[f"{prefix_ln}.b"])
 
 
 def _ffn(p, prefix, x):
@@ -69,8 +69,9 @@ def encode(params, src_ids, train=False, rng=None):
     cfg, p = params.config, params.tensors
     src = as_batch(src_ids)
     x = embedding(p["src_embed"], src)
-    x = linear(x, p["src_proj.w"], p["src_proj.b"]) * math.sqrt(cfg.model_dim)
-    x = _dropout(x + Tensor(_pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[: src.shape[1]]), cfg, train, rng)
+    pe = _pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[: src.shape[1]]
+    x = scale_shift(linear(x, p["src_proj.w"], p["src_proj.b"]), math.sqrt(cfg.model_dim), pe)
+    x = _dropout(x, cfg, train, rng)
     mask = _key_mask(src == PAD_ID)
     for i in range(cfg.layers):
         x = _sublayer(p, f"enc.{i}.ln1", cfg, x, _attend(p, f"enc.{i}.attn", cfg.heads, x, x, mask), train, rng)
@@ -86,8 +87,9 @@ def decoder_forward(params, direction, tgt_ids, memory, src_pad=None, train=Fals
     cfg, p = params.config, params.tensors
     tgt = as_batch(tgt_ids)
     t = tgt.shape[1]
-    x = embedding(_target_table(params, direction), tgt) * math.sqrt(cfg.model_dim)
-    x = _dropout(x + Tensor(_pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[:t]), cfg, train, rng)
+    pe = _pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)[:t]
+    x = scale_shift(embedding(_target_table(params, direction), tgt), math.sqrt(cfg.model_dim), pe)
+    x = _dropout(x, cfg, train, rng)
     mem_mask = _key_mask(src_pad) if src_pad is not None else None
     for i in range(cfg.layers):
         layer = f"dec_{direction}.{i}"

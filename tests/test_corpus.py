@@ -206,6 +206,64 @@ class TestVocabulary:
             training.run_mle(init_params(cfg, 0), vocab, [empty], training.TrainSettings(epochs=1))
 
 
+class TestFits:
+    """``corpus.fits`` says whether the model can read a source, and
+    ``run_mle``, ``run_rl`` and ``evaluate_each`` admit through it the
+    instances they admitted when each wrote its own bound."""
+
+    P = 12
+
+    def instances(self):
+        base = prepare(Problem("ok", "x is 5 and 7", "x = 5 + 7", [F(12)]))
+        source, template = base.source * self.P, base.template.tokens * self.P
+
+        def variant(name, **changes):
+            return replace(base, problem=replace(base.problem, id=name, **changes.pop("problem", {})), **changes)
+
+        insts = [base, variant("empty", source=[]), variant("long_source", source=source[: self.P + 1]),
+                 variant("full_source", source=source[: self.P]),
+                 variant("long_template", template=replace(base.template, tokens=template[: self.P])),
+                 variant("full_template", template=replace(base.template, tokens=template[: self.P - 1])),
+                 variant("unanswered", problem={"answers": []})]
+        vocab = Vocabulary.build(insts)
+        cfg = ModelConfig(vocab_src=vocab.src_size, vocab_tgt=vocab.tgt_size, embed_dim=8, model_dim=16, layers=1,
+                          heads=2, ff_dim=16, max_positions=self.P, dropout=0.0)
+        return insts, vocab, init_params(cfg, 0)
+
+    def test_bounds(self):
+        cfg = ModelConfig(vocab_src=8, vocab_tgt=8, max_positions=self.P)
+        assert [corpus.fits(cfg, ["a"] * n) for n in (0, 1, self.P, self.P + 1)] == [False, True, True, False]
+
+    def test_each_caller_admits_what_it_did(self, monkeypatch):
+        insts, vocab, params = self.instances()
+        admitted = {}
+        real_batches, real_decode = training._batches, decoding.decode_batch
+
+        def batches(usable, vocab, order):
+            admitted["mle"] = [i.problem.id for i in usable]
+            return real_batches(usable, vocab, order)
+
+        def decode_batch(params, srcs, *args):
+            admitted.setdefault("eval", []).extend(len(s) for s in srcs)
+            return real_decode(params, srcs, *args)
+
+        def reinforce_step(params, opt, vocab, inst, beam_size):
+            admitted.setdefault("rl", []).append(inst.problem.id)
+            return training.RlStepResult(0.0, 1, 0.0, False)
+
+        monkeypatch.setattr(training, "_batches", batches)
+        monkeypatch.setattr(training, "reinforce_step", reinforce_step)
+        training.run_mle(params, vocab, insts, training.TrainSettings(epochs=1))
+        training.run_rl(params, vocab, insts, training.TrainSettings(rl_epochs=1))
+        monkeypatch.setattr(decoding, "decode_batch", decode_batch)
+        corpus.evaluate_each(params, vocab, insts, beam_size=2, max_len=4)
+        # MLE reads the template too, and needs no answers; RL and eval decode, and reward against the answers
+        assert admitted["mle"] == ["ok", "full_source", "full_template", "unanswered"]
+        assert sorted(admitted["rl"]) == ["full_source", "full_template", "long_template", "ok"]
+        n = len(insts[0].source)
+        assert sorted(admitted["eval"]) == [n, n, n, self.P]
+
+
 class TestEvaluate:
     def test_pure_function(self):
         insts, _ = prepare_all(synth_gen(4, 6))
@@ -441,6 +499,13 @@ class TestCli:
         assert capsys.readouterr().out.startswith("substituted: x=5 7\n")
         assert cli_main(["solve", "--eq", "N_1*x+N_2=N_3", "--nums", "2,3,7"]) == 0
         assert capsys.readouterr().out == 'substituted: 2*x+3=7\n{"status": "solved", "solutions": [{"x": "2"}], "values": ["2"]}\n'
+
+    @pytest.mark.parametrize("eq", ["x^2=((((((99^3)^3)^3)^3)^3)^3)", "x=((((((((99^3)^3)^3)^3)^3)^3)^3)^3)"])
+    def test_solve_huge_power_prints_one_line(self, capsys, eq):
+        # the first used to overflow float(), the second Python's 4300-digit limit on printing an int
+        capsys.readouterr()
+        assert cli_main(["solve", "--eq", eq]) == 0
+        assert capsys.readouterr() == ('{"status": "unsupported"}\n', "")
 
     @pytest.mark.parametrize(
         "line, message",

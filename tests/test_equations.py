@@ -1,7 +1,10 @@
 import ast
+import math
 import random
 import sys
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from eqgen.equations import (
     solve,
     tokenize,
 )
+from eqgen.corpus import target_token_list
 from eqgen.numbering import WHITELIST_TOKENS, NumberMapping, extract_numbers
 
 F = Fraction
@@ -342,6 +346,78 @@ class TestReward:
         glued = F("".join(str(mapping.by_symbol.get(t, t)) for t in run))
         tokens = ["x", "=", *run] if data.draw(st.booleans()) else [*run, "=", "x"]
         assert reward(tokens, mapping, [glued]) == 0
+
+
+def _nested_power(levels):
+    """``x = ((N_1 ^ 3) ^ 3) ...`` with ``levels`` powers, 4 * levels + 3 tokens."""
+    return ["x", "=", *["("] * levels, "N_1", *["^", "3", ")"] * levels]
+
+
+_leaf_tokens = st.sampled_from(["x", "y", "N_1", "N_2", "M_1", "F_3", "0", "3", "100"]).map(lambda t: [t])
+_expr_tokens = st.recursive(_leaf_tokens, lambda inner: st.one_of(
+    st.builds(lambda a, op, b: ["(", *a, op, *b, ")"], inner, st.sampled_from("+-*/"), inner),
+    st.builds(lambda a, e: ["(", *a, "^", *e, ")"], inner, st.sampled_from([["2"], ["3"], ["-", "1"], ["-", "3"]])),
+    inner.map(lambda a: ["-", *a])), max_leaves=24)
+_program_tokens = st.one_of(
+    st.builds(lambda eqs: [t for i, (a, b) in enumerate(eqs) for t in ([";"] if i else []) + a + ["="] + b],
+              st.lists(st.tuples(_expr_tokens, _expr_tokens), min_size=1, max_size=2)),
+    st.builds(lambda lhs, e: [*lhs, "=", *e], st.sampled_from([["x"], ["x", "^", "2"]]),
+              _expr_tokens.filter(lambda e: not {"x", "y"} & set(e))))
+_values = st.one_of(st.fractions(), st.integers(-10**6, 10**6).map(F),
+                    st.sampled_from([F(99), F("1e400"), F("-1e400"), F("1e-400")]))
+
+
+class TestTotality:
+    """``reward`` and ``solve`` return on every input: a power past the
+    size bound leaves the fragment, and answers compare without a float
+    conversion that can overflow."""
+
+    MAPPING = NumberMapping(extract_numbers("99"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_reward_is_zero_or_one(self, data):
+        # random target-vocabulary sequences and well-formed programs with nested powers, up to 64 tokens
+        symbols = [t for t in target_token_list() if equations.is_symbol(t)]
+        tokens = data.draw(st.one_of(st.lists(st.sampled_from(target_token_list()), max_size=64),
+                                     _program_tokens.map(lambda t: t[:64])))
+        # the symbols of the programs' leaves are always defined, others sometimes
+        table = data.draw(st.dictionaries(st.sampled_from(symbols), _values, max_size=8))
+        table.update(data.draw(st.fixed_dictionaries({t: _values for t in ("N_1", "N_2", "M_1", "F_3")})))
+        gold = data.draw(st.lists(st.one_of(_values, st.floats(allow_nan=False, allow_infinity=False)), min_size=1,
+                                  max_size=3))
+        mapping = SimpleNamespace(by_symbol=table)
+        assert reward(tokens, mapping, gold) in (0, 1)
+
+    def test_nested_power_leaves_the_fragment(self):
+        # 99^729 has no float, and comparing it with the gold used to raise OverflowError
+        tokens = _nested_power(6)
+        assert reward(tokens, self.MAPPING, [F(1)]) == 0
+        assert solve(parse(" ".join(tokens), self.MAPPING.by_symbol)).status == "unsupported"
+
+    def test_power_within_the_bound_compares_exactly_past_the_float_range(self):
+        tokens = _nested_power(5)  # 99^243, about 1e485
+        assert reward(tokens, self.MAPPING, [F(99) ** 243 + 1]) == 1
+        assert reward(tokens, self.MAPPING, [F(99) ** 242]) == 0
+        assert reward(tokens, self.MAPPING, [F("1e400")]) == 0
+
+    def test_63_token_nested_power_is_fast(self):
+        tokens = _nested_power(15)
+        assert len(tokens) == 63
+        start = time.perf_counter()
+        assert reward(tokens, self.MAPPING, [F(1)]) == 0
+        assert time.perf_counter() - start < 0.1
+
+    def test_gold_past_the_float_range(self):
+        mapping = NumberMapping(extract_numbers("5"))
+        assert reward(["x", "=", "N_1"], mapping, [F("1e400")]) == 0
+        assert reward(["x", "^", "2", "=", "N_1"], mapping, [F("1e400"), F(2)]) == 0  # irrational float roots
+        assert not check_answer(SolutionSet("solved", ({"x": math.inf},)), [F("1e400")])
+
+    def test_quadratic_past_the_float_range_is_unsupported(self):
+        # irrational roots, but the discriminant 8e400 has no float
+        assert solve(parse("x^2=2" + "0" * 400)).status == "unsupported"
+        assert solve(parse("x^2=((((((99^3)^3)^3)^3)^3)^3)")).status == "unsupported"
 
 
 class TestSymbolTable:

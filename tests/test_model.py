@@ -166,8 +166,9 @@ class TestDecoderForward:
         from eqgen.numerics import cross_entropy
 
         targets = np.array([y[::-1] + [EOS_ID]])
-        ce_r = cross_entropy(out_r, targets, ignore_index=PAD_ID).item()
-        ce_l = cross_entropy(out_l, targets, ignore_index=PAD_ID).item()
+        targets = np.where(targets == PAD_ID, -1, targets)
+        ce_r = cross_entropy(out_r, targets).item()
+        ce_l = cross_entropy(out_l, targets).item()
         assert abs(ce_l - ce_r) < 1e-9
 
     def test_causal_masking(self):
@@ -486,9 +487,9 @@ def _loss_logits_grads(params, build):
 
 class TestFusedOpsMatchUnfusedGraph:
     """Whole passes through ``numerics.linear``, ``numerics.attention``,
-    ``numerics.ffn`` and ``numerics.residual_norm`` against the same passes
-    with all four ops rebuilt from small ops, the attention on the padded
-    grid."""
+    ``numerics.ffn``, ``numerics.residual_norm`` and ``numerics.scale_shift``
+    against the same passes with all five ops rebuilt from small ops, the
+    attention on the padded grid."""
 
     def compare(self, monkeypatch, params, build):
         fused = _loss_logits_grads(params, build)
@@ -497,6 +498,7 @@ class TestFusedOpsMatchUnfusedGraph:
             m.setattr(M, "attention", functools.partial(padded.grid_attention, core=unfused.attention))
             m.setattr(M, "ffn", functools.partial(unfused.ffn, linear=unfused.linear))
             m.setattr(M, "residual_norm", unfused.residual_norm)
+            m.setattr(M, "scale_shift", unfused.scale_shift)
             ref = _loss_logits_grads(params, build)
         assert abs(fused[0] - ref[0]) < 1e-12
         assert len(fused[1]) == len(ref[1]) > 0

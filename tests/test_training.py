@@ -27,7 +27,7 @@ from eqgen.model import (
     joint_loss,
     make_batch,
 )
-from eqgen.numerics import Tensor, backward, cross_entropy, neg
+from eqgen.numerics import Tensor, add, backward, cross_entropy
 from eqgen.training import (
     Adam,
     RewardSample,
@@ -214,8 +214,8 @@ class TestReinforceStep:
         r_b = baseline(rewards)
         loss = None
         for hyp, r in ((hyp_good, rewards[0]), (hyp_bad, rewards[1])):
-            term = decoding.hypothesis_log_prob(params, src, [hyp]) * (-(r - r_b) / 2)
-            loss = term if loss is None else loss + term
+            term = decoding.hypothesis_log_prob(params, src, [hyp], weights=[-(r - r_b) / 2])
+            loss = term if loss is None else add(loss, term)
         backward(loss)
         lp_good_0 = decoding.hypothesis_log_prob(params, src, [hyp_good]).item()
         lp_bad_0 = decoding.hypothesis_log_prob(params, src, [hyp_bad]).item()
@@ -253,9 +253,9 @@ def reference_policy_loss(params, src, pool):
         emitted = list(hyp.tokens)
         begin = BOS_ID if hyp.direction == L2R else BOSR_ID
         logits = decoder_forward(params, hyp.direction, np.array([[begin] + emitted[:-1]]), memory, src_pad)
-        lp = neg(cross_entropy(logits, np.array([emitted]), ignore_index=-1))
-        term = lp * (-(sample.reward - r_b) / len(pool))
-        loss = term if loss is None else loss + term
+        lp = cross_entropy(logits, np.array([emitted]), weights=-1.0)
+        term = unfused.mul(lp, Tensor(-(sample.reward - r_b) / len(pool)))
+        loss = term if loss is None else unfused.add(loss, term)
     return loss
 
 
@@ -642,10 +642,10 @@ class TestLockstepSearchInReinforce:
 
 
 class TestFusedOpsBitForBit:
-    """Training and decoding through ``numerics.ffn``, ``residual_norm`` and
-    the boolean-mask ``dropout`` against the graphs the model built before
-    (``tests/unfused.py``): the same parameters, losses and hypotheses, bit
-    for bit."""
+    """Training and decoding through ``numerics.ffn``, ``residual_norm``,
+    ``scale_shift`` and the boolean-mask ``dropout`` against the graphs the
+    model built before (``tests/unfused.py``): the same parameters, losses
+    and hypotheses, bit for bit."""
 
     def _run(self, monkeypatch, reference, dtype, share):
         """Losses, the dropout stream and parameters after 40 MLE steps, the
@@ -663,7 +663,7 @@ class TestFusedOpsBitForBit:
 
         with monkeypatch.context() as m:
             if reference:
-                for name in ("ffn", "residual_norm", "dropout"):
+                for name in ("ffn", "residual_norm", "scale_shift", "dropout"):
                     m.setattr(M, name, getattr(unfused, name))
             m.setattr(training, "sample_pool", mixed_pool)
             opt, rng = Adam(params, lr=1e-2), np.random.default_rng(4)

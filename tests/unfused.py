@@ -1,14 +1,15 @@
 """The unfused reference graphs of eqgen's fused ops.
 
 Primitive ops that eqgen no longer needs (``matmul``, ``softmax``,
-``reshape``, ``swapaxes``, ``relu`` and the plain ``layer_norm``) live
-here, and ``linear`` / ``attention`` are rebuilt from them op by op, each
-small op with its own backward pass. ``ffn`` and ``residual_norm`` are the
-graphs the model built before those two ops were fused, and ``dropout``
-keeps a float mask as the op did before: with the fused ``linear`` they
-give the fused ops' results bit for bit. The tests compare the fused ops,
-and whole model passes with the fused ops swapped out for these, against
-these graphs.
+``reshape``, ``swapaxes``, ``relu``, the plain ``layer_norm`` and the
+broadcasting ``add`` and ``mul``) live here, and ``linear`` /
+``attention`` are rebuilt from them op by op, each small op with its own
+backward pass. ``ffn``, ``residual_norm`` and ``scale_shift`` are the
+graphs the model built before those ops were fused, and ``dropout`` keeps
+a float mask as the op did before: with the fused ``linear`` they give the
+fused ops' results bit for bit. The tests compare the fused ops, and whole
+model passes with the fused ops swapped out for these, against these
+graphs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,46 @@ import math
 import numpy as np
 
 from eqgen import numerics
-from eqgen.numerics import ShapeError, Tensor, _result, add, mul
+from eqgen.numerics import ShapeError, Tensor, _result
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce a gradient back to the shape of a broadcast operand."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum under numpy broadcasting."""
+    data = a.data + b.data
+    ash, bsh = a.shape, b.shape
+
+    def bw(g):
+        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
+
+    return _result(data, (a, b), bw)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product under numpy broadcasting."""
+    data = a.data * b.data
+    ash, bsh = a.shape, b.shape
+    # each factor's gradient reads the other factor: keep a factor only if that gradient is needed
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+
+    def bw(g):
+        return (None if bd is None else _unbroadcast(g * bd, ash),
+                None if ad is None else _unbroadcast(g * ad, bsh))
+
+    return _result(data, (a, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -133,6 +173,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def residual_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return layer_norm(add(x, y), gain, bias)
+
+
+def scale_shift(x: Tensor, scale: float, shift: np.ndarray) -> Tensor:
+    """``add(mul(x, scale), shift)`` with the scale cast to ``x``'s dtype:
+    the graph the model built to scale embeddings and add positions."""
+    return add(mul(x, Tensor(np.asarray(scale, dtype=x.dtype))), Tensor(shift))
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, linear=numerics.linear) -> Tensor:
