@@ -179,14 +179,13 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     symbols = None
     if args.nums:
-        values = []
+        texts = []
         for v in args.nums.split(","):
             try:
-                values.append(Fraction(v.strip()))
+                texts.append(equations.format_value(Fraction(v.strip())).strip("()"))
             except (ValueError, ZeroDivisionError):
-                return _error(f"--nums: {v.strip()!r} is not a number")
-        fake_text = " ".join(equations.format_value(v).strip("()") for v in values)
-        symbols = NumberMapping(numbering.extract_numbers(fake_text)).by_symbol
+                return _error(f"--nums: {v.strip()!r} is not a number, or has too many digits")
+        symbols = NumberMapping(numbering.extract_numbers(" ".join(texts))).by_symbol
     try:
         tokens = equations.tokenize(args.eq, symbols)
         if symbols is not None:
@@ -200,8 +199,11 @@ def cmd_solve(args) -> int:
     sol = equations.solve(parsed)
     out = {"status": sol.status}
     if sol.status == "solved":
-        out["solutions"] = [{k: str(v) for k, v in s.items()} for s in sol.solutions]
-        out["values"] = [str(v) for v in sol.values()]
+        try:
+            out["solutions"] = [{k: str(v) for k, v in s.items()} for s in sol.solutions]
+            out["values"] = [str(v) for v in sol.values()]
+        except ValueError:  # a value past Python's limit on the digits of an int written as text
+            out = {"status": "unsupported"}
     print(json.dumps(out))
     return 0
 

@@ -77,7 +77,12 @@ class PreparedInstance:
 
 
 def prepare(problem: Problem) -> PreparedInstance:
-    numbers = extract_numbers(problem.text)
+    try:  # preprocess and the reward write each number as text; Python writes ints of at most 4300 digits
+        numbers = extract_numbers(problem.text)
+        for n in numbers:
+            str(n.value)
+    except ValueError:
+        raise DatasetError(f"problem {problem.id}: a number in its text has too many digits") from None
     mapping = NumberMapping(numbers)
     source = source_tokens(problem.text, numbers)
     template: Optional[EquationTemplate] = None
@@ -292,6 +297,7 @@ def load(path) -> list[Problem]:
                     raise DatasetError(f"line {lineno}: field {key!r} must be a {kind.__name__}")
             try:
                 answers = [Fraction(str(a)) for a in rec["answers"]]
+                list(map(str, answers))  # preprocess writes them back: "1e5000" reads, but has too many digits
             except (ValueError, ZeroDivisionError) as e:
                 raise DatasetError(f"line {lineno}: bad answer value ({e})") from e
             problems.append(Problem(id=str(rec["id"]), text=rec["text"], equations=rec["equations"], answers=answers))

@@ -111,7 +111,10 @@ def tokenize(text: str, symbols: Mapping[str, Fraction] | None = None) -> list[T
         kind = m.lastgroup
         s = m.group(kind)
         if kind == "NUM":
-            tokens.append(Token(kind, s, Fraction(s)))
+            try:
+                tokens.append(Token(kind, s, Fraction(s)))
+            except ValueError:  # past Python's limit on the digits of an int read from text
+                raise ParseError(f"number {s[:8]}... of {len(s)} characters has too many digits") from None
         elif kind == "IDENT" and symbols is not None and is_symbol(s):
             value = symbols.get(s)
             if value is None:

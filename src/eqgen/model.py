@@ -607,11 +607,15 @@ def make_batch(src_seqs: list[list[int]], tgt_seqs: list[list[int]]) -> Batch:
 
 @dataclass
 class LossParts:
+    """``joint_loss``'s sum, its terms and token counts (None and 0 for a
+    direction left out) and the encoder memory the decoders read."""
+
     total: Tensor
-    l2r: Tensor
-    r2l: Tensor
+    l2r: Optional[Tensor]
+    r2l: Optional[Tensor]
     tokens_l2r: int
     tokens_r2l: int
+    memory: Optional[Tensor] = None
 
 
 def _teacher_forced_ce(params, direction, seqs, lengths, memory, src_pad, train=False, rng=None, weights=None):
@@ -624,15 +628,23 @@ def _teacher_forced_ce(params, direction, seqs, lengths, memory, src_pad, train=
     return cross_entropy(logits, targets, weights)
 
 
-def joint_loss(params: ModelParams, batch: Batch, train: bool = False, rng=None) -> LossParts:
-    """Summed token negative log-likelihood of both decoders; the total is
-    exactly the sum of the two per-direction terms."""
-    memory = encode(params, batch.src, train, rng)
+def joint_loss(params: ModelParams, batch: Batch, train: bool = False, rng=None, directions=DIRECTIONS,
+               memory: Optional[Tensor] = None) -> LossParts:
+    """Summed token negative log-likelihood of the decoders in ``directions``,
+    L2R first, over the encoder ``memory`` of ``batch.src``, computed here
+    unless given; the total is exactly the sum of the per-direction terms."""
+    if not directions or not set(directions) <= set(DIRECTIONS):
+        raise ConfigError(f"directions must be some of {DIRECTIONS}, got {directions!r}")
+    memory = encode(params, batch.src, train, rng) if memory is None else memory
     src_pad = batch.src == PAD_ID
-    n_l2r, n_r2l = ((tgt[:, 1:] != PAD_ID).sum(axis=1) for tgt in (batch.tgt_l2r, batch.tgt_r2l))
-    ce_l2r = _teacher_forced_ce(params, L2R, batch.tgt_l2r, n_l2r, memory, src_pad, train, rng)
-    ce_r2l = _teacher_forced_ce(params, R2L, batch.tgt_r2l, n_r2l, memory, src_pad, train, rng)
-    return LossParts(add(ce_l2r, ce_r2l), ce_l2r, ce_r2l, int(n_l2r.sum()), int(n_r2l.sum()))
+    terms, tokens = {}, dict.fromkeys(DIRECTIONS, 0)
+    for direction, tgt in zip(DIRECTIONS, (batch.tgt_l2r, batch.tgt_r2l)):
+        if direction in directions:
+            n = (tgt[:, 1:] != PAD_ID).sum(axis=1)
+            terms[direction] = _teacher_forced_ce(params, direction, tgt, n, memory, src_pad, train, rng)
+            tokens[direction] = int(n.sum())
+    total = add(*terms.values()) if len(terms) == 2 else terms[directions[0]]
+    return LossParts(total, terms.get(L2R), terms.get(R2L), tokens[L2R], tokens[R2L], memory)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ backward closure that reads it holds it, so outputs that no backward reads
 are freed as soon as the forward pass moves on. ``backward`` consumes the
 graph as it goes: each closure and its links to its parents are dropped
 once it has run, so activations are freed during the pass and a graph can
-be back-propagated once. Storage is row-major, float32 or float64.
+be back-propagated once, or in parts: a pass can stop at a tensor and
+return its gradient, and a later pass start from there with that seed.
+Storage is row-major, float32 or float64.
 Any op that produces NaN/Inf raises immediately rather than letting it
 propagate through training.
 
@@ -155,9 +157,14 @@ def _spent(g):
     raise RuntimeError("backward through a graph that was already back-propagated")
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, grad: Optional[np.ndarray] = None, stop: Optional[Tensor] = None) -> Optional[np.ndarray]:
     """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf that
     requires grad; interior tensors keep ``grad = None``.
+
+    ``grad`` seeds the pass with d(out)/d(loss), in ``loss``'s shape, for
+    a scalar ``out``; without it ``loss`` is ``out``. The pass does not
+    enter ``stop``, whose graph stays unspent: the gradient that reaches it
+    is returned (None if none does), not stored.
 
     The graph's nodes are walked in reverse topological order; construction
     order is already a topological order, the DFS below recovers it without
@@ -166,11 +173,12 @@ def backward(loss: Tensor) -> None:
     a second ``backward`` that reaches any of its nodes raises
     ``RuntimeError`` before any gradient is written.
     """
-    if loss.data.size != 1:
-        raise ValueError("backward expects a scalar loss")
+    if (loss.data.size != 1) if grad is None else (np.shape(grad) != loss.shape):
+        raise ValueError(f"backward needs a scalar loss or a seed gradient of its shape {loss.shape}")
     root = loss._node or loss
+    below = None if stop is None else stop._node or stop
     topo: list = []  # nodes, and the leaf tensors among their parents
-    seen: set[int] = set()
+    seen: set[int] = set() if below is None else {id(below)}
     stack: list = [(root, 0)]
     while stack:
         node, i = stack.pop()
@@ -191,7 +199,7 @@ def backward(loss: Tensor) -> None:
         else:
             topo.append(node)
 
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data) if grad is None else grad}
     while topo:
         node = topo.pop()
         g = grads.pop(id(node), None)
@@ -208,6 +216,7 @@ def backward(loss: Tensor) -> None:
                 continue
             key = id(parent)
             grads[key] = pg if key not in grads else grads[key] + pg
+    return grads.get(id(below))
 
 
 # ---------------------------------------------------------------------------

@@ -120,15 +120,22 @@ MLE_BATCH_SIZE = 16
 
 
 def mle_step(params: ModelParams, opt: Adam, batch: Batch, rng=None) -> LossParts:
-    """One optimizer update on the joint loss; returns the pre-update loss."""
+    """One optimizer update on the joint loss; returns the pre-update loss.
+    Each decoder in turn runs (dropout draws encoder, L2R, R2L) and is
+    back-propagated down to the encoder memory, so one decoder's activations
+    are held at a time; then the encoder, from the summed memory gradients."""
     params.zero_grad()
     try:
-        parts = joint_loss(params, batch, train=True, rng=rng)
+        l2r = joint_loss(params, batch, True, rng, DIRECTIONS[:1])
+        memory = l2r.memory
+        grad = backward(l2r.total, stop=memory)
+        r2l = joint_loss(params, batch, True, rng, DIRECTIONS[1:], memory)
     except NonFiniteError as e:
         raise TrainingDiverged(f"non-finite loss at optimizer step {opt.steps + 1}: {e}") from e
-    backward(parts.total)
+    backward(memory, grad + backward(r2l.total, stop=memory))
     opt.step()
-    return parts
+    return LossParts(Tensor.from_checked(l2r.total.data + r2l.total.data), l2r.total, r2l.total,
+                     l2r.tokens_l2r, r2l.tokens_r2l)
 
 
 # ---------------------------------------------------------------------------

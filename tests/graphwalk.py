@@ -33,11 +33,12 @@ def closure(e):
     return e.backward if type(e) is _Node else None
 
 
-def walk(t: Tensor) -> list:
-    """The entries reachable from ``t``, each once, every one after its
-    parents: a node's closure is run before those of its parents by walking
-    the list backwards. Iterative, so deep graphs are safe."""
-    order, seen, stack = [], set(), [(entry(t), 0)]
+def walk(t: Tensor, stop: Tensor | None = None) -> list:
+    """The entries reachable from ``t`` without entering ``stop``, each
+    once, every one after its parents: a node's closure is run before those
+    of its parents by walking the list backwards. Iterative, so deep graphs
+    are safe."""
+    order, seen, stack = [], set() if stop is None else {id(entry(stop))}, [(entry(t), 0)]
     while stack:
         e, i = stack.pop()
         if i == 0:

@@ -500,9 +500,11 @@ class TestCli:
         assert cli_main(["solve", "--eq", "N_1*x+N_2=N_3", "--nums", "2,3,7"]) == 0
         assert capsys.readouterr().out == 'substituted: 2*x+3=7\n{"status": "solved", "solutions": [{"x": "2"}], "values": ["2"]}\n'
 
-    @pytest.mark.parametrize("eq", ["x^2=((((((99^3)^3)^3)^3)^3)^3)", "x=((((((((99^3)^3)^3)^3)^3)^3)^3)^3)"])
+    @pytest.mark.parametrize("eq", ["x^2=((((((99^3)^3)^3)^3)^3)^3)", "x=((((((((99^3)^3)^3)^3)^3)^3)^3)^3)",
+                                    pytest.param("x=" + "*".join(["99"] * 2300), id="x=99*...*99")])
     def test_solve_huge_power_prints_one_line(self, capsys, eq):
-        # the first used to overflow float(), the second Python's 4300-digit limit on printing an int
+        # the first used to overflow float(), the second and third (2300 factors, no power) Python's
+        # 4300-digit limit on printing an int
         capsys.readouterr()
         assert cli_main(["solve", "--eq", eq]) == 0
         assert capsys.readouterr() == ('{"status": "unsupported"}\n', "")
@@ -516,6 +518,7 @@ class TestCli:
             (b'{"id": 1, "text": "t", "equations": null, "answers": ["1"]}', "field 'equations' must be a str"),
             (b'{"id": 1, "text": ["t"], "equations": "x=1", "answers": ["1"]}', "field 'text' must be a str"),
             ('{"id": 1, "text": "caf\u00e9", "equations": "x=1", "answers": ["1"]}'.encode("latin-1"), "not UTF-8"),
+            (b'{"id": 1, "text": "t", "equations": "x=1", "answers": ["1e5000"]}', "bad answer value"),
         ],
     )
     def test_malformed_record_is_one_line_error(self, tmp_path, capsys, line, message):
@@ -527,8 +530,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"eqgen: error: line 2: {message}") and err.count("\n") == 1
 
+    def test_too_long_number_in_a_record_is_one_line_error(self, tmp_path, capsys):
+        # Python reads and writes ints of at most 4300 digits
+        _, ckpt = self.checkpoint(tmp_path)
+        data = tmp_path / "data.jsonl"
+        # each part of the mixed number reads, but their sum has too many digits to write
+        for rid, number in (("plain", "9" * 4400), ("mixed", f"{'9' * 3000} 1/{'7' * 3000}")):
+            record = {"id": rid, "text": f"Tom has {number} apples and 3 pears .", "equations": "x=3", "answers": ["3"]}
+            data.write_text(json.dumps(record) + "\n")
+            for argv in (["preprocess", "--in", str(data), "--out", str(tmp_path / "prep.jsonl")],
+                         ["train", "--data", str(data), "--out", str(tmp_path / "m.npz")],
+                         ["eval", "--data", str(data), "--ckpt", str(ckpt)],
+                         ["rl", "--data", str(data), "--ckpt", str(ckpt), "--out", str(tmp_path / "rl.npz")]):
+                capsys.readouterr()
+                assert cli_main(argv) == 2, argv
+                assert capsys.readouterr().err == f"eqgen: error: problem {rid}: a number in its text has too many digits\n"
+        assert not (tmp_path / "m.npz").exists() and not (tmp_path / "rl.npz").exists()
+        # a too-long literal in the gold equations leaves its record unalignable
+        record = {"id": 0, "text": "Tom has 5 apples .", "equations": "x=" + "9" * 4400, "answers": ["3"]}
+        data.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert cli_main(["preprocess", "--in", str(data), "--out", str(tmp_path / "prep.jsonl")]) == 0
+        assert capsys.readouterr() == ("prepared 1 instances, 1 unalignable\n", "")
+
+    def test_solve_too_long_literal_is_ill_formed(self, capsys):
+        capsys.readouterr()
+        assert cli_main(["solve", "--eq", "x=" + "9" * 4400]) == 1
+        assert capsys.readouterr() == ("ill-formed: number 99999999... of 4400 characters has too many digits\n", "")
+
     def test_solve_bad_number_is_one_line_error(self, capsys):
-        for nums in ("1/0", "abc", "2,,3"):
+        for nums in ("1/0", "abc", "2,,3", "1e5000"):
             capsys.readouterr()
             assert cli_main(["solve", "--eq", "N_1*x=N_2", "--nums", nums]) == 2
             err = capsys.readouterr().err

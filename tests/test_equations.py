@@ -332,7 +332,7 @@ class TestReward:
 
     def test_total_on_garbage(self):
         mapping = self.make_mapping("just 4 words")
-        for tokens in ([], ["("], ["x"], ["<unk>"], [";"], ["x", "=", "x"]):
+        for tokens in ([], ["("], ["x"], ["<unk>"], [";"], ["x", "=", "x"], ["x", "=", "9" * 4400]):
             assert reward(tokens, mapping, [F(1)]) in (0, 1)
 
     @settings(max_examples=200, deadline=None)

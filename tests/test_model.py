@@ -438,6 +438,37 @@ class TestJointLoss:
             g = params["enc.0.attn.wq"].grad
             assert g is not None and np.abs(g).max() > 0.0
 
+    @pytest.mark.parametrize("share", [True, False])
+    def test_one_direction_trains_that_decoder_only(self, share):
+        batch = self.batch()
+        for kept, left_out in ((L2R, R2L), (R2L, L2R)):
+            params = init_params(tiny_config(layers=2, share_target_embedding=share), 12)
+            both = joint_loss(params, batch)
+            parts = joint_loss(params, batch, directions=(kept,))
+            # the total is that direction's term of the two-direction loss, bit for bit
+            assert parts.total.item() == getattr(both, kept).item() and getattr(parts, left_out) is None
+            assert (parts.tokens_l2r, parts.tokens_r2l)[kept == R2L] == 7
+            assert (parts.tokens_l2r, parts.tokens_r2l)[left_out == R2L] == 0
+            backward(parts.total)
+            own = [name for name in param_specs(params.config) if left_out in name]
+            assert own and all(params[name].grad is None for name in own)
+            assert all(params[name.replace(left_out, kept)].grad is not None for name in own)
+            # Adam leaves the other decoder's own tensors at their values
+            before = {name: params[name].data.copy() for name in own}
+            training.Adam(params, lr=1e-2).step()
+            assert all(np.array_equal(params[name].data, data) for name, data in before.items())
+            assert params["enc.0.attn.wq"].grad is not None
+
+    def test_given_memory_and_bad_directions(self):
+        params = init_params(tiny_config(), 13)
+        batch = self.batch()
+        both = joint_loss(params, batch)
+        again = joint_loss(params, batch, directions=(R2L,), memory=both.memory)
+        assert again.memory is both.memory and again.total.item() == both.r2l.item()
+        for directions in ((), ("l2r", "up"), "l2r"):
+            with pytest.raises(ConfigError, match="directions"):
+                joint_loss(params, batch, directions=directions)
+
     def test_dropout_needs_rng(self):
         params = init_params(tiny_config(dropout=0.1), 9)
         with pytest.raises(ValueError):

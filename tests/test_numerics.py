@@ -739,6 +739,57 @@ class TestBackward:
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with pytest.raises(ValueError):
             backward(mul(x, x))
+        # a seed must have the loss's shape
+        for seed in (np.ones(3), np.ones((2, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="seed gradient"):
+                backward(mul(x, x), seed)
+        assert x.grad is None
+
+    def test_seed_gradient_equals_the_weighted_sum(self):
+        # backward(y, g) is backward(weighted_sum(y, g)) without the sum's own step, bit for bit
+        rng = np.random.default_rng(2)
+        arrays = (rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 4, 6)), rng.normal(size=(6, 6)),
+                  rng.normal(size=(6,)), rng.normal(size=(6,)))
+        g = rng.normal(size=(2, 3, 6))
+        grads = []
+        for seeded in (False, True):
+            q, kv, w, b, gain = (T(a, grad=True) for a in arrays)
+            y = ffn(residual_norm(q, linear(attention(q, kv, kv, 2), w, b), gain, T(np.zeros(6))), w, b, w, b)
+            assert (backward(y, g) if seeded else backward(weighted_sum(y, g))) is None
+            grads.append([t.grad for t in (q, kv, w, b, gain)])
+        for got, want in zip(*grads):
+            assert got is not None and np.array_equal(got, want)
+
+    def test_stop_returns_the_gradient_that_reaches_it(self):
+        # h feeds the loss along two paths, as an encoder memory feeds a decoder
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=s) for s in ((2, 3, 6), (6, 6), (6,), (6, 6), (6,))]
+
+        def graph():
+            x, w1, b1, w2, b2 = leaves = [T(a, grad=True) for a in arrays]
+            h = linear(x, w1, b1)
+            return leaves, h, lambda h: weighted_sum(add(ffn(h, w2, b2, w2, b2), linear(h, w2, b2)), 1.0)
+
+        leaves, h, head = graph()
+        backward(head(h))
+        full = [t.grad for t in leaves]
+        # what reaches h in the full pass is what a leaf in h's place receives
+        _, h, head = graph()
+        in_place = T(h.data, grad=True)
+        backward(head(in_place))
+
+        leaves, h, head = graph()
+        loss = head(h)
+        gh = backward(loss, stop=h)
+        assert np.array_equal(gh, in_place.grad)
+        assert [t.grad is None for t in leaves] == [True, True, True, False, False]
+        assert all(np.array_equal(t.grad, want) for t, want in zip(leaves[3:], full[3:]))
+        with pytest.raises(RuntimeError, match="already back-propagated"):
+            backward(loss)
+        # the graph below h is not spent: a pass seeded from h completes the full one
+        assert graphwalk.parents(graphwalk.entry(h)) != ()
+        assert backward(h, gh) is None
+        assert all(np.array_equal(t.grad, want) for t, want in zip(leaves, full))
 
     def test_grad_accumulates_on_reuse(self):
         x = Tensor(np.array([3.0]), requires_grad=True)

@@ -540,19 +540,22 @@ class TestConsumedGraph:
     def test_mle_step_frees_its_graph_by_refcount(self, monkeypatch):
         config, insts, vocab = small_setup(layers=2, dropout=0.1)
         params = init_params(config, 30)
-        closures, unread = [], []
+        closures, unread = [], {}
         outputs = graphwalk.record_outputs(monkeypatch)  # the arrays of every op output in the graph
         self._mix_rewards(monkeypatch)
         real = training.backward
 
-        def spy(loss):
-            # weakrefs to every closure of the step's graph, and to the op output arrays alive as backward
-            # starts although no closure holds them
+        def spy(loss, grad=None, stop=None):
+            # weakrefs to every closure of the step's graph, and to the op output arrays alive as a backward
+            # pass starts although no closure holds them, each once over the step's passes; the encoder
+            # memory that the passes stop at and then start from counts as held, since the second decoder
+            # reads it after the first pass
             entries = graphwalk.walk(loss)
             closures.extend(weakref.ref(graphwalk.closure(e)) for e in entries if graphwalk.closure(e) is not None)
             read = {id(graphwalk.owner(a)) for e in entries for a in graphwalk.closure_arrays(e)}
-            unread.extend(r for r in outputs if r() is not None and id(r()) not in read)
-            real(loss)
+            read |= {id(graphwalk.owner(t.data)) for t in (stop, None if grad is None else loss) if t is not None}
+            unread.update((id(r), r) for r in outputs if r() is not None and id(r()) not in read)
+            return real(loss, grad, stop)
 
         monkeypatch.setattr(training, "backward", spy)
         gc.collect()
@@ -561,7 +564,7 @@ class TestConsumedGraph:
             parts = mle_step(params, Adam(params, lr=1e-3), batch_of(vocab, insts), rng=np.random.default_rng(0))
             dead_closures = all(r() is None for r in closures)
             alive = [r() for r in outputs if r() is not None]
-            unread_alive = [r() for r in unread]
+            unread_alive = [r() for r in unread.values()]
             # a copy of the parameters that took an MLE and a REINFORCE step is freed by refcount on deletion
             copy = params.copy()
             copy_arrays = [weakref.ref(t.data) for _, t in copy.named()]
@@ -688,6 +691,62 @@ class TestFusedOpsBitForBit:
             assert np.array_equal(got[2][name], want[2][name]), name
 
 
+class TestDecodersOneAtATime:
+    """``mle_step`` back-propagates each decoder down to the encoder memory
+    before the other runs, then the encoder once; its steps equal those of
+    one backward of the joint loss."""
+
+    @staticmethod
+    def one_graph_step(params, opt, batch, rng):
+        params.zero_grad()
+        parts = joint_loss(params, batch, train=True, rng=rng)
+        backward(parts.total)
+        opt.step()
+        return parts
+
+    def _run(self, step, dtype, share, per_batch):
+        """Losses, token counts and parameters after 24 MLE steps with
+        dropout through ``step``, ``per_batch`` problems a batch."""
+        config, insts, vocab = small_setup(layers=2, dropout=0.1, dtype=dtype, share_target_embedding=share)
+        params = init_params(config, 34)
+        opt, rng = Adam(params, lr=1e-2), np.random.default_rng(6)
+        losses = []
+        for i in range(24):
+            start = i * per_batch % len(insts)
+            batch = batch_of(vocab, insts[start : start + per_batch])
+            # with padding each decoder reaches the memory through one gather of its rows
+            assert (batch.src == PAD_ID).any() == (per_batch > 1)
+            parts = step(params, opt, batch, rng)
+            losses.append((parts.total.item(), parts.l2r.item(), parts.r2l.item(), parts.tokens_l2r,
+                           parts.tokens_r2l))
+        return losses, {name: t.data for name, t in params.named()}
+
+    @pytest.mark.parametrize("dtype, share", [("float64", True), ("float32", False)])
+    def test_parameters_equal_the_one_graph_step(self, dtype, share):
+        got_losses, got = self._run(mle_step, dtype, share, 4)
+        want_losses, want = self._run(self.one_graph_step, dtype, share, 4)
+        assert got_losses == want_losses
+        for name, data in want.items():
+            assert data.dtype == np.dtype(dtype) and np.array_equal(got[name], data), name
+
+    def test_unpadded_sources_sum_the_memory_gradient_in_another_order(self):
+        # without padding each decoder's cross-attention projections read the memory directly, so its
+        # gradient is a sum over layers and directions, which the step adds in another order
+        got_losses, got = self._run(mle_step, "float64", True, 1)
+        want_losses, want = self._run(self.one_graph_step, "float64", True, 1)
+        assert np.allclose(got_losses, want_losses, rtol=1e-9, atol=0)
+        for name, data in want.items():
+            assert np.allclose(got[name], data, rtol=1e-9, atol=1e-9), name
+
+    def test_returns_losses_without_graph_or_memory(self):
+        config, insts, vocab = small_setup(layers=2, dropout=0.1)
+        params = init_params(config, 35)
+        batch = batch_of(vocab, insts)
+        parts = mle_step(params, Adam(params, lr=1e-3), batch, rng=np.random.default_rng(0))
+        assert parts.memory is None and parts.total.item() == parts.l2r.item() + parts.r2l.item()
+        assert all(graphwalk.parents(graphwalk.entry(t)) == () for t in (parts.total, parts.l2r, parts.r2l))
+
+
 class TestRetainedMemory:
     # tracemalloc peak of the step below before the fused feed-forward and
     # residual-norm ops, the boolean dropout mask and the re-gathered
@@ -695,6 +754,8 @@ class TestRetainedMemory:
     PARENT_PEAK_MB = 29.73
     # ... and before op outputs that no backward reads were freed during the forward pass
     NODE_PARENT_PEAK_MB = 20.07
+    # ... and before each decoder was back-propagated to the encoder memory before the other ran
+    JOINT_PARENT_PEAK_MB = 14.85
 
     def test_desk_config_mle_step_peak(self):
         # the desk configuration, float64, dropout on, 16 padded problems
@@ -714,3 +775,4 @@ class TestRetainedMemory:
             tracemalloc.stop()
         assert peak <= 0.75 * self.PARENT_PEAK_MB, peak
         assert peak <= 0.85 * self.NODE_PARENT_PEAK_MB, peak
+        assert peak <= 0.85 * self.JOINT_PARENT_PEAK_MB, peak
