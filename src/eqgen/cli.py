@@ -91,7 +91,7 @@ def cmd_preprocess(args) -> int:
             rec["template"] = list(inst.template.tokens) if inst.alignable else None
             rec["numbers"] = [
                 {"surface": n.surface, "value": str(n.value), "symbol": n.symbol}
-                for n in inst.numbers
+                for n in inst.mapping.numbers
             ]
             fh.write(json.dumps(rec) + "\n")
     print(f"prepared {len(instances)} instances, {unalignable} unalignable")
@@ -103,6 +103,8 @@ def cmd_train(args) -> int:
         return _error(f"--epochs must be at least 1, got {args.epochs}")
     if _bad_lr(args.lr):
         return _error(f"--lr must be a finite number above 0, got {args.lr}")
+    if args.seed < 0:
+        return _error(f"--seed must be at least 0, got {args.seed}")
     instances, unalignable = corpus.prepare_all(corpus.load(args.data))
     usable = [i for i in instances if i.alignable]
     if unalignable:
@@ -139,6 +141,8 @@ def cmd_rl(args) -> int:
         return _error(f"--beam must be at least 1, got {args.beam}")
     if _bad_lr(args.lr):
         return _error(f"--lr must be a finite number above 0, got {args.lr}")
+    if args.seed < 0:
+        return _error(f"--seed must be at least 0, got {args.seed}")
     params, src_tokens, tgt_tokens = load_checkpoint(args.ckpt)
     vocab = Vocabulary(src_tokens, tgt_tokens)
     instances, _ = corpus.prepare_all(corpus.load(args.data))

@@ -34,7 +34,7 @@ MAX_SYMBOL_INDEX = 12
 RESERVED_TOKENS = ("<pad>", "<bos>", "<bos_r>", "<eos>", "<unk>")
 
 TARGET_OPERATORS = ("+", "-", "*", "/", "^", "(", ")", "=", ";")
-TARGET_VARIABLES = ("x", "y", "z")
+TARGET_VARIABLES = equations.VARIABLES
 
 
 class DatasetError(ValueError):
@@ -66,7 +66,6 @@ class PreparedInstance:
     """A problem after number extraction and (when possible) alignment."""
 
     problem: Problem
-    numbers: list
     mapping: NumberMapping
     source: list[str]
     template: Optional[EquationTemplate]
@@ -91,7 +90,7 @@ def prepare(problem: Problem) -> PreparedInstance:
             template = align(numbers, problem.equations)
         except UnalignableError:
             template = None
-    return PreparedInstance(problem, numbers, mapping, source, template)
+    return PreparedInstance(problem, mapping, source, template)
 
 
 def prepare_all(problems: Sequence[Problem]) -> tuple[list[PreparedInstance], int]:

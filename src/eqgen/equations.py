@@ -207,14 +207,6 @@ def _apply(op: str, a: _Poly | None, a_lit: bool, b: _Poly | None, b_lit: bool) 
     return (_pmul(a, b) if op == "*" else _padd(a, b if op == "+" else _pneg(b))), False
 
 
-@dataclass(frozen=True)
-class EquationList:
-    """Each equation as the polynomial lhs - rhs, or None where it leaves
-    the solver's fragment."""
-
-    equations: tuple[_Poly | None, ...]
-
-
 _ADD_PREC = 1
 _MUL_PREC = 2
 _UNARY_PREC = 3
@@ -280,12 +272,12 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}")
 
 
-def parse(source: str | Sequence[Token], symbols: Mapping[str, Fraction] | None = None) -> EquationList:
+def parse(source: str | Sequence[Token], symbols: Mapping[str, Fraction] | None = None) -> tuple[_Poly | None, ...]:
     """Parse a ';'-separated equation list from text, read by ``tokenize``
-    with ``symbols``, or from tokens already read, into one polynomial
-    lhs - rhs per equation (None outside the solver's fragment). Raises
-    ParseError when ill-formed, a bad exponent included, and
-    UnknownSymbolError as ``tokenize`` does."""
+    with ``symbols``, or from tokens already read, into the tuple of one
+    polynomial lhs - rhs per equation (None outside the solver's
+    fragment). Raises ParseError when ill-formed, a bad exponent included,
+    and UnknownSymbolError as ``tokenize`` does."""
     tokens = tokenize(source, symbols) if isinstance(source, str) else list(source)
     if not tokens:
         raise ParseError("empty input")
@@ -304,7 +296,7 @@ def parse(source: str | Sequence[Token], symbols: Mapping[str, Fraction] | None 
         if tok.kind != "SEMI":
             raise ParseError(f"unexpected token {tok.text!r} after equation")
         parser.pos += 1
-    return EquationList(tuple(polys))
+    return tuple(polys)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +397,10 @@ def _solve_quadratic(p: _Poly, name: str) -> SolutionSet:
     return SolutionSet("solved", ({name: lo}, {name: hi}))
 
 
-def solve(ast: EquationList) -> SolutionSet:
-    """Solve the parsed polynomials exactly where possible, ``UNSUPPORTED``
-    when any equation left the fragment; see the module docstring."""
-    polys = ast.equations
+def solve(polys: Sequence[_Poly | None]) -> SolutionSet:
+    """Solve the polynomials ``parse`` returns exactly where possible,
+    ``UNSUPPORTED`` when any equation left the fragment; see the module
+    docstring."""
     if any(p is None for p in polys):
         return UNSUPPORTED
     names = sorted(

@@ -1,12 +1,16 @@
 """Number extraction, symbol assignment, and text/equation alignment.
 
 Numbers found in problem text are replaced by placeholder symbols so the
-model never sees concrete values. Three kinds are distinguished, with one
-global index counter running over text positions:
+model never sees concrete values. A number's symbol takes its prefix from
+its value, with one global index counter running over text positions:
 
     M_i  negative numbers
     F_i  fractions strictly between 0 and 1
     N_i  everything else
+
+One regex match reads a whole number: a sign at a natural boundary, an
+integer, decimal, thousands-separated, fraction or mixed number, and a
+trailing percent sign.
 
 Alignment rewrites a concrete gold equation list into a template over these
 symbols. Because surface forms vary ("3 1/3" in text may appear as 3.33 or
@@ -19,7 +23,7 @@ covering derivation constants that never appear in the text.
 
 from __future__ import annotations
 
-import enum
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,21 +32,12 @@ from typing import Sequence
 from . import equations
 from .equations import ParseError, Token
 
-WHITELIST = frozenset(Fraction(c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100))
-WHITELIST_TOKENS = tuple(str(c) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100))
+WHITELIST_TOKENS = ("0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "100")
+WHITELIST = frozenset(map(Fraction, WHITELIST_TOKENS))
 
 
 class UnalignableError(Exception):
     """Some equation literal matches no text-number variant and is not whitelisted."""
-
-
-class Kind(enum.Enum):
-    NEGATIVE = "negative"
-    UNIT_FRACTION = "unit_fraction"
-    OTHER = "other"
-
-
-_KIND_PREFIX = {Kind.NEGATIVE: "M", Kind.UNIT_FRACTION: "F", Kind.OTHER: "N"}
 
 
 @dataclass(frozen=True)
@@ -51,34 +46,24 @@ class ExtractedNumber:
     end: int
     surface: str
     value: Fraction
-    kind: Kind
     index: int  # 1-based global position in text
-    mixed_whole: Fraction | None = None
-    mixed_frac: Fraction | None = None
-    percent_raw: Fraction | None = None
+    # what else the surface may stand for: a mixed number's whole and
+    # fraction (unsigned), the signed number before a percent sign
+    other_values: tuple[Fraction, ...] = ()
 
     @property
     def symbol(self) -> str:
-        return f"{_KIND_PREFIX[self.kind]}_{self.index}"
+        v = self.value
+        return f"{'M' if v < 0 else 'F' if 0 < v < 1 else 'N'}_{self.index}"
 
 
-def _kind_of(value: Fraction) -> Kind:
-    if value < 0:
-        return Kind.NEGATIVE
-    if 0 < value < 1:
-        return Kind.UNIT_FRACTION
-    return Kind.OTHER
-
-
+# a minus is a sign only at the start or after a natural boundary
 _NUMBER_RE = re.compile(
-    r"(?P<mixed>\d+ +\d+/\d+)"
-    r"|(?P<frac>\d+/\d+)"
-    r"|(?P<comma>\d{1,3}(?:,\d{3})+(?:\.\d+)?)"
-    r"|(?P<dec>\d*\.\d+)"
-    r"|(?P<int>\d+)"
+    r"(?P<sign>(?<![^ \t\n(\[{=,;:])-)?"
+    r"(?:(?:(?P<whole>\d+) +)?(?P<num>\d+)/(?P<den>\d+)"
+    r"|(?P<plain>\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d*\.\d+|\d+))"
+    r"(?P<percent> ?%)?"
 )
-
-_SIGN_BOUNDARY = " \t\n([{=,;:"
 
 
 def extract_numbers(text: str) -> list[ExtractedNumber]:
@@ -86,94 +71,43 @@ def extract_numbers(text: str) -> list[ExtractedNumber]:
 
     Recognizes integers, decimals, thousands separators, signed numbers,
     percents ("5%" -> 1/20), simple fractions ("1/3"), and mixed numbers
-    ("3 1/3" -> 10/3).
+    ("3 1/3" -> 10/3). A fraction over 0 is no number; a part with more
+    digits than Python converts raises ValueError.
     """
     out: list[ExtractedNumber] = []
     for m in _NUMBER_RE.finditer(text):
-        start, end = m.span()
-        surface = m.group(0)
-        mixed_whole = mixed_frac = percent_raw = None
-        try:
-            if m.group("mixed") is not None:
-                whole, frac = surface.split(None, 1)
-                num, den = frac.split("/")
-                mixed_whole = Fraction(whole)
-                mixed_frac = Fraction(int(num), int(den))
-                value = mixed_whole + mixed_frac
-            elif m.group("frac") is not None:
-                num, den = surface.split("/")
-                value = Fraction(int(num), int(den))
-            elif m.group("comma") is not None:
-                value = Fraction(surface.replace(",", ""))
-            elif m.group("dec") is not None:
-                value = Fraction(surface if surface[0] != "." else "0" + surface)
-            else:
-                value = Fraction(surface)
-        except ZeroDivisionError:
-            continue
-        # leading minus counts as a sign only at a natural boundary
-        if start > 0 and text[start - 1] == "-":
-            before = text[start - 2] if start >= 2 else " "
-            if before in _SIGN_BOUNDARY:
-                value = -value
-                start -= 1
-                surface = text[start:end]
-        # trailing percent sign, optionally separated by one space
-        rest = text[end : end + 2]
-        if rest[:1] == "%":
-            percent_raw = value
-            value = value / 100
-            end += 1
-            surface = text[start:end]
-        elif rest == " %":
-            percent_raw = value
-            value = value / 100
-            end += 2
-            surface = text[start:end]
-        out.append(
-            ExtractedNumber(
-                start=start,
-                end=end,
-                surface=surface,
-                value=value,
-                kind=_kind_of(value),
-                index=len(out) + 1,
-                mixed_whole=mixed_whole,
-                mixed_frac=mixed_frac,
-                percent_raw=percent_raw,
-            )
-        )
+        others: tuple[Fraction, ...] = ()
+        if m["den"] is None:
+            value = Fraction(m["plain"].replace(",", ""))
+        else:
+            whole = int(m["whole"] or 0)
+            try:
+                frac = Fraction(int(m["num"]), int(m["den"]))
+            except ZeroDivisionError:
+                continue
+            value = whole + frac
+            if m["whole"] is not None:
+                others = (Fraction(whole), frac)
+        if m["sign"]:
+            value = -value
+        if m["percent"]:
+            others += (value,)
+            value /= 100
+        out.append(ExtractedNumber(m.start(), m.end(), m[0], value, len(out) + 1, others))
     return out
 
 
-def _round_half_up(value: Fraction, places: int) -> Fraction:
-    scale = Fraction(10) ** places
-    scaled = value * scale
-    if scaled >= 0:
-        return Fraction((scaled.numerator * 2 + scaled.denominator) // (scaled.denominator * 2), 1) / scale
-    return -_round_half_up(-value, places)
-
-
-def _truncate(value: Fraction, places: int) -> Fraction:
-    scale = Fraction(10) ** places
-    scaled = value * scale
-    whole = abs(scaled.numerator) // scaled.denominator
-    return Fraction(whole if scaled >= 0 else -whole, 1) / scale
-
-
 def variants(n: ExtractedNumber) -> set[Fraction]:
-    """All values the same surface form may take in a gold equation."""
-    vals = {n.value}
-    if n.mixed_whole is not None:
-        vals.add(n.mixed_whole)
-        vals.add(n.mixed_frac)
-    if n.percent_raw is not None:
-        vals.add(n.percent_raw)
-    for v in list(vals):
-        if v.denominator != 1:
-            for places in range(1, 5):
-                vals.add(_truncate(v, places))
-                vals.add(_round_half_up(v, places))
+    """All values the same surface form may take in a gold equation: the
+    value, its other values, and each non-integer one truncated and
+    rounded half away from zero to 1-4 decimal places."""
+    vals = {n.value, *n.other_values}
+    half = Fraction(1, 2)
+    for v in [v for v in vals if v.denominator != 1]:
+        for scale in (10, 100, 1000, 10000):
+            s = v * scale
+            vals.add(Fraction(math.trunc(s), scale))
+            vals.add(Fraction(math.trunc(s + half if s > 0 else s - half), scale))
     return vals
 
 

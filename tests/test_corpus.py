@@ -47,7 +47,7 @@ class TestSynthGen:
         problems = synth_gen(seed, n)
         insts, unalignable = prepare_all(problems)
         assert len(problems) == n and unalignable == 0
-        assert max(len(i.numbers) for i in insts) == corpus.MAX_SYMBOL_INDEX
+        assert max(len(i.mapping.numbers) for i in insts) == corpus.MAX_SYMBOL_INDEX
 
     def test_records_are_unchanged(self):
         # seed 1 holds a text with 11 numbers, the most of any seed below 400 that never needed the cap
@@ -162,6 +162,16 @@ class TestVocabulary:
         assert "N_12" in tokens and "M_1" in tokens and "F_7" in tokens
         assert "N_13" not in tokens
         assert ";" in tokens and "100" in tokens and "x" in tokens
+
+    def test_target_token_list_is_pinned(self):
+        # checkpoints store the target vocabulary, so its order may not change
+        assert target_token_list() == [
+            "<pad>", "<bos>", "<bos_r>", "<eos>", "<unk>", "+", "-", "*", "/", "^", "(", ")", "=", ";",
+            "x", "y", "z", "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "100",
+            "N_1", "M_1", "F_1", "N_2", "M_2", "F_2", "N_3", "M_3", "F_3", "N_4", "M_4", "F_4",
+            "N_5", "M_5", "F_5", "N_6", "M_6", "F_6", "N_7", "M_7", "F_7", "N_8", "M_8", "F_8",
+            "N_9", "M_9", "F_9", "N_10", "M_10", "F_10", "N_11", "M_11", "F_11", "N_12", "M_12", "F_12",
+        ]
 
     def test_unknown_source_becomes_unk(self):
         insts, _ = prepare_all(synth_gen(2, 5))
@@ -624,6 +634,28 @@ class TestCli:
             capsys.readouterr()
             assert cli_main(argv) == 2, argv
             assert capsys.readouterr().err == f"eqgen: error: {message}\n", argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("gen", "--n", "-1", "--n must be at least 0, got -1"),
+        ("train", "--epochs", "0", "--epochs must be at least 1, got 0"),
+        ("train", "--lr", "0", "--lr must be a finite number above 0, got 0.0"),
+        ("train", "--seed", "-1", "--seed must be at least 0, got -1"),
+        ("rl", "--beam", "0", "--beam must be at least 1, got 0"),
+        ("rl", "--seed", "-1", "--seed must be at least 0, got -1"),
+        ("eval", "--beam", "0", "--beam must be at least 1, got 0"),
+        ("eval", "--folds", "-1", "--folds must be at least 0, got -1"),
+    ])
+    def test_bad_numeric_flag_is_one_line_error(self, tmp_path, capsys, command, flag, value, message):
+        # the checkpoint does not exist: every flag is checked before a file is read or written
+        data, ckpt, out = str(tmp_path / "data.jsonl"), str(tmp_path / "missing.npz"), str(tmp_path / "m.npz")
+        args = {"gen": ["--out", out], "train": ["--data", data, "--out", out],
+                "rl": ["--data", data, "--ckpt", ckpt, "--out", out], "eval": ["--data", data, "--ckpt", ckpt]}
+        save(data, synth_gen(3, 3))
+        capsys.readouterr()
+        assert cli_main([command, *args[command], flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"eqgen: error: {message}\n" and captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-1e-3"])

@@ -74,7 +74,7 @@ def value_of(text):
 
 class TestParse:
     def test_two_equations(self):
-        assert len(parse("2*x+3=7 ; x+y=10").equations) == 2
+        assert len(parse("2*x+3=7 ; x+y=10")) == 2
 
     def test_precedence_mul_before_add(self):
         assert value_of("2+3*4") == 14

@@ -12,7 +12,6 @@ from eqgen import equations, numbering
 from eqgen.equations import UnknownSymbolError
 from eqgen.numbering import (
     EquationTemplate,
-    Kind,
     NumberMapping,
     UnalignableError,
     WHITELIST,
@@ -35,31 +34,31 @@ def substituted(tokens, mapping):
 class TestExtraction:
     def test_two_integers(self):
         nums = extract_numbers("sum is 27 and difference is 3")
-        assert [(n.value, n.kind, n.index) for n in nums] == [
-            (F(27), Kind.OTHER, 1),
-            (F(3), Kind.OTHER, 2),
+        assert [(n.value, n.symbol) for n in nums] == [
+            (F(27), "N_1"),
+            (F(3), "N_2"),
         ]
 
     def test_negative_and_unit_fraction(self):
         nums = extract_numbers("goes through -15 and 0.25")
-        assert [(n.value, n.kind) for n in nums] == [
-            (F(-15), Kind.NEGATIVE),
-            (F(1, 4), Kind.UNIT_FRACTION),
+        assert [(n.value, n.symbol) for n in nums] == [
+            (F(-15), "M_1"),
+            (F(1, 4), "F_2"),
         ]
 
     def test_mixed_number_is_one_token(self):
         nums = extract_numbers("3 1/3 cups")
-        assert [(n.value, n.kind) for n in nums] == [(F(10, 3), Kind.OTHER)]
+        assert [(n.value, n.symbol) for n in nums] == [(F(10, 3), "N_1")]
 
     def test_simple_fraction(self):
         nums = extract_numbers("eats 1/3 of the cake")
         assert nums[0].value == F(1, 3)
-        assert nums[0].kind == Kind.UNIT_FRACTION
+        assert nums[0].symbol == "F_1"
 
     def test_percent(self):
         nums = extract_numbers("a 5% discount")
         assert nums[0].value == F(1, 20)
-        assert nums[0].kind == Kind.UNIT_FRACTION
+        assert nums[0].symbol == "F_1"
 
     def test_percent_with_space(self):
         nums = extract_numbers("what is 25 % of 80")
@@ -93,6 +92,64 @@ class TestExtraction:
 
     def test_no_numbers(self):
         assert extract_numbers("no digits here") == []
+
+
+# pinned: each number's (surface, value, symbol, sorted variants) on texts
+# where a sign, a percent sign, a separator or a zero denominator decides
+_TRICKY = [
+    ("-5", [("-5", "-5", "M_1", "-5")]),
+    ("a -5", [("-5", "-5", "M_1", "-5")]),
+    ("a\t-5", [("-5", "-5", "M_1", "-5")]),
+    ("a\n-5", [("-5", "-5", "M_1", "-5")]),
+    ("(-5", [("-5", "-5", "M_1", "-5")]),
+    ("[-5", [("-5", "-5", "M_1", "-5")]),
+    ("{-5", [("-5", "-5", "M_1", "-5")]),
+    ("=-5", [("-5", "-5", "M_1", "-5")]),
+    (",-5", [("-5", "-5", "M_1", "-5")]),
+    (";-5", [("-5", "-5", "M_1", "-5")]),
+    (":-5", [("-5", "-5", "M_1", "-5")]),
+    ("a-5", [("5", "5", "N_1", "5")]),
+    ("3-5", [("3", "3", "N_1", "3"), ("5", "5", "N_2", "5")]),
+    ("5%-3", [("5%", "1/20", "F_1", "0 1/20 1/10 5"), ("3", "3", "N_2", "3")]),
+    ("--5", [("5", "5", "N_1", "5")]),
+    ("5%", [("5%", "1/20", "F_1", "0 1/20 1/10 5")]),
+    ("5 %", [("5 %", "1/20", "F_1", "0 1/20 1/10 5")]),
+    ("5  %", [("5", "5", "N_1", "5")]),
+    ("-3 1/2 %", [("-3 1/2 %", "-7/200", "M_1", "-7/2 -1/25 -7/200 -3/100 0 1/2 3")]),
+    ("(-3 1/2%)", [("-3 1/2%", "-7/200", "M_1", "-7/2 -1/25 -7/200 -3/100 0 1/2 3")]),
+    ("1,234.56", [("1,234.56", "30864/25", "N_1", "2469/2 30864/25 6173/5")]),
+    ("-1,234.5", [("-1,234.5", "-2469/2", "M_1", "-2469/2")]),
+    (".5", [(".5", "1/2", "F_1", "1/2")]),
+    ("-.5", [("-.5", "-1/2", "M_1", "-1/2")]),
+    ("1.2.3", [("1.2", "6/5", "N_1", "6/5"), (".3", "3/10", "F_2", "3/10")]),
+    ("1/0", []),
+    ("3 1/0", []),
+    ("1/0-5", [("5", "5", "N_1", "5")]),
+    ("2/4 and 2/3%", [("2/4", "1/2", "F_1", "1/2"), ("2/3%", "1/150", "F_2", "0 3/500 33/5000 1/150 67/10000 "
+                                                     "7/1000 1/100 3/5 33/50 333/500 3333/5000 2/3 6667/10000 "
+                                                     "667/1000 67/100 7/10")]),
+]
+
+
+@pytest.mark.parametrize("text, expected", _TRICKY)
+def test_tricky_texts_keep_their_readings(text, expected):
+    got = [(n.surface, str(n.value), n.symbol, " ".join(map(str, sorted(variants(n))))) for n in extract_numbers(text)]
+    assert got == expected
+
+
+class TestExtractionProperty:
+    @settings(deadline=None, max_examples=500)
+    @given(st.text(alphabet="0123456789 -/.,%\t\n([{=;:a", max_size=40))
+    def test_spans_symbols_and_variants(self, text):
+        nums = extract_numbers(text)
+        assert [n.index for n in nums] == list(range(1, len(nums) + 1))
+        for prev, n in zip([None, *nums], nums):
+            assert text[n.start : n.end] == n.surface and n.start < n.end
+            assert prev is None or prev.end <= n.start
+            prefix = "M" if n.value < 0 else "F" if 0 < n.value < 1 else "N"
+            assert n.symbol == f"{prefix}_{n.index}"
+            assert {n.value, *n.other_values} <= variants(n)
+        assert [t for t in source_tokens(text, nums) if equations.is_symbol(t)] == [n.symbol for n in nums]
 
 
 class TestVariants:
