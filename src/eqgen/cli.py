@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import typing
 from fractions import Fraction
 
 # before the imports below load numpy, which reads these once
@@ -32,23 +31,14 @@ import numpy as np
 
 from . import corpus, equations, numbering, training
 from .corpus import DatasetError, TemplateError, Vocabulary
-from .model import ConfigError, ModelConfig, load_checkpoint, save_checkpoint
+from .model import ConfigError, ModelConfig, check_config_dict, load_checkpoint, save_checkpoint
 from .numbering import NumberMapping
 
 
 def _desk_config(vocab: Vocabulary, overrides: dict | None = None) -> ModelConfig:
     """``ModelConfig``'s defaults with the ``--config`` overrides; the
     vocabulary sizes always come from the data."""
-    overrides = overrides or {}
-    kinds = typing.get_type_hints(ModelConfig)
-    unknown = sorted(set(overrides) - set(kinds))
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    for key, value in overrides.items():
-        kind = kinds[key]
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-            raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {json.dumps(value)}")
+    overrides = check_config_dict(overrides or {})
     return ModelConfig(**{**overrides, "vocab_src": vocab.src_size, "vocab_tgt": vocab.tgt_size})
 
 
@@ -168,14 +158,11 @@ def cmd_eval(args) -> int:
     params, src_tokens, tgt_tokens = load_checkpoint(args.ckpt)
     vocab = Vocabulary(src_tokens, tgt_tokens)
     instances, unalignable = corpus.prepare_all(corpus.load(args.data))
-    report: dict = {"n": len(instances), "unalignable": unalignable, "folds": []}
-    # every instance is decoded once; each fold sums the reports of its instances
+    splits = corpus.folds(len(instances), args.folds, args.seed) if args.folds >= 2 else []
+    # every instance is decoded once; each fold reads its instances' rows
     each = corpus.evaluate_each(params, vocab, instances, args.beam)
-    if args.folds >= 2:
-        for fold_idx, fold in enumerate(corpus.folds(len(instances), args.folds, args.seed)):
-            r = sum((each[i] for i in fold), corpus.EvalReport(0, 0, 0, 0))
-            report["folds"].append({"fold": fold_idx, **r.as_dict()})
-    report["overall"] = sum(each, corpus.EvalReport(0, 0, 0, 0)).as_dict()
+    folds = [{"fold": k, **corpus.accuracies(each[fold])} for k, fold in enumerate(splits)]
+    report = {"n": len(instances), "unalignable": unalignable, "folds": folds, "overall": corpus.accuracies(each)}
     print(json.dumps(report, indent=2))
     return 0
 

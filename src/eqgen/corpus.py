@@ -7,6 +7,11 @@ sentences inject numbers that do not occur in the equations, so symbol
 indices shift and the model has to learn which numbers matter. The JSONL
 schema {id, text, equations, answers} accepts any real dataset dropped in
 the same format.
+
+Evaluation gives one row of 0/1 answer correctness per problem under
+``EVAL_COLUMNS`` (each direction's top and the vote); ``accuracies`` turns
+any rows, such as a fold's, into accuracies. ``hypothesis_reward`` scores
+evaluation's tops and REINFORCE's samples alike.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import decoding, equations, numbering
 from .model import ModelConfig, ModelParams, NUM_RESERVED, UNK_ID
@@ -372,7 +379,7 @@ class Vocabulary:
             raise DatasetError(f"target token {e.args[0]!r} outside the closed vocabulary") from e
 
     def decode_target(self, ids: Sequence[int]) -> list[str]:
-        return [self.tgt_tokens[i] if 0 <= i < len(self.tgt_tokens) else "<unk>" for i in ids]
+        return [self.tgt_tokens[i] for i in ids]
 
     @property
     def src_size(self) -> int:
@@ -401,41 +408,22 @@ def encodable(vocab: Vocabulary, inst: PreparedInstance) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EvalReport:
-    n: int
-    correct_l2r: int
-    correct_r2l: int
-    correct_vote: int
+EVAL_COLUMNS = ("l2r", "r2l", "vote")  # the columns of evaluate_each's rows
 
-    @property
-    def accuracy_l2r(self) -> float:
-        return self.correct_l2r / self.n if self.n else 0.0
 
-    @property
-    def accuracy_r2l(self) -> float:
-        return self.correct_r2l / self.n if self.n else 0.0
+def accuracies(correct: np.ndarray) -> dict:
+    """``n``, the number of rows of ``correct`` (any rows of
+    ``evaluate_each``'s array), and each column's share of correct rows as
+    ``answer_accuracy_<column>``; 0.0 when there are no rows."""
+    n = len(correct)
+    sums = correct.sum(axis=0).tolist()
+    return {"n": n, **{f"answer_accuracy_{name}": s / n if n else 0.0 for name, s in zip(EVAL_COLUMNS, sums)}}
 
-    @property
-    def accuracy_vote(self) -> float:
-        return self.correct_vote / self.n if self.n else 0.0
 
-    def __add__(self, other: "EvalReport") -> "EvalReport":
-        """Report over the union of two disjoint instance sets."""
-        return EvalReport(
-            self.n + other.n,
-            self.correct_l2r + other.correct_l2r,
-            self.correct_r2l + other.correct_r2l,
-            self.correct_vote + other.correct_vote,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "answer_accuracy_l2r": self.accuracy_l2r,
-            "answer_accuracy_r2l": self.accuracy_r2l,
-            "answer_accuracy_vote": self.accuracy_vote,
-        }
+def hypothesis_reward(vocab: Vocabulary, hyp: decoding.Hypothesis, inst: PreparedInstance) -> int:
+    """1 when the hypothesis's tokens, read with the instance's symbol table,
+    solve to its answers; else 0."""
+    return equations.reward(vocab.decode_target(decoding.canonical_tokens(hyp)), inst.mapping, inst.problem.answers)
 
 
 DECODE_CHUNK_SIZE = 16  # problems per batched beam search in evaluation
@@ -447,29 +435,25 @@ def evaluate_each(
     instances: Sequence[PreparedInstance],
     beam_size: int = 10,
     max_len: int = 64,
-) -> list[EvalReport]:
-    """A report of n = 1 for each instance, in order: decode both
-    directions, reward each direction's top hypothesis (its tokens read
-    with the instance's symbol table, solved and compared with the answers),
-    and give the vote the reward of the top it picks. Instances are decoded
-    ``DECODE_CHUNK_SIZE`` at a time. Instances that cannot be interpreted at
-    any step count as wrong, among them those whose source is longer than
-    the model's ``max_positions``; the reports are a pure function of
-    (params, instances, flags)."""
-    reports = [EvalReport(1, 0, 0, 0)] * len(instances)
+) -> np.ndarray:
+    """One row of 0/1 integers per instance, in order, under the columns
+    ``EVAL_COLUMNS``: decode both directions, reward each direction's top
+    hypothesis (``hypothesis_reward``), and give the vote the reward of the
+    top it picks. Instances are decoded ``DECODE_CHUNK_SIZE`` at a time.
+    Instances that cannot be interpreted at any step read 0, among them
+    those whose source is longer than the model's ``max_positions``; the
+    array is a pure function of (params, instances, flags)."""
+    correct = np.zeros((len(instances), len(EVAL_COLUMNS)), dtype=np.int64)
     todo = [i for i, inst in enumerate(instances) if inst.problem.answers and fits(params.config, inst.source)]
     for start in range(0, len(todo), DECODE_CHUNK_SIZE):
         chunk = todo[start : start + DECODE_CHUNK_SIZE]
         srcs = [vocab.encode_source(instances[i].source) for i in chunk]
         for i, (hyps_l, hyps_r) in zip(chunk, decoding.decode_batch(params, srcs, beam_size, max_len)):
-            inst = instances[i]
-            tops = [decoding.canonical_tokens(hyps[0]) for hyps in (hyps_l, hyps_r)]
-            correct = [equations.reward(vocab.decode_target(toks), inst.mapping, inst.problem.answers)
-                       for toks in tops]
+            l2r, r2l = (hypothesis_reward(vocab, hyps[0], instances[i]) for hyps in (hyps_l, hyps_r))
             # the vote returns one of the two tops; equal tops score the same
             voted = decoding.vote(hyps_l[0], hyps_r[0])
-            reports[i] = EvalReport(1, *correct, correct[tops.index(voted)])
-    return reports
+            correct[i] = l2r, r2l, l2r if voted == decoding.canonical_tokens(hyps_l[0]) else r2l
+    return correct
 
 
 def evaluate(
@@ -478,6 +462,6 @@ def evaluate(
     instances: Sequence[PreparedInstance],
     beam_size: int = 10,
     max_len: int = 64,
-) -> EvalReport:
-    """The sum of ``evaluate_each``'s reports: counts over all instances."""
-    return sum(evaluate_each(params, vocab, instances, beam_size, max_len), EvalReport(0, 0, 0, 0))
+) -> dict:
+    """The ``accuracies`` of ``evaluate_each``'s rows for all instances."""
+    return accuracies(evaluate_each(params, vocab, instances, beam_size, max_len))

@@ -47,8 +47,8 @@ import functools
 import json
 import math
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -114,6 +114,22 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
+
+
+def check_config_dict(values: dict) -> dict:
+    """``values`` (a config read from JSON) when every key names a
+    ``ModelConfig`` field and every value has its field's type, an int
+    passing for a float; otherwise ``ConfigError`` naming the key."""
+    kinds = get_type_hints(ModelConfig)
+    unknown = sorted(set(values) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    for key, value in values.items():
+        kind = kinds[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {json.dumps(value)}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +679,8 @@ def save_checkpoint(path, params: ModelParams, src_tokens: list[str], tgt_tokens
         "tgt_vocab": list(tgt_tokens),
     }
     arrays = {f"param:{name}": t.data for name, t in params.named()}
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    with open(path, "wb") as fh:  # np.savez would add ".npz" to a path without it
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, list[str], list[str]]:
@@ -687,10 +704,11 @@ def _read_checkpoint(fh) -> tuple[ModelParams, list[str], list[str]]:
         meta = json.loads(str(z["__meta__"]))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
-        unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        config = ModelConfig(**meta["config"])
+        config = ModelConfig(**check_config_dict(meta["config"]))
+        for side, size in (("src", config.vocab_src), ("tgt", config.vocab_tgt)):
+            tokens = meta[f"{side}_vocab"]
+            if len(tokens) != size:
+                raise ConfigError(f"{side}_vocab lists {len(tokens)} tokens, but the config's vocab_{side} is {size}")
         tensors: dict[str, Tensor] = {}
         for name, (shape, _) in param_specs(config).items():
             key = f"param:{name}"

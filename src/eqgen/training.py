@@ -2,12 +2,13 @@
 
 Phase one minimizes the summed cross entropy of both decoders with Adam
 over shuffled batches of ``MLE_BATCH_SIZE`` instances; after the last
-epoch it scores the training set at ``corpus.evaluate``'s default beam and
-length. Phase two continues from the trained policy on the instances that
-have answers: candidate sequences come from beam search in both directions
-(beam 6 by default), every returned hypothesis is one of the N samples,
-each gets a 0/1 answer reward, and the mean reward over the pool is the
-baseline. The policy-gradient loss is
+epoch its record carries ``corpus.evaluate``'s answer accuracies on the
+training set, at the default beam and length. Phase two continues from the
+trained policy on the instances that have answers: candidate sequences come
+from beam search in both directions (beam 6 by default), every returned
+hypothesis is one of the N samples, each gets the 0/1 answer reward that
+evaluation gives a top hypothesis (``corpus.hypothesis_reward``), and the
+mean reward over the pool is the baseline. The policy-gradient loss is
 
     (1/N) * sum_n (r_n - r_b) * CE(sample_n)
 
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import corpus, decoding, equations
+from . import corpus, decoding
 from .corpus import DatasetError, PreparedInstance, Vocabulary
 from .model import (
     DIRECTIONS,
@@ -43,7 +44,6 @@ from .model import (
     joint_loss,
     make_batch,
 )
-from .numbering import NumberMapping
 from .numerics import NonFiniteError, Tensor, add, backward
 
 
@@ -168,18 +168,13 @@ def sample_pool(
     params: ModelParams,
     vocab: Vocabulary,
     src: np.ndarray,
-    mapping: NumberMapping,
-    gold: list,
+    inst: PreparedInstance,
     beam_size: int,
     max_len: int,
 ) -> list[RewardSample]:
     """Beam search both directions and score every returned hypothesis."""
     hyps_l, hyps_r = decoding.decode_both(params, src, beam_size, max_len)
-    pool = []
-    for hyp in hyps_l + hyps_r:
-        tokens = vocab.decode_target(decoding.canonical_tokens(hyp))
-        pool.append(RewardSample(hyp, equations.reward(tokens, mapping, gold)))
-    return pool
+    return [RewardSample(hyp, corpus.hypothesis_reward(vocab, hyp, inst)) for hyp in hyps_l + hyps_r]
 
 
 def policy_loss(params: ModelParams, src: np.ndarray, pool: Sequence[RewardSample]) -> Tensor:
@@ -210,9 +205,8 @@ def reinforce_step(
     A pool whose rewards all equal the baseline has zero gradient: it is
     neither scored nor back-propagated, and the parameters stay as they are.
     """
-    gold = inst.problem.answers
     src = np.asarray(vocab.encode_source(inst.source), dtype=np.int64)
-    pool = sample_pool(params, vocab, src, inst.mapping, gold, beam_size, max_len)
+    pool = sample_pool(params, vocab, src, inst, beam_size, max_len)
     r_b = baseline([s.reward for s in pool])
     if all(s.reward == r_b for s in pool):
         return RlStepResult(r_b, len(pool), 0.0, updated=False)
@@ -304,10 +298,8 @@ def run_mle(
         record["loss_r2l"] = tot_r / max(n_r, 1)
         record["skipped"] = len(train_insts) - len(usable)
         if epoch == settings.epochs - 1:
-            report = corpus.evaluate(params, vocab, train_insts)
-            record["answer_accuracy_l2r"] = report.accuracy_l2r
-            record["answer_accuracy_r2l"] = report.accuracy_r2l
-            record["answer_accuracy_vote"] = report.accuracy_vote
+            accs = corpus.evaluate(params, vocab, train_insts)
+            record.update({key: value for key, value in accs.items() if key in record})
         _log(settings, metrics, record)
     return metrics
 

@@ -14,7 +14,6 @@ from eqgen import cli, corpus, decoding, equations, model, training
 from eqgen.cli import main as cli_main
 from eqgen.corpus import (
     DatasetError,
-    EvalReport,
     Problem,
     TemplateError,
     Vocabulary,
@@ -298,7 +297,7 @@ class TestEvaluate:
         )
         params = init_params(cfg, 1)
         report = corpus.evaluate(params, vocab, insts, beam_size=2, max_len=16)
-        assert report.accuracy_vote <= 0.34  # random outputs are unparseable
+        assert report["answer_accuracy_vote"] <= 0.34  # random outputs are unparseable
 
     def test_source_longer_than_max_positions_counts_wrong(self):
         # source lengths 14 .. 26: one problem too long for 25 positions must not sink its chunk
@@ -313,9 +312,9 @@ class TestEvaluate:
         params = init_params(cfg, 2)
         each = corpus.evaluate_each(params, vocab, insts, beam_size=2, max_len=8)
         fits = [i for i, inst in enumerate(insts) if len(inst.source) <= 25]
-        assert len(each) == 6 and len(fits) == 5
-        assert [r for i, r in enumerate(each) if i not in fits] == [EvalReport(1, 0, 0, 0)]
-        assert [each[i] for i in fits] == corpus.evaluate_each(params, vocab, [insts[i] for i in fits], 2, 8)
+        assert each.shape == (6, 3) and len(fits) == 5
+        assert [row.tolist() for i, row in enumerate(each) if i not in fits] == [[0, 0, 0]]
+        assert np.array_equal(each[fits], corpus.evaluate_each(params, vocab, [insts[i] for i in fits], 2, 8))
 
     def test_rewards_each_top_once_and_the_vote_reuses_one(self, monkeypatch):
         insts, _ = prepare_all(synth_gen(4, 3))
@@ -338,12 +337,15 @@ class TestEvaluate:
         monkeypatch.setattr(equations, "reward", lambda *a: calls.append(a) or real(*a))
         each = corpus.evaluate_each(params, vocab, insts, beam_size=2, max_len=8)
         assert len(calls) == 2 * len(insts)
-        assert each == [EvalReport(1, 1, 0, 1), EvalReport(1, 1, 0, 0), EvalReport(1, 0, 1, 1)]
+        assert each.tolist() == [[1, 0, 1], [1, 0, 0], [0, 1, 1]]
 
-    def test_report_arithmetic(self):
-        r = EvalReport(n=4, correct_l2r=1, correct_r2l=2, correct_vote=3)
-        assert r.accuracy_vote == 0.75
-        assert r.as_dict()["answer_accuracy_l2r"] == 0.25
+    def test_accuracies(self):
+        accs = corpus.accuracies(np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1], [0, 0, 0]]))
+        assert accs["answer_accuracy_vote"] == 0.75
+        assert accs == {"n": 4, "answer_accuracy_l2r": 0.25, "answer_accuracy_r2l": 0.5, "answer_accuracy_vote": 0.75}
+        # what eval prints for an empty data file
+        empty = corpus.accuracies(np.zeros((0, len(corpus.EVAL_COLUMNS)), dtype=np.int64))
+        assert empty == {"n": 0, "answer_accuracy_l2r": 0.0, "answer_accuracy_r2l": 0.0, "answer_accuracy_vote": 0.0}
 
 
 class TestCli:
@@ -390,6 +392,39 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"x": "2"' in out
 
+    def test_pipeline_output_contract(self, tmp_path, capsys):
+        """gen, train and eval read the way the benchmark's CLI workload reads them."""
+        train_f, held_f, ckpt, cfg = (tmp_path / name for name in ("train.jsonl", "held.jsonl", "model.npz", "c.json"))
+        cfg.write_text(json.dumps({"embed_dim": 8, "model_dim": 16, "layers": 1, "heads": 2, "ff_dim": 16,
+                                   "dropout": 0.0}))
+        printed = []
+        for argv in (["gen", "--n", "8", "--seed", "5", "--templates", "linear", "--out", train_f],
+                     ["gen", "--n", "7", "--seed", "6", "--templates", "linear", "--out", held_f],
+                     ["train", "--data", train_f, "--config", cfg, "--epochs", "60", "--lr", "1e-2", "--out", ckpt],
+                     ["eval", "--data", held_f, "--ckpt", ckpt, "--beam", "3", "--folds", "3", "--seed", "1"]):
+            capsys.readouterr()
+            assert cli_main([str(a) for a in argv]) == 0, argv
+            printed.append(capsys.readouterr().out)
+        train_acc = json.loads(printed[2].splitlines()[-1])["answer_accuracy_vote"]
+        report = json.loads(printed[3])
+        n = report["n"]
+        assert sum(f["n"] for f in report["folds"]) == n == 7 and len(report["folds"]) == 3
+        weighted = sum(f["n"] * f["answer_accuracy_vote"] for f in report["folds"]) / n
+        assert abs(weighted - report["overall"]["answer_accuracy_vote"]) < 1e-12
+        assert 0 < report["overall"]["answer_accuracy_vote"] < 1 and 0 < train_acc <= 1
+
+    def test_train_out_is_the_checkpoint_path(self, tmp_path, capsys):
+        # numpy's savez adds ".npz" to a path without it; eval then found no file at --out
+        data = tmp_path / "data.jsonl"
+        save(data, synth_gen(3, 4))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"embed_dim": 8, "model_dim": 16, "layers": 1, "heads": 2, "ff_dim": 16}))
+        ckpt = tmp_path / "m.ckpt"
+        assert cli_main(["train", "--data", str(data), "--config", str(cfg), "--epochs", "1", "--out", str(ckpt)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl", "m.ckpt",
+                                                              "m.ckpt.metrics.jsonl"]
+        assert cli_main(["eval", "--data", str(data), "--ckpt", str(ckpt), "--beam", "2", "--folds", "0"]) == 0
+
     def test_solve_ill_formed_exit_code(self, capsys):
         assert cli_main(["solve", "--eq", "x+=3"]) == 1
 
@@ -400,7 +435,7 @@ class TestCli:
         assert cli_main(["solve", "--eq", "x=N_1 N_2", "--nums", "5,7"]) == 1
         assert "ill-formed" in capsys.readouterr().out
 
-    def test_bad_input_is_one_line_error(self, tmp_path, capsys):
+    def test_bad_input_is_one_line_error(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "three.jsonl"
         save(data, synth_gen(3, 3))
         insts, _ = prepare_all(load(data))
@@ -413,6 +448,8 @@ class TestCli:
         ckpt = tmp_path / "model.npz"
         model.save_checkpoint(ckpt, init_params(cfg, 0), vocab.src_tokens, vocab.tgt_tokens)
         capsys.readouterr()
+        # a fold count the data cannot take fails before anything is decoded
+        monkeypatch.setattr(corpus, "evaluate_each", lambda *a: pytest.fail("decoded before the fold check"))
         code = cli_main(["eval", "--data", str(data), "--ckpt", str(ckpt), "--folds", "5"])
         err = capsys.readouterr().err
         assert code == 2
@@ -458,6 +495,36 @@ class TestCli:
         model.save_checkpoint(ckpt, init_params(cfg, 0), vocab.src_tokens, vocab.tgt_tokens)
         return data, ckpt
 
+    @staticmethod
+    def edited(good, path, edit):
+        """A copy of checkpoint ``good`` at ``path`` whose metadata ``edit`` changed in place."""
+        with np.load(good) as z:
+            payload = dict(z)
+        meta = json.loads(str(payload["__meta__"]))
+        edit(meta)
+        payload["__meta__"] = np.array(json.dumps(meta))
+        np.savez(path, **payload)
+        return path
+
+    def test_checkpoint_vocabulary_must_match_its_config(self, tmp_path, capsys):
+        # one more source token shifts the data's last token past the embedding table: an IndexError traceback
+        data, good = self.checkpoint(tmp_path)
+        with np.load(good) as z:
+            config = json.loads(str(z["__meta__"]))["config"]
+        longer = self.edited(good, tmp_path / "longer.npz", lambda meta: meta["src_vocab"].insert(5, "extra"))
+        shorter = self.edited(good, tmp_path / "shorter.npz", lambda meta: meta["tgt_vocab"].pop())
+        for ckpt, problem in (
+            (longer, f"src_vocab lists {config['vocab_src'] + 1} tokens, but the config's vocab_src is "
+                     f"{config['vocab_src']}"),
+            (shorter, f"tgt_vocab lists {config['vocab_tgt'] - 1} tokens, but the config's vocab_tgt is "
+                      f"{config['vocab_tgt']}"),
+        ):
+            for argv in (["eval", "--data", str(data), "--ckpt", str(ckpt)],
+                         ["rl", "--data", str(data), "--ckpt", str(ckpt), "--out", str(tmp_path / "rl.npz")]):
+                capsys.readouterr()
+                assert cli_main(argv) == 2, argv
+                assert capsys.readouterr().err == f"eqgen: error: checkpoint {ckpt}: {problem}\n", argv
+
     def test_not_a_checkpoint_is_one_line_error(self, tmp_path, capsys):
         data, good = self.checkpoint(tmp_path)
         raw = good.read_bytes()
@@ -465,19 +532,15 @@ class TestCli:
         truncated.write_bytes(raw[: len(raw) // 2])
         no_meta = tmp_path / "no_meta.npz"
         np.savez(no_meta, weights=np.zeros(2))
-        with np.load(good) as z:
-            payload = dict(z)
-        meta = json.loads(str(payload["__meta__"]))
-        meta["config"]["layerz"] = 3
-        payload["__meta__"] = np.array(json.dumps(meta))
-        unknown = tmp_path / "unknown.npz"
-        np.savez(unknown, **payload)
+        unknown = self.edited(good, tmp_path / "unknown.npz", lambda meta: meta["config"].update(layerz=3))
+        mistyped = self.edited(good, tmp_path / "mistyped.npz", lambda meta: meta["config"].update(layers="1"))
         out = tmp_path / "rl.npz"
         for ckpt, problem in (
             (data, "not an .npz archive, or a truncated one"),  # a JSONL file
             (truncated, "not an .npz archive, or a truncated one"),
             (no_meta, "no __meta__ record, so not saved by eqgen"),
             (unknown, "unknown config key(s): layerz"),
+            (mistyped, "config key 'layers' must be int, got \"1\""),
         ):
             for argv in (["eval", "--data", str(data), "--ckpt", str(ckpt)],
                          ["rl", "--data", str(data), "--ckpt", str(ckpt), "--out", str(out)]):
@@ -854,18 +917,19 @@ class TestCliEvalFolds:
         _, _, insts, vocab, params = self.trained(tmp_path)
         insts = insts + [replace(insts[0], problem=replace(insts[0].problem, answers=[]))]
         each = corpus.evaluate_each(params, vocab, insts, 3)
-        assert len(each) == len(insts) and all(r.n == 1 for r in each)
-        assert each[-1] == EvalReport(1, 0, 0, 0)  # no answers: counted, never correct
-        for inst, report in zip(insts[:-1], each):  # batched decoding scores as one problem alone
+        assert each.shape == (len(insts), len(corpus.EVAL_COLUMNS)) and each.dtype == np.int64
+        assert each[-1].tolist() == [0, 0, 0]  # no answers: counted, never correct
+        for inst, row in zip(insts[:-1], each):  # batched decoding scores as one problem alone
             hyps_l, hyps_r = decoding.decode_both(params, vocab.encode_source(inst.source), 3, 64)
             picks = (decoding.canonical_tokens(hyps_l[0]), decoding.canonical_tokens(hyps_r[0]),
                      decoding.vote(hyps_l[0], hyps_r[0]))
             want = [equations.reward(vocab.decode_target(t), inst.mapping, inst.problem.answers) for t in picks]
-            assert report == EvalReport(1, *want)
+            assert row.tolist() == want
         total = corpus.evaluate(params, vocab, insts, 3)
-        assert total == EvalReport(len(insts), sum(r.correct_l2r for r in each),
-                                   sum(r.correct_r2l for r in each), sum(r.correct_vote for r in each))
-        assert 0 < total.correct_vote < total.n
+        n = len(insts)
+        assert total == {"n": n, **{f"answer_accuracy_{name}": int(each[:, k].sum()) / n
+                                    for k, name in enumerate(corpus.EVAL_COLUMNS)}}
+        assert 0 < total["answer_accuracy_vote"] < 1
 
     def test_summed_folds_equal_full_decode(self, tmp_path, capsys):
         data, ckpt, insts, vocab, params = self.trained(tmp_path)
@@ -880,11 +944,11 @@ class TestCliEvalFolds:
         full = run_eval(0)
         assert len(summed["folds"]) == 3 and full["folds"] == []
         assert summed["overall"] == full["overall"]
-        assert full["overall"] == corpus.evaluate(params, vocab, insts, 3).as_dict()
+        assert full["overall"] == corpus.evaluate(params, vocab, insts, 3)
         assert sum(f["n"] for f in summed["folds"]) == full["overall"]["n"] == 8
         for i, fold in enumerate(corpus.folds(len(insts), 3, 2)):
             want = corpus.evaluate(params, vocab, [insts[j] for j in fold], 3)
-            assert summed["folds"][i] == {"fold": i, **want.as_dict()}
+            assert summed["folds"][i] == {"fold": i, **want}
         accs = full["overall"]
         assert 0 < accs["answer_accuracy_vote"]
         assert len({accs["answer_accuracy_l2r"], accs["answer_accuracy_r2l"]}) == 2

@@ -49,6 +49,11 @@ def tiny_config(**kw):
     return ModelConfig(**base)
 
 
+def token_lists(config):
+    """Source and target token lists of the config's vocabulary sizes, as a checkpoint needs."""
+    return [f"s{i}" for i in range(config.vocab_src)], [f"t{i}" for i in range(config.vocab_tgt)]
+
+
 def sinusoidal_pe(position: int, dim: int) -> np.ndarray:
     """Oracle for one row of the position table: entry 2i is
     sin(pos / 10000^(2i/dim)), entry 2i+1 the cos of the same angle."""
@@ -369,7 +374,7 @@ class TestDecoderPairs:
     @pytest.mark.parametrize("share", [True, False])
     def test_init_copy_and_load_keep_the_pairs(self, tmp_path, share):
         params = init_params(tiny_config(share_target_embedding=share), 14)
-        save_checkpoint(tmp_path / "m.npz", params, [], [])
+        save_checkpoint(tmp_path / "m.npz", params, *token_lists(params.config))
         for p in (params, params.copy(), load_checkpoint(tmp_path / "m.npz")[0]):
             weights = self.stacked(p)
             for key, name in M._decoder_names(p.config, L2R):
@@ -885,9 +890,10 @@ class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):
         params = init_params(tiny_config(), 12)
         path = tmp_path / "model.npz"
-        save_checkpoint(path, params, ["<pad>", "a"], ["<pad>", "+"])
+        src, tgt = token_lists(params.config)
+        save_checkpoint(path, params, src, tgt)
         loaded, src_toks, tgt_toks = load_checkpoint(path)
-        assert src_toks == ["<pad>", "a"] and tgt_toks == ["<pad>", "+"]
+        assert src_toks == src and tgt_toks == tgt
         assert loaded.config == params.config
         for name, t in params.named():
             assert np.array_equal(loaded[name].data, t.data)
@@ -895,7 +901,7 @@ class TestCheckpoint:
     def test_shape_validation(self, tmp_path):
         params = init_params(tiny_config(), 13)
         path = tmp_path / "model.npz"
-        save_checkpoint(path, params, [], [])
+        save_checkpoint(path, params, *token_lists(params.config))
         import json
 
         import numpy as np2
@@ -907,7 +913,7 @@ class TestCheckpoint:
         meta["config"]["heads"] = 2
         payload["__meta__"] = np2.array(json.dumps(meta))
         np2.savez(path, **payload)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="has shape"):
             load_checkpoint(path)
 
     def test_every_spec_tensor_present(self):

@@ -461,8 +461,8 @@ class TestTrainDriver:
         real_pool, real_step = training.sample_pool, training.reinforce_step
         steps = []
 
-        def some_mixed_pools(params, vocab, src, mapping, *args):
-            pool = real_pool(params, vocab, src, mapping, *args)
+        def some_mixed_pools(params, vocab, src, inst, *args):
+            pool = real_pool(params, vocab, src, inst, *args)
             for i, s in enumerate(pool):
                 s.reward = i % 2 if len(steps) % 3 else 0  # every third step all equal: no update
             return pool
