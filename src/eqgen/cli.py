@@ -199,8 +199,13 @@ def cmd_solve(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one line, like every other error
+        sys.exit(_error(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="eqgen", description=__doc__)
+    p = _Parser(prog="eqgen", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate synthetic problems")

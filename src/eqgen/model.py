@@ -21,10 +21,9 @@ Rows and grid. A batch is a right-padded (B, t) grid of ids, but only its
 real positions are computed. Every position-wise layer (embeddings,
 positions, linear maps, the fused feed-forward ``numerics.ffn``, dropout,
 and the residual add and layer norm fused as ``numerics.residual_norm``)
-runs on the (N, d) stack of the N real positions in row-major order; an
-unpadded batch keeps its grid, which holds the same rows. Real source
-positions are the non-PAD ids; ``encode`` returns its rows on the grid,
-with padding reading 0. The decoder's real positions are the first
+runs on the (N, d) stack of the N real positions in row-major order. Real
+source positions are the non-PAD ids; ``encode`` returns its rows on the
+grid, with padding reading 0. The decoder's real positions are the first
 ``lengths[i]`` of each row i (all of them when ``lengths`` is not given),
 and positions after them read 0 in the logits. Dropout draws its mask over
 the whole grid, so the random stream and each real position's mask do not
@@ -235,11 +234,7 @@ class ModelParams:
 def init_params(config: ModelConfig, seed_or_rng=0) -> ModelParams:
     """Xavier-uniform matrices, zero biases, unit layer-norm gains and
     uniform +-0.05 embedding tables."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)
     dt = config.np_dtype
     tensors: dict[str, Tensor] = {}
     for name, (shape, kind) in param_specs(config).items():
@@ -293,18 +288,10 @@ def _maybe_dropout(x: Tensor, config: ModelConfig, train: bool, rng, real) -> Te
     return dropout(x, config.dropout, rng, real)
 
 
-def _real(mask: np.ndarray) -> Optional[np.ndarray]:
-    """The (B, t) mask of real positions, or None when there is no padding."""
-    return None if mask.all() else mask
-
-
-def _grid(x: Tensor, real: Optional[np.ndarray]) -> Tensor:
-    return x if real is None else scatter_rows(x, real)
-
-
 def _embed(params: ModelParams, table: Tensor, ids: np.ndarray, real, start: int = 0) -> tuple[Tensor, np.ndarray]:
-    """Embedded ids of the real positions, and the rows of their sinusoidal
-    positions counted from ``start``."""
+    """Embedded ids of the real positions (of every position of a cached
+    step, whose ``real`` is None), and the rows of their sinusoidal positions
+    counted from ``start``."""
     cfg = params.config
     pe = _pe_table(cfg.max_positions, cfg.model_dim, cfg.dtype)
     if real is None:
@@ -361,8 +348,8 @@ def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tenso
         raise ConfigError("source sequence must be non-empty")
     if src.shape[1] > cfg.max_positions:
         raise ConfigError(f"source length {src.shape[1]} exceeds max_positions {cfg.max_positions}")
-    real = _real(~pad)
-    lengths = (~pad).sum(axis=1)
+    real = ~pad
+    lengths = real.sum(axis=1)
     plan = attention_plan(lengths, lengths)
     x, pos = _embed(params, params["src_embed"], src, real)
     x = scale_shift(linear(x, params["src_proj.w"], params["src_proj.b"]), math.sqrt(cfg.model_dim), pos)
@@ -373,7 +360,7 @@ def encode(params: ModelParams, src_ids, train: bool = False, rng=None) -> Tenso
         attn = _attend(p, cfg.heads, f"enc.{i}.attn", x, k, v, None, plan)
         x = _sublayer(p, cfg, f"enc.{i}.ln1", x, attn, train, rng, real)
         x = _sublayer(p, cfg, f"enc.{i}.ln2", x, _ffn(p, f"enc.{i}.ff", x), train, rng, real)
-    return _grid(x, real)
+    return scatter_rows(x, real)
 
 
 def _target_name(config: ModelConfig, direction: str) -> str:
@@ -531,14 +518,14 @@ def decoder_forward(
         if memory.shape[0] not in (1, rows):
             raise ConfigError(f"an uncached pass needs one memory or one per row, got {memory.shape[0]} "
                               f"for {rows} rows")
-        real = _real(np.arange(t) < lengths[:, None])
+        real = np.arange(t) < lengths[:, None]
         p = _decoder_weights(params, directions)
         # one plan per attention kind, for all layers, where each row has its own keys; one memory
         # under every row is folded under the query rows instead, as cached steps fold theirs
         self_plan = attention_plan(lengths, lengths, causal=True)
         if memory.shape[0] == rows:
             cross_plan = attention_plan(lengths, (~src_pad).sum(axis=1))
-            mem_keys = gather_rows(memory, ~src_pad) if src_pad.any() else memory
+            mem_keys = gather_rows(memory, ~src_pad)
     else:
         if train or lengths is not None:
             raise ConfigError("the decoder cache is for decoding only, not training or scoring")
@@ -582,7 +569,8 @@ def decoder_forward(
             x = _sublayer(p, cfg, f"{layer}.ln3", x, _ffn(p, f"{layer}.ff", x), train, rng, real)
         if cache is not None:
             cache.length += 1
-        return _grid(linear(x, p["out.w"], p["out.b"]), real)
+        logits = linear(x, p["out.w"], p["out.b"])
+        return logits if cache is not None else scatter_rows(logits, real)
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +672,10 @@ def save_checkpoint(path, params: ModelParams, src_tokens: list[str], tgt_tokens
 
 
 def load_checkpoint(path) -> tuple[ModelParams, list[str], list[str]]:
-    """Load and validate every tensor shape against the stored config. A
-    file that is not an eqgen checkpoint raises ``ConfigError`` naming the
-    path and the problem; one that cannot be opened raises ``OSError``."""
+    """Load and validate every tensor shape against the stored config, and
+    every value as finite in its dtype. A file that is not an eqgen
+    checkpoint raises ``ConfigError`` naming the path and the problem; one
+    that cannot be opened raises ``OSError``."""
     with open(path, "rb") as fh:
         try:
             return _read_checkpoint(fh)
@@ -707,6 +696,8 @@ def _read_checkpoint(fh) -> tuple[ModelParams, list[str], list[str]]:
         config = ModelConfig(**check_config_dict(meta["config"]))
         for side, size in (("src", config.vocab_src), ("tgt", config.vocab_tgt)):
             tokens = meta[f"{side}_vocab"]
+            if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
+                raise ConfigError(f"{side}_vocab must be a list of strings")
             if len(tokens) != size:
                 raise ConfigError(f"{side}_vocab lists {len(tokens)} tokens, but the config's vocab_{side} is {size}")
         tensors: dict[str, Tensor] = {}
@@ -717,5 +708,8 @@ def _read_checkpoint(fh) -> tuple[ModelParams, list[str], list[str]]:
             arr = z[key]
             if arr.shape != shape:
                 raise ConfigError(f"tensor {name} has shape {arr.shape}, expected {shape}")
-            tensors[name] = Tensor(arr.astype(config.np_dtype), requires_grad=True)
+            data = arr.astype(config.np_dtype)  # a value past the dtype's range reads inf
+            if not np.isfinite(data).all():
+                raise ConfigError(f"tensor {name} holds a value that is not finite as {config.dtype}")
+            tensors[name] = Tensor(data, requires_grad=True)
     return ModelParams(config, tensors), meta["src_vocab"], meta["tgt_vocab"]

@@ -5,10 +5,12 @@ over shuffled batches of ``MLE_BATCH_SIZE`` instances; after the last
 epoch its record carries ``corpus.evaluate``'s answer accuracies on the
 training set, at the default beam and length. Phase two continues from the
 trained policy on the instances that have answers: candidate sequences come
-from beam search in both directions (beam 6 by default), every returned
-hypothesis is one of the N samples, each gets the 0/1 answer reward that
-evaluation gives a top hypothesis (``corpus.hypothesis_reward``), and the
-mean reward over the pool is the baseline. The policy-gradient loss is
+from beam search in both directions (beam 6 by default), and every returned
+hypothesis is one of the N samples of the pool. The pool is that list of
+hypotheses and one array of their 0/1 answer rewards, the reward that
+evaluation gives a top hypothesis (``corpus.hypothesis_reward``). The mean
+reward r_b is the baseline, and each sample's advantage is r_n - r_b. The
+policy-gradient loss is
 
     (1/N) * sum_n (r_n - r_b) * CE(sample_n)
 
@@ -16,10 +18,9 @@ where CE is the teacher-forced negative log-likelihood of the sample under
 its own direction's factorization. One encoder pass and one padded decoder
 pass per direction score the whole pool; each sample's advantage weights
 its target positions in the cross entropy. Rewards never enter the
-differentiation graph; they only weight it. When all N rewards agree the
-advantage is identically zero and so is the gradient, so such a step
-returns before the teacher-forced pass. The pre-update gradient is clipped
-to a global norm of 1.
+differentiation graph; they only weight it. When every advantage is zero
+so is the gradient, and the step returns before the teacher-forced pass.
+The pre-update gradient is clipped to a global norm of 1.
 """
 
 from __future__ import annotations
@@ -143,19 +144,6 @@ def mle_step(params: ModelParams, opt: Adam, batch: Batch, rng=None) -> LossPart
 # ---------------------------------------------------------------------------
 
 
-def baseline(rewards: Sequence[float]) -> float:
-    """Mean reward over the N samples of one instance."""
-    if len(rewards) == 0:
-        raise ValueError("baseline needs at least one sample")
-    return sum(rewards) / len(rewards)
-
-
-@dataclass
-class RewardSample:
-    hypothesis: decoding.Hypothesis
-    reward: int
-
-
 @dataclass
 class RlStepResult:
     mean_reward: float
@@ -171,21 +159,23 @@ def sample_pool(
     inst: PreparedInstance,
     beam_size: int,
     max_len: int,
-) -> list[RewardSample]:
-    """Beam search both directions and score every returned hypothesis."""
+) -> tuple[list[decoding.Hypothesis], np.ndarray]:
+    """Beam search both directions: every returned hypothesis, L2R first, and
+    the array of their 0/1 rewards."""
     hyps_l, hyps_r = decoding.decode_both(params, src, beam_size, max_len)
-    return [RewardSample(hyp, corpus.hypothesis_reward(vocab, hyp, inst)) for hyp in hyps_l + hyps_r]
+    hyps = hyps_l + hyps_r
+    return hyps, np.array([corpus.hypothesis_reward(vocab, hyp, inst) for hyp in hyps])
 
 
-def policy_loss(params: ModelParams, src: np.ndarray, pool: Sequence[RewardSample]) -> Tensor:
-    """The REINFORCE loss ``-(1/N) * sum_n (r_n - r_b) * log p(sample_n)`` over
-    the pool: one encoder pass, and per direction one teacher-forced pass of
-    log-probabilities weighted by ``(r_b - r_n) / N``; the two terms added."""
-    r_b = baseline([s.reward for s in pool])
+def policy_loss(params: ModelParams, src: np.ndarray, hyps: Sequence[decoding.Hypothesis],
+                advantages: np.ndarray) -> Tensor:
+    """The REINFORCE loss ``-(1/N) * sum_n advantages[n] * log p(hyps[n])``:
+    one encoder pass, and per direction one teacher-forced pass of
+    log-probabilities weighted by ``-advantages[n] / N``; the two terms added."""
     memory = encode(params, src)
-    groups = [[s for s in pool if s.hypothesis.direction == direction] for direction in DIRECTIONS]
-    terms = [decoding.hypothesis_log_prob(params, src, [s.hypothesis for s in group], memory,
-                                          [(r_b - s.reward) / len(pool) for s in group]) for group in groups if group]
+    groups = [[i for i, h in enumerate(hyps) if h.direction == direction] for direction in DIRECTIONS]
+    terms = [decoding.hypothesis_log_prob(params, src, [hyps[i] for i in idx], memory,
+                                          -advantages[idx] / len(hyps)) for idx in groups if idx]
     return terms[0] if len(terms) == 1 else add(*terms)
 
 
@@ -200,21 +190,23 @@ def reinforce_step(
 ) -> RlStepResult:
     """One policy-gradient update on one instance.
 
-    The advantage weights the teacher-forced loss of each sample, so
-    gradients flow through log-probabilities only, never through rewards.
-    A pool whose rewards all equal the baseline has zero gradient: it is
-    neither scored nor back-propagated, and the parameters stay as they are.
+    The advantage of each sample is its reward minus the pool's mean reward,
+    the baseline. It weights the sample's teacher-forced loss, so gradients
+    flow through log-probabilities only, never through rewards. A pool whose
+    advantages are all zero has zero gradient: it is neither scored nor
+    back-propagated, and the parameters stay as they are.
     """
     src = np.asarray(vocab.encode_source(inst.source), dtype=np.int64)
-    pool = sample_pool(params, vocab, src, inst, beam_size, max_len)
-    r_b = baseline([s.reward for s in pool])
-    if all(s.reward == r_b for s in pool):
-        return RlStepResult(r_b, len(pool), 0.0, updated=False)
+    hyps, rewards = sample_pool(params, vocab, src, inst, beam_size, max_len)
+    r_b = float(rewards.mean())
+    advantages = rewards - r_b
+    if not advantages.any():
+        return RlStepResult(r_b, len(hyps), 0.0, updated=False)
     params.zero_grad()
-    backward(policy_loss(params, src, pool))
+    backward(policy_loss(params, src, hyps, advantages))
     norm = clip_grads(params, max_grad_norm)
     opt.step()
-    return RlStepResult(r_b, len(pool), norm, updated=True)
+    return RlStepResult(r_b, len(hyps), norm, updated=True)
 
 
 # ---------------------------------------------------------------------------

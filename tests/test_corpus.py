@@ -549,6 +549,58 @@ class TestCli:
                 assert capsys.readouterr().err == f"eqgen: error: checkpoint {ckpt}: {problem}\n", argv
         assert not out.exists()
 
+    def test_checkpoint_tensor_not_finite_is_one_line_error(self, tmp_path, capsys):
+        # a NaN, and a float64 value past float32's range under "dtype": "float32", used to end in a
+        # NonFiniteError traceback
+        data, good = self.checkpoint(tmp_path)
+        with np.load(good) as z:
+            payload = dict(z)
+        meta = json.loads(str(payload["__meta__"]))
+        nan = tmp_path / "nan.npz"
+        bias = payload["param:src_proj.b"].copy()
+        bias[1] = np.nan
+        np.savez(nan, **dict(payload, **{"param:src_proj.b": bias}))
+        huge = tmp_path / "huge.npz"
+        table = payload["param:tgt_embed"].copy()
+        table[2, 3] = 1e300
+        meta["config"]["dtype"] = "float32"
+        np.savez(huge, **dict(payload, **{"param:tgt_embed": table, "__meta__": np.array(json.dumps(meta))}))
+        out = tmp_path / "rl.npz"
+        for ckpt, problem in ((nan, "tensor src_proj.b holds a value that is not finite as float64"),
+                              (huge, "tensor tgt_embed holds a value that is not finite as float32")):
+            for argv in (["eval", "--data", str(data), "--ckpt", str(ckpt)],
+                         ["rl", "--data", str(data), "--ckpt", str(ckpt), "--out", str(out)]):
+                capsys.readouterr()
+                assert cli_main(argv) == 2, argv
+                assert capsys.readouterr().err == f"eqgen: error: checkpoint {ckpt}: {problem}\n", argv
+        assert not out.exists()
+
+    def test_checkpoint_vocabulary_of_non_strings_is_one_line_error(self, tmp_path, capsys):
+        # integer target tokens used to load, decode the whole file and end in a TypeError traceback
+        data, good = self.checkpoint(tmp_path)
+        ints = self.edited(good, tmp_path / "ints.npz",
+                           lambda meta: meta.update(tgt_vocab=list(range(len(meta["tgt_vocab"])))))
+        text = self.edited(good, tmp_path / "text.npz",
+                           lambda meta: meta.update(src_vocab="x" * len(meta["src_vocab"])))
+        for ckpt, problem in ((ints, "tgt_vocab must be a list of strings"),
+                              (text, "src_vocab must be a list of strings")):
+            for argv in (["eval", "--data", str(data), "--ckpt", str(ckpt)],
+                         ["rl", "--data", str(data), "--ckpt", str(ckpt), "--out", str(tmp_path / "rl.npz")]):
+                capsys.readouterr()
+                assert cli_main(argv) == 2, argv
+                assert capsys.readouterr().err == f"eqgen: error: checkpoint {ckpt}: {problem}\n", argv
+
+    @pytest.mark.parametrize("argv", [["train", "--data", "d.jsonl"],
+                                      ["train", "--data", "d.jsonl", "--out", "m.ckpt", "--epochs", "abc"],
+                                      ["bogus"]])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv)
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("eqgen: error: ") and err.count("\n") == 1, err
+
     def test_negative_folds_is_one_line_error(self, tmp_path, capsys):
         # the checkpoint does not exist: the count is checked before it is read
         data = tmp_path / "data.jsonl"

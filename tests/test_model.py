@@ -640,9 +640,12 @@ class TestPackedRowsMatchPaddedGrid:
 
     @pytest.mark.parametrize("train", [False, True])
     def test_joint_loss(self, monkeypatch, train):
+        # padded sources; sources of one length; no padding at all
         params = init_params(tiny_config(layers=2, dropout=0.2), 20)
-        batch = make_batch([[5, 6, 7, 8, 9], [10, 11], [12, 5, 6]], [[6, 7], [8, 9, 10, 5, 6], [7]])
-        self.compare(monkeypatch, params, self.joint(params, batch, train))
+        for batch in (make_batch([[5, 6, 7, 8, 9], [10, 11], [12, 5, 6]], [[6, 7], [8, 9, 10, 5, 6], [7]]),
+                      make_batch([[5, 6, 7], [10, 11, 8], [12, 5, 6]], [[6, 7], [8, 9, 10, 5, 6], [7]]),
+                      make_batch([[5, 6, 7], [10, 11, 8]], [[6, 7, 9], [8, 9, 10]])):
+            self.compare(monkeypatch, params, self.joint(params, batch, train))
 
     def test_one_token_source_next_to_a_long_one(self, monkeypatch):
         params = init_params(tiny_config(layers=2, dropout=0.1, share_target_embedding=False), 21)
@@ -666,19 +669,6 @@ class TestPackedRowsMatchPaddedGrid:
         batch = make_batch([[5, 6, 7, 8, 9, 10], [11, 12]], [[6], [7, 8, 9, 10, 5]])
         packed = self.compare(monkeypatch, params, self.joint(params, batch, True), tol=1e-5)
         assert all(g.dtype == np.float32 for g in packed[2].values())
-
-    def test_unpadded_input_makes_no_gather_or_scatter(self, monkeypatch):
-        calls = []
-        for name in ("gather_rows", "scatter_rows"):
-            real = getattr(M, name)
-            monkeypatch.setattr(M, name, lambda *a, real=real: calls.append(1) or real(*a))
-        params = init_params(tiny_config(), 24)
-        joint_loss(params, make_batch([[5, 6], [7, 8]], [[6, 7], [8, 9]]))
-        memory = encode(params, np.array([[5, 6, 7]]))
-        decoder_forward(params, L2R, np.full((3, 1), 6), memory, np.zeros((1, 3), bool), cache=DecoderCache())
-        assert calls == []
-        joint_loss(params, make_batch([[5, 6], [7]], [[6, 7], [8, 9]]))
-        assert calls
 
     def test_bad_lengths_rejected(self):
         params = init_params(tiny_config(), 25)

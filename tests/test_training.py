@@ -30,11 +30,9 @@ from eqgen.model import (
 from eqgen.numerics import Tensor, add, backward, cross_entropy
 from eqgen.training import (
     Adam,
-    RewardSample,
     RlStepResult,
     TrainSettings,
     TrainingDiverged,
-    baseline,
     clip_grads,
     grad_norm,
     mle_step,
@@ -164,17 +162,6 @@ class TestMleStep:
             mle_step(params, opt, batch_of(vocab, insts[:2]), rng=np.random.default_rng(0))
 
 
-class TestBaseline:
-    def test_examples(self):
-        assert baseline([1, 0, 1]) == pytest.approx(2 / 3)
-        assert baseline([0, 0]) == 0.0
-        assert baseline([1]) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            baseline([])
-
-
 class TestReinforceStep:
     def test_equal_rewards_zero_gradient(self):
         config, insts, vocab = small_setup(n=6)
@@ -210,11 +197,9 @@ class TestReinforceStep:
         hyp_good = decoding.Hypothesis(tuple(good) + (EOS_ID,), 0.0, L2R, True)
         hyp_bad = decoding.Hypothesis(tuple(bad) + (EOS_ID,), 0.0, L2R, True)
         params.zero_grad()
-        rewards = [1.0, 0.0]
-        r_b = baseline(rewards)
         loss = None
-        for hyp, r in ((hyp_good, rewards[0]), (hyp_bad, rewards[1])):
-            term = decoding.hypothesis_log_prob(params, src, [hyp], weights=[-(r - r_b) / 2])
+        for hyp, advantage in ((hyp_good, 0.5), (hyp_bad, -0.5)):  # rewards 1 and 0, baseline 0.5
+            term = decoding.hypothesis_log_prob(params, src, [hyp], weights=[-advantage / 2])
             loss = term if loss is None else add(loss, term)
         backward(loss)
         lp_good_0 = decoding.hypothesis_log_prob(params, src, [hyp_good]).item()
@@ -243,31 +228,34 @@ class TestReinforceStep:
 
 def reference_policy_loss(params, src, pool):
     """The per-sample loop the batched policy loss replaced: one batch-1
-    teacher-forced decoder pass per pool hypothesis, summed term by term."""
-    r_b = baseline([s.reward for s in pool])
+    teacher-forced decoder pass per pool hypothesis, weighted by its reward
+    minus the pool's mean reward, summed term by term."""
+    hyps, rewards = pool
+    r_b = sum(rewards) / len(rewards)
     memory = encode(params, src)
     src_pad = as_batch(src) == PAD_ID
     loss = None
-    for sample in pool:
-        hyp = sample.hypothesis
+    for hyp, reward in zip(hyps, rewards):
         emitted = list(hyp.tokens)
         begin = BOS_ID if hyp.direction == L2R else BOSR_ID
         logits = decoder_forward(params, hyp.direction, np.array([[begin] + emitted[:-1]]), memory, src_pad)
         lp = cross_entropy(logits, np.array([emitted]), weights=-1.0)
-        term = unfused.mul(lp, Tensor(-(sample.reward - r_b) / len(pool)))
+        term = unfused.mul(lp, Tensor(-(reward - r_b) / len(hyps)))
         loss = term if loss is None else unfused.add(loss, term)
     return loss
 
 
-def loss_and_grads(loss_fn, params, src, pool):
+def loss_and_grads(loss_fn, params, *args):
     params.zero_grad()
-    loss = loss_fn(params, src, pool)
+    loss = loss_fn(params, *args)
     backward(loss)
     return loss.item(), {name: t.grad for name, t in params.named()}
 
 
 def assert_matches_reference(params, src, pool):
-    got_loss, got = loss_and_grads(policy_loss, params, src, pool)
+    hyps, rewards = pool
+    advantages = rewards - rewards.mean()
+    got_loss, got = loss_and_grads(policy_loss, params, src, hyps, advantages)
     want_loss, want = loss_and_grads(reference_policy_loss, params, src, pool)
     assert rel_err(got_loss, want_loss) < 1e-12
     for name, g in want.items():
@@ -279,7 +267,7 @@ def assert_matches_reference(params, src, pool):
 
 
 def rewarded(hyps, rewards):
-    return [RewardSample(h, r) for h, r in zip(hyps, rewards)]
+    return hyps, np.array(rewards, dtype=np.int64)
 
 
 class TestBatchedPolicyLoss:
@@ -360,11 +348,9 @@ class TestReinforceStepPasses:
             return real_score(params, src, hyps, memory, weights)
 
         def spy_pool(*args):
-            pool = real_pool(*args)
-            for i, s in enumerate(pool):
-                s.reward = i % 2  # mixed rewards, whatever the solver says
-            pools.append(pool)
-            return pool
+            hyps, _ = real_pool(*args)
+            pools.append((hyps, np.arange(len(hyps)) % 2))  # mixed rewards, whatever the solver says
+            return pools[-1]
 
         monkeypatch.setattr(decoding, "hypothesis_log_prob", spy_score)
         monkeypatch.setattr(training, "sample_pool", spy_pool)
@@ -462,10 +448,9 @@ class TestTrainDriver:
         steps = []
 
         def some_mixed_pools(params, vocab, src, inst, *args):
-            pool = real_pool(params, vocab, src, inst, *args)
-            for i, s in enumerate(pool):
-                s.reward = i % 2 if len(steps) % 3 else 0  # every third step all equal: no update
-            return pool
+            hyps, _ = real_pool(params, vocab, src, inst, *args)
+            # every third step all equal: no update
+            return hyps, np.arange(len(hyps)) % 2 if len(steps) % 3 else np.zeros(len(hyps), np.int64)
 
         def spy_step(*args, **kwargs):
             steps.append(real_step(*args, **kwargs))
@@ -530,10 +515,8 @@ class TestConsumedGraph:
         real_pool = training.sample_pool
 
         def mixed_pool(*args):
-            pool = real_pool(*args)
-            for i, s in enumerate(pool):
-                s.reward = i % 2
-            return pool
+            hyps, _ = real_pool(*args)
+            return hyps, np.arange(len(hyps)) % 2
 
         monkeypatch.setattr(training, "sample_pool", mixed_pool)
 
@@ -619,10 +602,8 @@ class TestLockstepSearchInReinforce:
         real_pool = training.sample_pool
 
         def mixed_pool(*args):
-            pool = real_pool(*args)
-            for i, s in enumerate(pool):
-                s.reward = i % 2
-            return pool
+            hyps, _ = real_pool(*args)
+            return hyps, np.arange(len(hyps)) % 2
 
         def counted(*args):
             calls.append(decode_batch)
@@ -659,10 +640,8 @@ class TestFusedOpsBitForBit:
         real_pool = training.sample_pool
 
         def mixed_pool(*args):
-            pool = real_pool(*args)
-            for i, s in enumerate(pool):
-                s.reward = i % 2
-            return pool
+            hyps, _ = real_pool(*args)
+            return hyps, np.arange(len(hyps)) % 2
 
         with monkeypatch.context() as m:
             if reference:
@@ -714,7 +693,7 @@ class TestDecodersOneAtATime:
         for i in range(24):
             start = i * per_batch % len(insts)
             batch = batch_of(vocab, insts[start : start + per_batch])
-            # with padding each decoder reaches the memory through one gather of its rows
+            # one problem a batch has no source padding
             assert (batch.src == PAD_ID).any() == (per_batch > 1)
             parts = step(params, opt, batch, rng)
             losses.append((parts.total.item(), parts.l2r.item(), parts.r2l.item(), parts.tokens_l2r,
@@ -729,14 +708,14 @@ class TestDecodersOneAtATime:
         for name, data in want.items():
             assert data.dtype == np.dtype(dtype) and np.array_equal(got[name], data), name
 
-    def test_unpadded_sources_sum_the_memory_gradient_in_another_order(self):
-        # without padding each decoder's cross-attention projections read the memory directly, so its
-        # gradient is a sum over layers and directions, which the step adds in another order
+    def test_unpadded_sources_equal_the_one_graph_step(self):
+        # a batch without source padding gathers the memory's rows too, so the step adds the memory
+        # gradient in the same order
         got_losses, got = self._run(mle_step, "float64", True, 1)
         want_losses, want = self._run(self.one_graph_step, "float64", True, 1)
-        assert np.allclose(got_losses, want_losses, rtol=1e-9, atol=0)
+        assert got_losses == want_losses
         for name, data in want.items():
-            assert np.allclose(got[name], data, rtol=1e-9, atol=1e-9), name
+            assert np.array_equal(got[name], data), name
 
     def test_returns_losses_without_graph_or_memory(self):
         config, insts, vocab = small_setup(layers=2, dropout=0.1)
